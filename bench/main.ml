@@ -504,8 +504,14 @@ let run_sweep () =
 let mask_counts = [ 1; 8; 64; 512; 8192 ]
 
 (* A megaflow cache populated with [n] distinct attack-shaped masks
-   whose entries all miss the probe flow. *)
-let populated_megaflow ?config n =
+   whose entries all miss the probe flow. By default each mask holds one
+   entry, the attack's steady state, so every subtable is a singleton
+   (probed by a direct masked compare). [~hashed:true] adds a second
+   entry under every mask, the sibling source block, so every subtable
+   is probed through its hash table instead; those masks always carry
+   the destination-port prefix, which keeps both entries off the probe
+   flows. *)
+let populated_megaflow ?config ?(hashed = false) n =
   let open Pi_classifier in
   let mf = Pi_ovs.Megaflow.create ?config () in
   for i = 0 to n - 1 do
@@ -513,12 +519,20 @@ let populated_megaflow ?config n =
     let dport_len = (i / 32 mod 16) + 1 in
     let sport_len = (i / 512 mod 16) + 1 in
     let mask = Mask.with_prefix Mask.empty Field.Ip_src src_len in
-    let mask = if n > 32 then Mask.with_prefix mask Field.Tp_dst dport_len else mask in
+    let mask =
+      if n > 32 || hashed then Mask.with_prefix mask Field.Tp_dst dport_len
+      else mask
+    in
     let mask = if n > 512 then Mask.with_prefix mask Field.Tp_src sport_len else mask in
-    let key = Flow.make ~ip_src:0xFFFFFFFFl ~tp_src:0xFFFF ~tp_dst:0xFFFF () in
-    ignore
-      (Pi_ovs.Megaflow.insert mf ~key ~mask ~action:Pi_ovs.Action.Drop
-         ~revision:0 ~now:0. ())
+    let insert src =
+      let key = Flow.make ~ip_src:src ~tp_src:0xFFFF ~tp_dst:0xFFFF () in
+      ignore
+        (Pi_ovs.Megaflow.insert mf ~key ~mask ~action:Pi_ovs.Action.Drop
+           ~revision:0 ~now:0. ())
+    in
+    insert 0xFFFFFFFFl;
+    if hashed then
+      insert (Int32.logxor 0xFFFFFFFFl (Int32.shift_left 1l (32 - src_len)))
   done;
   mf
 
@@ -791,11 +805,11 @@ let run_hotpath () =
     Buffer.add_char b '}'
   in
   let print_row name n r =
-    Printf.printf "  %-16s %8s %14.1f %14.0f %18.3f\n" name
+    Printf.printf "  %-22s %8s %14.1f %14.0f %18.3f\n" name
       (match n with Some n -> string_of_int n | None -> "-")
       r.hr_ns_per_pkt r.hr_cycles_per_pkt r.hr_minor_words_per_pkt
   in
-  Printf.printf "  %-16s %8s %14s %14s %18s\n" "regime" "masks" "ns/pkt"
+  Printf.printf "  %-22s %8s %14s %14s %18s\n" "regime" "masks" "ns/pkt"
     "cycles/pkt" "minor words/pkt";
   (* 1. Steady-state EMC hit: the benign fast path. *)
   let emc_hit =
@@ -1011,6 +1025,12 @@ let run_hotpath () =
   let tss_walk_batch =
     batch_vs_scalar "tss-walk" (fun n -> (populated_megaflow n, miss_flows))
   in
+  (* The same full walk over two-entry subtables: the hash-table probe
+     path, which the singleton rows above never reach. *)
+  let tss_walk_hashed_batch =
+    batch_vs_scalar "tss-walk-hashed" (fun n ->
+        (populated_megaflow ~hashed:true n, miss_flows))
+  in
   (* The same walk ending in a hit: an exact-mask subtable appended
      AFTER the n attack masks, so both variants pay the full scan and
      then the hit bookkeeping. *)
@@ -1162,6 +1182,7 @@ let run_hotpath () =
       ("tss_churn", indexed tss_churn);
       ("tss_walk", indexed tss_walk);
       ("tss_walk_batch", indexed2 tss_walk_batch);
+      ("tss_walk_hashed_batch", indexed2 tss_walk_hashed_batch);
       ("upcall", indexed upcall) ];
   let path = "BENCH_hotpath.json" in
   let oc = open_out path in
@@ -1206,6 +1227,12 @@ let run_hotpath () =
        tss_walk_batch;
      List.iter
        (fun (n, (b, s)) ->
+         demand_zero "tss-walk-hashed-batch" (Some n) b.hr_minor_words_per_pkt;
+         demand_zero "tss-walk-hashed-scalar" (Some n)
+           s.hr_minor_words_per_pkt)
+       tss_walk_hashed_batch;
+     List.iter
+       (fun (n, (b, s)) ->
          demand_zero "mf-hit-batch" (Some n) b.hr_minor_words_per_pkt;
          demand_zero "mf-hit-scalar" (Some n) s.hr_minor_words_per_pkt)
        mf_hit_batch;
@@ -1220,7 +1247,8 @@ let run_hotpath () =
      else
        Printf.printf
          "  zero-alloc assertion (emc-hit, mf-hit-hinted, tss-walk,\n\
-         \  pmd-batch, tss-walk-batch, mf-hit-batch, profiler on/off): OK\n");
+         \  pmd-batch, tss-walk-batch, tss-walk-hashed-batch, mf-hit-batch,\n\
+         \  profiler on/off): OK\n");
   (match Sys.getenv_opt "PI_BENCH_ASSERT_OBS_OVERHEAD" with
    | None | Some ("" | "0") -> ()
    | Some _ ->
@@ -1264,12 +1292,13 @@ let run_hotpath () =
        end
      in
      List.iter (demand_faster "tss-walk-batch") tss_walk_batch;
+     List.iter (demand_faster "tss-walk-hashed-batch") tss_walk_hashed_batch;
      List.iter (demand_faster "mf-hit-batch") mf_hit_batch;
      if !failed then exit 1
      else
        Printf.printf
          "  batch <= per-packet at >= 512 masks (tss-walk-batch, \
-          mf-hit-batch): OK\n")
+          tss-walk-hashed-batch, mf-hit-batch): OK\n")
 
 (* ------------------------------------------------------------------ *)
 (* wallclock: real pkts/sec of the two PMD execution engines            *)

@@ -256,7 +256,7 @@ let miss_path t ~now flow ~pkt_len =
   match mf_entry with
   | Some e ->
     t.last_mf <- mf_entry;
-    if t.cfg.emc_enabled then Emc.insert t.emc flow e;
+    if t.cfg.emc_enabled then Emc.insert_stored t.emc flow mf_entry;
     observe t.h_probes (float_of_int probes);
     trace t ~now (Pi_telemetry.Tracer.Mf_hit { probes });
     finish t flow
@@ -436,7 +436,7 @@ let complete_miss t (b : Batch.t) ~now i j =
   match entry with
   | Some e ->
     t.last_mf <- entry;
-    if t.cfg.emc_enabled then Emc.insert t.emc flow e;
+    if t.cfg.emc_enabled then Emc.insert_stored t.emc flow entry;
     (* explicit match, not [observe]: the eagerly evaluated
        [float_of_int] argument would be boxed even with no histogram *)
     (match t.h_probes with

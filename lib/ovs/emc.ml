@@ -116,15 +116,24 @@ let rec probe_batch t flows n out miss_idx i k =
 let lookup_batch t flows ~n ~out ~miss_idx =
   probe_batch t flows n out miss_idx 0 0
 
-let insert_forced t flow value =
+(* Overwrite the key's slot with the already-boxed option [r]. *)
+let store t flow r =
   let i = slot_of t flow in
   (match t.values.(i) with None -> t.occupied <- t.occupied + 1 | Some _ -> ());
   t.keys.(i) <- flow;
-  t.values.(i) <- Some value
+  t.values.(i) <- r
 
-let insert t flow value =
-  if t.insert_inv_prob = 1 || Pi_pkt.Prng.int t.rng t.insert_inv_prob = 0 then
-    insert_forced t flow value
+let insert_forced t flow value = store t flow (Some value)
+
+let sampled t =
+  t.insert_inv_prob = 1 || Pi_pkt.Prng.int t.rng t.insert_inv_prob = 0
+
+let insert t flow value = if sampled t then insert_forced t flow value
+
+let insert_stored t flow r =
+  match r with
+  | Some _ -> if sampled t then store t flow r
+  | None -> invalid_arg "Emc.insert_stored: None"
 
 let invalidate_if t pred =
   let n = ref 0 in

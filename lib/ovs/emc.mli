@@ -55,6 +55,13 @@ val insert : 'a t -> Pi_classifier.Flow.t -> 'a -> unit
 (** Probabilistic insert: with probability [1/insert_inv_prob] the
     key's slot is overwritten (evicting any previous occupant). *)
 
+val insert_stored : 'a t -> Pi_classifier.Flow.t -> 'a option -> unit
+(** {!insert} of a value the caller already holds boxed, e.g. the
+    megaflow arena's stored [Some entry] that a lookup returned: the
+    option itself is stored, so the insert allocates nothing. Draws the
+    same sampling decision as {!insert}. Raises [Invalid_argument] on
+    [None]. *)
+
 val insert_forced : 'a t -> Pi_classifier.Flow.t -> 'a -> unit
 (** Insert regardless of the sampling probability. *)
 

@@ -13,16 +13,28 @@ type entry = {
   mutable alive : bool;
 }
 
-(* A subtable is a flat store: [s_tbl] maps the masked-key hash to an
-   index into the [s_arena] of [entry option]s ([Some] for every slot
-   below [s_count]; the option box is what a hit returns, so the probe
-   path allocates nothing — the EMC "stored Some" trick). Deleted cells
-   are compacted by swap-with-last; candidates are verified with
-   [Mask.equal_masked], so no masked flow is built either. *)
+(* A subtable holds the entries under one mask in [s_arena], an array
+   of [entry option]s ([Some] for every slot below [s_count]; the option
+   box is what a hit returns, so the probe path allocates nothing — the
+   EMC "stored Some" trick). Deleted cells are compacted by
+   swap-with-last.
+
+   [s_desc] is the packed probe descriptor: one [field; mask word; key
+   word] triple per support field of [s_mask]. Fields outside the
+   support are fully wildcarded, so a probe touches only these words
+   and never builds a masked flow. How the arena is probed depends on
+   the entry count alone:
+   - one entry (the attack's steady state: one covert flow per injected
+     mask): no hash table. The key words hold that entry's masked key
+     and a probe is a direct masked compare against the descriptor;
+   - two or more: [s_tbl] maps the masked-key hash to an arena index
+     and each candidate's key is compared. The table is built when the
+     second entry arrives and dropped when the count falls back to one.
+   The key words are meaningful only while [s_count = 1]. *)
 type subtable = {
   s_mask : Mask.t;
-  s_support : int array;                  (* Mask.support s_mask *)
-  s_tbl : Flat_tbl.t;                     (* masked-key hash -> arena index *)
+  s_desc : int array;                     (* [field; mask; key] triples *)
+  mutable s_tbl : Flat_tbl.t option;      (* Some iff s_count >= 2 *)
   mutable s_arena : entry option array;   (* slots [0, s_count) are Some *)
   mutable s_count : int;
   mutable s_hits : int;
@@ -57,6 +69,11 @@ type t = {
       (* walk scratch: packets of the current batch still unresolved.
          A field, not a [ref], so the per-subtable walk loop allocates
          nothing; only meaningful while [walk_batch] runs. *)
+  mutable w_fields : int array array;
+      (* walk scratch: slot [j] holds the field words of miss-set packet
+         [j], gathered once per batch so the per-subtable loops read them
+         without the [idx]/[flows] indirection. Grows to the largest
+         batch seen, then is reused. *)
   c_hit : Pi_telemetry.Metrics.counter option;
   c_miss : Pi_telemetry.Metrics.counter option;
   c_probes : Pi_telemetry.Metrics.counter option;
@@ -82,6 +99,7 @@ let create ?(config = default_config) ?metrics () =
     probes = 0;
     last_probes = 0;
     w_remaining = 0;
+    w_fields = [||];
     c_hit = c "mf_hit";
     c_miss = c "mf_miss";
     c_probes = c "mf_probes";
@@ -136,24 +154,87 @@ let bump ?(by = 1) = function
   | Some c -> Pi_telemetry.Metrics.incr ~by c
   | None -> ()
 
+(* --- Probe descriptor ------------------------------------------------
+
+   The descriptor helpers read flow fields at indices taken from
+   [Mask.support], which are below [Field.count], and descriptor words
+   at [k], [k + 1], [k + 2] for [k] a multiple of 3 below its length, so
+   every unsafe read below is bounded. They are top-level recursions,
+   not inner closures, so that no probe allocates. *)
+
+let desc_of_mask mask =
+  let support = Mask.support mask in
+  let d = Array.make (3 * Array.length support) 0 in
+  Array.iteri
+    (fun j f ->
+      d.(3 * j) <- f;
+      d.((3 * j) + 1) <- Mask.get mask (Field.of_index f))
+    support;
+  d
+
+(* Load the singleton's masked key into the descriptor's key words. *)
+let set_desc_key d key =
+  let kf = Flow.unsafe_fields key in
+  for k = 0 to (Array.length d / 3) - 1 do
+    d.((3 * k) + 2) <- d.((3 * k) + 1) land kf.(d.(3 * k))
+  done
+
+(* [ff] (flow fields) agrees with the descriptor's key words. *)
+let rec desc_match d ff k =
+  k >= Array.length d
+  || Array.unsafe_get d (k + 1) land Array.unsafe_get ff (Array.unsafe_get d k)
+     = Array.unsafe_get d (k + 2)
+     && desc_match d ff (k + 3)
+
+(* [ff] agrees with the pre-masked key fields [kf] under the mask. *)
+let rec key_match d kf ff k =
+  k >= Array.length d
+  || (let f = Array.unsafe_get d k in
+      Array.unsafe_get d (k + 1) land Array.unsafe_get ff f
+      = Array.unsafe_get kf f
+      && key_match d kf ff (k + 3))
+
+(* Mixes the masked support words in support order: bit-identical to
+   [Mask.hash_masked_on (Mask.support m) m]. *)
+let rec desc_hash d ff h k =
+  if k >= Array.length d then Bits.finalize h
+  else
+    desc_hash d ff
+      (Bits.mix h
+         (Array.unsafe_get d (k + 1)
+          land Array.unsafe_get ff (Array.unsafe_get d k)))
+      (k + 3)
+
+let hash_key st key = desc_hash st.s_desc (Flow.unsafe_fields key) 0 0
+
 (* The probe returns the arena's stored [Some] — nothing is allocated
-   on a hit (or a miss: [None] is immediate). Top-level recursion, not
-   an inner closure, for the same reason. *)
-let rec probe_entries st flow h slot =
+   on a hit (or a miss: [None] is immediate). *)
+let rec probe_entries st tbl ff h slot =
   if slot < 0 then None
   else begin
-    match st.s_arena.(Flat_tbl.value st.s_tbl slot) with
-    | Some e as r when Mask.equal_masked_on st.s_support st.s_mask e.key flow -> r
-    | _ -> probe_entries st flow h (Flat_tbl.next st.s_tbl h slot)
+    match st.s_arena.(Flat_tbl.value tbl slot) with
+    | Some e as r when key_match st.s_desc (Flow.unsafe_fields e.key) ff 0 -> r
+    | _ -> probe_entries st tbl ff h (Flat_tbl.next tbl h slot)
   end
 
-let find_in_subtable st flow =
-  let h = Mask.hash_masked_on st.s_support st.s_mask flow in
-  let slot = Flat_tbl.find_first st.s_tbl h in
-  (* The common attack-regime outcome — no entry under this mask — must
-     not pay a call: [probe_entries] is only entered on a hash match.
-     On the 8192-mask walk that call was a measurable per-probe tax. *)
-  if slot < 0 then None else probe_entries st flow h slot
+let find_hashed st tbl ff =
+  let h = desc_hash st.s_desc ff 0 0 in
+  let slot = Flat_tbl.find_first tbl h in
+  (* The common outcome — no entry under this mask — must not pay a
+     call: [probe_entries] is only entered on a hash match. *)
+  if slot < 0 then None else probe_entries st tbl ff h slot
+
+(* With a single entry, "hash hit and key match" is just "key match":
+   the singleton compare is exact, not a filter. *)
+let find_fields st ff =
+  if st.s_count = 1 then
+    if desc_match st.s_desc ff 0 then st.s_arena.(0) else None
+  else
+    match st.s_tbl with
+    | Some tbl -> find_hashed st tbl ff
+    | None -> None
+
+let find_in_subtable st flow = find_fields st (Flow.unsafe_fields flow)
 
 let hit_entry t st e ~now ~pkt_len ~probes =
   e.last_used <- now;
@@ -177,7 +258,7 @@ let miss t ~probes =
    per-packet allocation of the miss path (the attack's victim regime).
    The probe count is reported via [last_probes] rather than a result
    tuple so a hit (and a miss) allocates no pair. *)
-let rec scan_tables t flow ~now ~pkt_len i probes =
+let rec scan_tables t ff ~now ~pkt_len i probes =
   if i >= t.n_tables then begin
     miss t ~probes;
     t.last_probes <- probes;
@@ -186,15 +267,16 @@ let rec scan_tables t flow ~now ~pkt_len i probes =
   else begin
     let st = t.arr.(i) in
     let probes = probes + 1 in
-    match find_in_subtable st flow with
+    match find_fields st ff with
     | Some e as r ->
       hit_entry t st e ~now ~pkt_len ~probes;
       t.last_probes <- probes;
       r
-    | None -> scan_tables t flow ~now ~pkt_len (i + 1) probes
+    | None -> scan_tables t ff ~now ~pkt_len (i + 1) probes
   end
 
-let lookup t flow ~now ~pkt_len = scan_tables t flow ~now ~pkt_len 0 0
+let lookup t flow ~now ~pkt_len =
+  scan_tables t (Flow.unsafe_fields flow) ~now ~pkt_len 0 0
 
 (* Kernel-style lookup: try the mask the flow's hash slot matched last
    time (one probe); fall back to the linear scan and refresh the hint.
@@ -205,7 +287,7 @@ let lookup t flow ~now ~pkt_len = scan_tables t flow ~now ~pkt_len 0 0
    resort/compaction every cached index may point at a different mask,
    and with overlapping attack masks a stale hint could return a
    different entry than the linear scan would. *)
-let rec scan_tables_record t cache flow ~now ~pkt_len i probes =
+let rec scan_tables_record t cache flow ff ~now ~pkt_len i probes =
   if i >= t.n_tables then begin
     miss t ~probes;
     t.last_probes <- probes;
@@ -214,13 +296,13 @@ let rec scan_tables_record t cache flow ~now ~pkt_len i probes =
   else begin
     let st = t.arr.(i) in
     let probes = probes + 1 in
-    match find_in_subtable st flow with
+    match find_fields st ff with
     | Some e as r ->
       hit_entry t st e ~now ~pkt_len ~probes;
       Mask_cache.record cache flow i;
       t.last_probes <- probes;
       r
-    | None -> scan_tables_record t cache flow ~now ~pkt_len (i + 1) probes
+    | None -> scan_tables_record t cache flow ff ~now ~pkt_len (i + 1) probes
   end
 
 let lookup_hinted t cache flow ~now ~pkt_len =
@@ -240,24 +322,25 @@ let lookup_hinted t cache flow ~now ~pkt_len =
       r
     | None ->
       Mask_cache.note_miss cache;
-      scan_tables_record t cache flow ~now ~pkt_len 0 1
+      scan_tables_record t cache flow (Flow.unsafe_fields flow) ~now ~pkt_len
+        0 1
   end
   else begin
     Mask_cache.note_miss cache;
-    scan_tables_record t cache flow ~now ~pkt_len 0 0
+    scan_tables_record t cache flow (Flow.unsafe_fields flow) ~now ~pkt_len
+      0 0
   end
 
-(* Caller-owned probe reporting: the explicit record replaces the old
-   [last_probes] "valid until the next lookup" side-channel, which broke
-   down as soon as two lookups were in flight per batch. [t.last_probes]
-   is still maintained so the deprecated accessor keeps answering during
-   its final release. *)
+(* Caller-owned probe reporting: the explicit record replaces a
+   "valid until the next lookup" side-channel, which broke down as soon
+   as two lookups were in flight per batch. [t.last_probes] is the
+   single-lookup scratch the scans write and the [_s] wrappers copy. *)
 type lookup_stats = { mutable s_probes : int }
 
 let lookup_stats () = { s_probes = 0 }
 
 let lookup_s t s flow ~now ~pkt_len =
-  let r = scan_tables t flow ~now ~pkt_len 0 0 in
+  let r = lookup t flow ~now ~pkt_len in
   s.s_probes <- t.last_probes;
   r
 
@@ -277,29 +360,63 @@ let lookup_hinted_s t s cache flow ~now ~pkt_len =
    subtable header still fits in cache and the dpcls amortisation alone
    has nothing to amortise. Unresolved count lives in [t.w_remaining]
    (a [ref] here would be heap-allocated per subtable, and the
-   zero-alloc gate rounds at 1/1000 word per packet). *)
-let walk_table t st flows idx n out_entry out_probes out_tbl ti =
+   zero-alloc gate rounds at 1/1000 word per packet).
+
+   The singleton test is made once per subtable per batch, not once per
+   packet: a singleton's packets then run a tight compare loop against
+   the descriptor, whose few words stay in L1 across the burst. *)
+let[@inline] resolve t out_entry out_probes out_tbl ti j r =
+  out_entry.(j) <- r;
+  out_probes.(j) <- ti + 1;
+  out_tbl.(j) <- ti;
+  t.w_remaining <- t.w_remaining - 1
+
+let walk_singleton t d r fields n out_entry out_probes out_tbl ti =
+  if Array.length d = 0 then begin
+    (* the empty mask: its one entry matches every packet *)
+    for j = 0 to n - 1 do
+      if out_tbl.(j) < 0 then resolve t out_entry out_probes out_tbl ti j r
+    done
+  end
+  else begin
+    (* the first triple lives in registers: most packets fail on it *)
+    let f0 = d.(0) and m0 = d.(1) and k0 = d.(2) in
+    for j = 0 to n - 1 do
+      if out_tbl.(j) < 0 then begin
+        let ff = fields.(j) in
+        if m0 land Array.unsafe_get ff f0 = k0 && desc_match d ff 3 then
+          resolve t out_entry out_probes out_tbl ti j r
+      end
+    done
+  end
+
+let walk_hashed t st tbl fields n out_entry out_probes out_tbl ti =
   for j = 0 to n - 1 do
     if out_tbl.(j) < 0 then begin
-      match find_in_subtable st flows.(idx.(j)) with
-      | Some _ as r ->
-        out_entry.(j) <- r;
-        out_probes.(j) <- ti + 1;
-        out_tbl.(j) <- ti;
-        t.w_remaining <- t.w_remaining - 1
+      match find_hashed st tbl fields.(j) with
+      | Some _ as r -> resolve t out_entry out_probes out_tbl ti j r
       | None -> ()
     end
   done
 
-let rec walk_tables t flows idx n out_entry out_probes out_tbl ti =
+let walk_table t st fields n out_entry out_probes out_tbl ti =
+  if st.s_count = 1 then
+    walk_singleton t st.s_desc st.s_arena.(0) fields n out_entry out_probes
+      out_tbl ti
+  else
+    match st.s_tbl with
+    | Some tbl -> walk_hashed t st tbl fields n out_entry out_probes out_tbl ti
+    | None -> ()
+
+let rec walk_tables t fields n out_entry out_probes out_tbl ti =
   if t.w_remaining > 0 && ti < t.n_tables then begin
-    walk_table t t.arr.(ti) flows idx n out_entry out_probes out_tbl ti;
-    walk_tables t flows idx n out_entry out_probes out_tbl (ti + 1)
+    walk_table t t.arr.(ti) fields n out_entry out_probes out_tbl ti;
+    walk_tables t fields n out_entry out_probes out_tbl (ti + 1)
   end
 
 (* Pure subtable-major walk: for each mask, probe every unresolved
    packet of the miss set, then move to the next mask — the dpcls
-   amortisation (each subtable's mask, support and table are loaded once
+   amortisation (each subtable's descriptor and table are loaded once
    per batch, not once per packet). Touches no statistics and mutates
    nothing: [out_entry.(j)] is the stored arena option (or [None]),
    [out_probes.(j)] the probe count the sequential scan would have paid,
@@ -310,7 +427,10 @@ let rec walk_tables t flows idx n out_entry out_probes out_tbl ti =
    entries are non-overlapping so probe order across packets cannot
    change which entry wins. *)
 let walk_batch t flows ~idx ~n ~out_entry ~out_probes ~out_tbl =
+  if Array.length t.w_fields < n then t.w_fields <- Array.make n [||];
+  let fields = t.w_fields in
   for j = 0 to n - 1 do
+    fields.(j) <- Flow.unsafe_fields flows.(idx.(j));
     out_entry.(j) <- None;
     (* overwritten with the hit position on a hit; a packet that walks
        every subtable and misses paid them all, like the scan *)
@@ -318,7 +438,7 @@ let walk_batch t flows ~idx ~n ~out_entry ~out_probes ~out_tbl =
     out_tbl.(j) <- -1
   done;
   t.w_remaining <- n;
-  walk_tables t flows idx n out_entry out_probes out_tbl 0
+  walk_tables t fields n out_entry out_probes out_tbl 0
 
 let commit_walk t s entry ~now ~pkt_len ~probes ~tbl =
   (match entry with
@@ -395,40 +515,53 @@ let resort_by_hits t =
   List.iter (fun st -> st.s_hits <- st.s_hits / 2) l;
   set_tables t l
 
-let remove_entry t st (e : entry) =
-  let h = Mask.hash_masked_on st.s_support st.s_mask e.key in
+(* Unlink [e] from a hashed subtable's table and move the arena's last
+   entry into its cell (swap-with-last), redirecting the moved entry's
+   hash slot to its new arena index. *)
+let remove_hashed st tbl (e : entry) =
+  let h = hash_key st e.key in
   (* Locate the hash slot pointing at [e] (physical identity — several
      arena cells can share a hash). *)
   let rec find_slot slot =
     if slot < 0 then assert false
     else begin
-      match st.s_arena.(Flat_tbl.value st.s_tbl slot) with
+      match st.s_arena.(Flat_tbl.value tbl slot) with
       | Some x when x == e -> slot
-      | _ -> find_slot (Flat_tbl.next st.s_tbl h slot)
+      | _ -> find_slot (Flat_tbl.next tbl h slot)
     end
   in
-  let slot = find_slot (Flat_tbl.find_first st.s_tbl h) in
-  let idx = Flat_tbl.value st.s_tbl slot in
-  Flat_tbl.remove_slot st.s_tbl slot;
+  let slot = find_slot (Flat_tbl.find_first tbl h) in
+  let idx = Flat_tbl.value tbl slot in
+  Flat_tbl.remove_slot tbl slot;
   let last = st.s_count - 1 in
   if idx <> last then begin
-    (* Swap-with-last compaction: redirect the moved entry's hash slot
-       to its new arena index. *)
     match st.s_arena.(last) with
     | Some moved as m ->
       st.s_arena.(idx) <- m;
-      let hm = Mask.hash_masked_on st.s_support st.s_mask moved.key in
+      let hm = hash_key st moved.key in
       let rec fix s =
         if s < 0 then assert false
-        else if Flat_tbl.value st.s_tbl s = last then
-          Flat_tbl.set_value st.s_tbl s idx
-        else fix (Flat_tbl.next st.s_tbl hm s)
+        else if Flat_tbl.value tbl s = last then Flat_tbl.set_value tbl s idx
+        else fix (Flat_tbl.next tbl hm s)
       in
-      fix (Flat_tbl.find_first st.s_tbl hm)
+      fix (Flat_tbl.find_first tbl hm)
     | None -> assert false
-  end;
+  end
+
+let remove_entry t st (e : entry) =
+  (match st.s_tbl with
+   | Some tbl -> remove_hashed st tbl e
+   | None -> assert (match st.s_arena.(0) with Some x -> x == e | None -> false));
+  let last = st.s_count - 1 in
   st.s_arena.(last) <- None;
   st.s_count <- last;
+  if last = 1 then begin
+    (* back to a singleton: drop the table, load the survivor's key *)
+    st.s_tbl <- None;
+    match st.s_arena.(0) with
+    | Some survivor -> set_desc_key st.s_desc survivor.key
+    | None -> assert false
+  end;
   e.alive <- false;
   t.n <- t.n - 1;
   sync_gauges t
@@ -511,9 +644,8 @@ let insert t ~key ~mask ~action ~revision ~now ?origin () =
     | Some st -> st
     | None ->
       let st =
-        { s_mask = mask; s_support = Mask.support mask;
-          s_tbl = Flat_tbl.create (); s_arena = [||];
-          s_count = 0; s_hits = 0 }
+        { s_mask = mask; s_desc = desc_of_mask mask; s_tbl = None;
+          s_arena = [||]; s_count = 0; s_hits = 0 }
       in
       Tables.Mask_tbl.add t.by_mask mask st;
       push_subtable t st;
@@ -530,13 +662,25 @@ let insert t ~key ~mask ~action ~revision ~now ?origin () =
   in
   let cap = Array.length st.s_arena in
   if st.s_count = cap then begin
-    let na = Array.make (max 8 (cap * 2)) None in
+    (* a singleton's arena is one cell; growth doubles from there *)
+    let na = Array.make (max 1 (cap * 2)) None in
     Array.blit st.s_arena 0 na 0 cap;
     st.s_arena <- na
   end;
-  st.s_arena.(st.s_count) <- Some e;
-  Flat_tbl.add st.s_tbl (Mask.hash_masked_on st.s_support st.s_mask key) st.s_count;
-  st.s_count <- st.s_count + 1;
+  let i = st.s_count in
+  st.s_arena.(i) <- Some e;
+  st.s_count <- i + 1;
+  (match st.s_tbl with
+   | Some tbl -> Flat_tbl.add tbl (hash_key st key) i
+   | None when i = 0 -> set_desc_key st.s_desc key
+   | None ->
+     (* the second entry: index both, in arena order *)
+     let tbl = Flat_tbl.create () in
+     (match st.s_arena.(0) with
+      | Some first -> Flat_tbl.add tbl (hash_key st first.key) 0
+      | None -> assert false);
+     Flat_tbl.add tbl (hash_key st key) i;
+     st.s_tbl <- Some tbl);
   t.n <- t.n + 1;
   sync_gauges t;
   e
@@ -582,13 +726,21 @@ type mask_stat = {
   ms_max_probe : int;
 }
 
+(* A table-less subtable reports what a minimum-capacity table holding
+   its entries would: its one entry sits in its home slot. *)
+let min_capacity = Flat_tbl.capacity (Flat_tbl.create ())
+
 let subtable_stats t =
   List.init t.n_tables (fun i ->
       let st = t.arr.(i) in
-      let mean, maxp = Flat_tbl.probe_stats st.s_tbl in
+      let capacity, (mean, maxp) =
+        match st.s_tbl with
+        | Some tbl -> (Flat_tbl.capacity tbl, Flat_tbl.probe_stats tbl)
+        | None when st.s_count = 1 -> (min_capacity, (1., 1))
+        | None -> (min_capacity, (0., 0))
+      in
       { ms_mask = st.s_mask; ms_entries = st.s_count; ms_hits = st.s_hits;
-        ms_capacity = Flat_tbl.capacity st.s_tbl;
-        ms_mean_probe = mean; ms_max_probe = maxp })
+        ms_capacity = capacity; ms_mean_probe = mean; ms_max_probe = maxp })
 
 let entries t =
   let acc = ref [] in

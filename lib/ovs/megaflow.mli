@@ -2,10 +2,18 @@
     Space Search.
 
     Entries installed by the slow path are non-overlapping, so lookup
-    scans one hash table per distinct mask, in mask-creation order,
-    and stops at the first hit — which is why the lookup cost is linear
-    in the number of masks, the algorithmic deficiency the paper
-    attacks. A miss necessarily probes {e every} mask. *)
+    probes one subtable per distinct mask, in mask-creation order, and
+    stops at the first hit — which is why the lookup cost is linear in
+    the number of masks, the algorithmic deficiency the paper attacks.
+    A miss necessarily probes {e every} mask.
+
+    A subtable holding a single entry (the attack's steady state: one
+    covert flow per injected mask) has no hash table; it is probed by a
+    direct masked compare of the flow against that entry's key. From
+    two entries on, a subtable is an open-addressing hash table over
+    its masked keys. The choice depends only on the entry count and is
+    exact either way: results, probe counts and statistics are the
+    same as if every subtable were hashed. *)
 
 type entry = {
   key : Pi_classifier.Flow.t;   (** pre-masked *)
@@ -44,7 +52,7 @@ val lookup : t -> Pi_classifier.Flow.t -> now:float -> pkt_len:int -> entry opti
 (** The matching entry, if any; hit statistics are updated. The result
     is the stored option of the entry arena and a miss is the immediate
     [None], so lookup allocates nothing. For the number of subtable
-    hash probes performed (= position of the matching mask, or the
+    probes performed (= position of the matching mask, or the
     total mask count on a miss), use {!lookup_s} with a caller-owned
     {!lookup_stats} record. *)
 
@@ -61,7 +69,7 @@ val lookup_hinted :
 
 type lookup_stats = { mutable s_probes : int }
 (** Caller-owned probe reporting. A lookup writes the number of subtable
-    hash probes it performed into the record the caller passed, so two
+    probes it performed into the record the caller passed, so two
     concurrent walks (e.g. the batch path interleaving with a hinted
     commit) cannot clobber each other the way the retired cache-global
     [last_probes] accessor could (removed in 0.11.0 as CHANGES.md
@@ -83,7 +91,7 @@ val lookup_hinted_s :
 (** {2 Batch (subtable-major) lookup}
 
     OVS dpcls probes one subtable for a whole packet burst before
-    touching the next, amortising the mask/support/table loads across
+    touching the next, amortising the probe-descriptor/table loads across
     the batch — the amortisation the Tuple Space Explosion attack tries
     to defeat. The walk is split in two so {!Datapath.process_batch} can
     interleave EMC bookkeeping: a {e pure} vectorised walk
@@ -177,7 +185,10 @@ type mask_stat = {
       (** subtable hit count — decayed by {!resort_by_hits}, so it
           tracks recent traffic, like OVS's pvector priorities *)
   ms_capacity : int;
-      (** slots in the subtable's flat hash table (a power of two) *)
+      (** slots in the subtable's flat hash table (a power of two). A
+          single-entry subtable has no table and reports what a
+          minimum-capacity table holding its one entry would: that
+          capacity, with mean and max probe length 1 *)
   ms_mean_probe : float;
   ms_max_probe : int;
       (** mean / worst displacement-based probe length over the live

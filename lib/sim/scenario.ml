@@ -126,9 +126,9 @@ type report = {
   post_attack_mean_gbps : float;
   peak_masks : int;
   peak_shard_masks : int array;
-  throughput_series : Timeseries.t;
-  masks_series : Timeseries.t;
-  shard_masks_series : Timeseries.t array;
+  throughput_series : Pi_telemetry.Timeseries.t;
+  masks_series : Pi_telemetry.Timeseries.t;
+  shard_masks_series : Pi_telemetry.Timeseries.t array;
   scrape : Pi_telemetry.Scrape.t option;
   perf : Pi_telemetry.Perf.t option;
   final_stats : Dataplane.stats;
@@ -550,19 +550,19 @@ let run p =
         mean (fun s -> s.victim_gbps) (a.start +. 10.)
           (match a.stop with Some s -> s | None -> p.duration) )
   in
-  let throughput_series = Timeseries.create ~name:"victim-gbps" in
-  let masks_series = Timeseries.create ~name:"megaflow-masks" in
+  let series name = Pi_telemetry.Timeseries.create ~name in
+  let throughput_series = series "victim-gbps" in
+  let masks_series = series "megaflow-masks" in
   let shard_masks_series =
-    Array.init n_sh (fun s ->
-        Timeseries.create ~name:(Printf.sprintf "shard%d-masks" s))
+    Array.init n_sh (fun s -> series (Printf.sprintf "shard%d-masks" s))
   in
+  let add = Pi_telemetry.Timeseries.add in
   List.iter
     (fun s ->
-      Timeseries.add throughput_series ~time:s.time s.victim_gbps;
-      Timeseries.add masks_series ~time:s.time (float_of_int s.n_masks);
+      add throughput_series ~time:s.time s.victim_gbps;
+      add masks_series ~time:s.time (float_of_int s.n_masks);
       Array.iteri
-        (fun i m ->
-          Timeseries.add shard_masks_series.(i) ~time:s.time (float_of_int m))
+        (fun i m -> add shard_masks_series.(i) ~time:s.time (float_of_int m))
         s.shard_masks)
     samples;
   let peak_shard_masks = Array.make n_sh 0 in

@@ -137,9 +137,11 @@ type report = {
           end; [nan] without an attack *)
   peak_masks : int;
   peak_shard_masks : int array;
-  throughput_series : Timeseries.t;  (** victim Gb/s over time *)
-  masks_series : Timeseries.t;       (** megaflow mask count over time *)
-  shard_masks_series : Timeseries.t array;
+  throughput_series : Pi_telemetry.Timeseries.t;
+      (** victim Gb/s over time *)
+  masks_series : Pi_telemetry.Timeseries.t;
+      (** megaflow mask count over time *)
+  shard_masks_series : Pi_telemetry.Timeseries.t array;
       (** one mask-count series per shard ([shard<i>-masks]) *)
   scrape : Pi_telemetry.Scrape.t option;
       (** per-tick [n_masks]/[n_megaflows]/[emc_occupancy] (plus

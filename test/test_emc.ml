@@ -53,6 +53,18 @@ let test_insert_forced () =
   Alcotest.(check (option string)) "forced insert hit" (Some "v")
     (Emc.lookup e (flow 1))
 
+(* The stored option is the caller's own box, so a later hit hands back
+   exactly it: the megaflow miss path re-uses the arena's [Some]. *)
+let test_insert_stored () =
+  let e = mk ~capacity:64 () in
+  let r = Some "v" in
+  Emc.insert_stored e (flow 1) r;
+  Alcotest.(check bool) "hit returns the stored box" true
+    (Emc.lookup e (flow 1) == r);
+  match Emc.insert_stored e (flow 2) None with
+  | exception Invalid_argument _ -> ()
+  | () -> Alcotest.fail "None should raise"
+
 let test_invalidate_if () =
   let e = mk () in
   Emc.insert e (flow 1) "dead";
@@ -118,6 +130,7 @@ let suite =
     Alcotest.test_case "collision evicts" `Quick test_eviction_on_collision;
     Alcotest.test_case "probabilistic insert" `Quick test_probabilistic_insert;
     Alcotest.test_case "insert_forced" `Quick test_insert_forced;
+    Alcotest.test_case "insert_stored" `Quick test_insert_stored;
     Alcotest.test_case "invalidate_if" `Quick test_invalidate_if;
     Alcotest.test_case "clear" `Quick test_clear;
     Alcotest.test_case "reset stats" `Quick test_reset_stats;

@@ -31,10 +31,10 @@ let test_no_attack_baseline () =
     r.Scenario.samples;
   Alcotest.(check int) "series mirror the samples"
     (List.length r.Scenario.samples)
-    (Timeseries.length r.Scenario.throughput_series);
+    (Pi_telemetry.Timeseries.length r.Scenario.throughput_series);
   Alcotest.(check (float 1e-9)) "series mean matches report"
     r.Scenario.pre_attack_mean_gbps
-    (Timeseries.mean_between r.Scenario.throughput_series ~lo:0. ~hi:1e9)
+    (Pi_telemetry.Timeseries.mean_between r.Scenario.throughput_series ~lo:0. ~hi:1e9)
 
 let test_src_dport_attack () =
   let r =

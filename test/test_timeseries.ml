@@ -1,4 +1,4 @@
-open Pi_sim
+open Pi_telemetry
 
 let mk () =
   let ts = Timeseries.create ~name:"t" in
