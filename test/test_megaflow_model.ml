@@ -281,8 +281,7 @@ let step mf m ~max_entries cmd =
   check_shape mf m;
   (* every live key (a hit somewhere, maybe under an earlier
      overlapping mask) plus the command's own flows *)
-  check_lookups mf m (List.map (fun e -> e.r_key) m.entries @ !probe_flows);
-  check_shape mf m
+  check_lookups mf m (List.map (fun e -> e.r_key) m.entries @ !probe_flows)
 
 let gen_case =
   QCheck2.Gen.(
