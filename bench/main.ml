@@ -503,6 +503,21 @@ let run_sweep () =
 
 let mask_counts = [ 1; 8; 64; 512; 8192 ]
 
+(* Mask [i] of an [n]-mask attack set: an ip_src prefix of
+   [(i mod 32) + 1] bits, then (past 32 masks, or when [hashed]) a tp_dst
+   prefix of [(i / 32 mod 16) + 1] bits, then (past 512 masks) a tp_src
+   prefix of [(i / 512 mod 16) + 1] bits. *)
+let attack_mask ?(hashed = false) n i =
+  let open Pi_classifier in
+  let mask = Mask.with_prefix Mask.empty Field.Ip_src ((i mod 32) + 1) in
+  let mask =
+    if n > 32 || hashed then
+      Mask.with_prefix mask Field.Tp_dst ((i / 32 mod 16) + 1)
+    else mask
+  in
+  if n > 512 then Mask.with_prefix mask Field.Tp_src ((i / 512 mod 16) + 1)
+  else mask
+
 (* A megaflow cache populated with [n] distinct attack-shaped masks
    whose entries all miss the probe flow. By default each mask holds one
    entry, the attack's steady state, so every subtable is a singleton
@@ -516,14 +531,7 @@ let populated_megaflow ?config ?(hashed = false) n =
   let mf = Pi_ovs.Megaflow.create ?config () in
   for i = 0 to n - 1 do
     let src_len = (i mod 32) + 1 in
-    let dport_len = (i / 32 mod 16) + 1 in
-    let sport_len = (i / 512 mod 16) + 1 in
-    let mask = Mask.with_prefix Mask.empty Field.Ip_src src_len in
-    let mask =
-      if n > 32 || hashed then Mask.with_prefix mask Field.Tp_dst dport_len
-      else mask
-    in
-    let mask = if n > 512 then Mask.with_prefix mask Field.Tp_src sport_len else mask in
+    let mask = attack_mask ~hashed n i in
     let insert src =
       let key = Flow.make ~ip_src:src ~tp_src:0xFFFF ~tp_dst:0xFFFF () in
       ignore
@@ -537,6 +545,50 @@ let populated_megaflow ?config ?(hashed = false) n =
   mf
 
 let probe_flow = Pi_classifier.Flow.make ~ip_src:0l ~tp_src:0 ~tp_dst:0 ()
+
+(* The worst case for the megaflow block summaries: Fig. 2
+   complement-prefix singletons over [attack_mask n i]. Each key agrees
+   with [probe_flow] on every constrained bit but the last bit of each
+   prefix, so no entry matches the probe and the walk goes all the way.
+   The masks are minted as a seeded shuffle of pairs [(i, i lxor p)],
+   where [p] flips the low bit of every prefix length in use, so the two
+   subtables of each aligned pair differ in the length of every
+   constrained field. Where two keys' prefix lengths differ, the shorter
+   one's flipped bit is the longer one's probe bit; no such bit is agreed
+   by both, so the summary of any run of whole pairs pins only bits equal
+   to [probe_flow]'s and admits it: no block can be skipped. Needs an
+   even [n] of at least 2. *)
+let admit_megaflow n =
+  let open Pi_classifier in
+  let p = 1 lor (if n > 32 then 32 else 0) lor (if n > 512 then 512 else 0) in
+  let complement_key mask =
+    List.fold_left
+      (fun key f ->
+        match Mask.prefix_len mask f with
+        | Some l when l > 0 -> Flow.with_field key f (1 lsl (Field.width f - l))
+        | _ -> key)
+      probe_flow
+      [ Field.Ip_src; Field.Tp_dst; Field.Tp_src ]
+  in
+  let mf = Pi_ovs.Megaflow.create () in
+  let evens = Array.init (n / 2) (fun k -> 2 * k) in
+  Pi_pkt.Prng.shuffle (Pi_pkt.Prng.create 11L) evens;
+  Array.iter
+    (fun i ->
+      List.iter
+        (fun i ->
+          let mask = attack_mask n i in
+          ignore
+            (Pi_ovs.Megaflow.insert mf ~key:(complement_key mask) ~mask
+               ~action:Pi_ovs.Action.Drop ~revision:0 ~now:0. ()))
+        [ i; i lxor p ])
+    evens;
+  let stats = Pi_ovs.Megaflow.lookup_stats () in
+  (match Pi_ovs.Megaflow.lookup_s mf stats probe_flow ~now:0. ~pkt_len:100 with
+   | None when stats.Pi_ovs.Megaflow.s_probes = n -> ()
+   | _ -> failwith "admit_megaflow: the probe must miss after n probes");
+  Pi_ovs.Megaflow.reset_stats mf;
+  mf
 
 let micro_tests () =
   let open Bechamel in
@@ -965,7 +1017,7 @@ let run_hotpath () =
   print_row "pmd-batch" None pmd_batch;
   (* 8./9. Subtable-major batch walk vs the same 32 flows looked up one
      at a time: the dpcls-style amortisation the vectorised dataplane
-     rides on. [Megaflow.lookup_batch] probes one subtable for the
+     rides on. [Megaflow.walk_batch] probes one subtable for the
      whole burst before touching the next, so the per-mask loads
      amortise across the burst; at attack-sized mask sets the batch
      walk must not lose to 32 sequential lookups
@@ -973,20 +1025,24 @@ let run_hotpath () =
      variants are steady-state lookups and sit inside the zero-alloc
      gate. *)
   let burst = 32 in
-  let batch_vs_scalar which setup =
+  let batch_vs_scalar ?(counts = mask_counts) which setup =
     List.map
       (fun n ->
         let mf, flows = setup n in
         let idx = Array.init burst (fun i -> i) in
-        let pkt_lens = Array.make burst 100 in
+        let stats = Pi_ovs.Megaflow.lookup_stats () in
         let out_entry = Array.make burst None in
         let out_probes = Array.make burst 0 in
         let out_tbl = Array.make burst 0 in
         let iters = max 50 (50_000 / n) in
         let run_batch () =
           hot_measure ~quick_floor:100 ~iters (fun () ->
-              Pi_ovs.Megaflow.lookup_batch mf flows ~idx ~n:burst ~pkt_lens
-                ~now:0. ~out_entry ~out_probes ~out_tbl)
+              Pi_ovs.Megaflow.walk_batch mf flows ~idx ~n:burst ~out_entry
+                ~out_probes ~out_tbl;
+              for j = 0 to burst - 1 do
+                Pi_ovs.Megaflow.commit_walk mf stats out_entry.(j) ~now:0.
+                  ~pkt_len:100 ~probes:out_probes.(j) ~tbl:out_tbl.(j)
+              done)
         and run_scalar () =
           hot_measure ~quick_floor:100 ~iters (fun () ->
               for i = 0 to burst - 1 do
@@ -1014,7 +1070,7 @@ let run_hotpath () =
         print_row (which ^ "-batch") (Some n) b;
         print_row (which ^ "-scalar") (Some n) s;
         (n, (b, s)))
-      mask_counts
+      counts
   in
   (* 32 distinct flows that miss every injected mask: the covert-stream
      regime, full walk per packet. *)
@@ -1030,6 +1086,20 @@ let run_hotpath () =
   let tss_walk_hashed_batch =
     batch_vs_scalar "tss-walk-hashed" (fun n ->
         (populated_megaflow ~hashed:true n, miss_flows))
+  in
+  (* The same full walk with nothing for the block summaries to skip
+     (see [admit_megaflow]): the design's worst case, and the row whose
+     ns/probe is the measured cost of a subtable probe. The 32 flows
+     differ only in ip_dst, which no mask constrains. A one-mask set
+     cannot be built this way, so the row starts at 8 masks. *)
+  let tss_walk_admit_batch =
+    batch_vs_scalar
+      ~counts:(List.filter (fun n -> n >= 2) mask_counts)
+      "tss-walk-admit"
+      (fun n ->
+        ( admit_megaflow n,
+          Array.init burst (fun i ->
+              Flow.with_field probe_flow Field.Ip_dst i) ))
   in
   (* The same walk ending in a hit: an exact-mask subtable appended
      AFTER the n attack masks, so both variants pay the full scan and
@@ -1140,6 +1210,13 @@ let run_hotpath () =
        "\n  tss-walk @8192: %.2f ns/probe, %.4f minor words/probe\n"
        (r.hr_ns_per_pkt /. 8192.) (r.hr_minor_words_per_pkt /. 8192.)
    | None -> ());
+  (match List.assoc_opt 8192 tss_walk_admit_batch with
+   | Some (b, s) ->
+     Printf.printf
+       "  tss-walk-admit @8192 (nothing skipped): %.2f ns/probe batch, \
+        %.2f ns/probe scalar\n"
+       (b.hr_ns_per_pkt /. 8192.) (s.hr_ns_per_pkt /. 8192.)
+   | None -> ());
   let indexed rows =
     fun b ->
       add_obj b
@@ -1181,6 +1258,7 @@ let run_hotpath () =
       ("pmd_batch", fun b -> add_obj b (row_fields pmd_batch));
       ("tss_churn", indexed tss_churn);
       ("tss_walk", indexed tss_walk);
+      ("tss_walk_admit_batch", indexed2 tss_walk_admit_batch);
       ("tss_walk_batch", indexed2 tss_walk_batch);
       ("tss_walk_hashed_batch", indexed2 tss_walk_hashed_batch);
       ("upcall", indexed upcall) ];
@@ -1233,6 +1311,12 @@ let run_hotpath () =
        tss_walk_hashed_batch;
      List.iter
        (fun (n, (b, s)) ->
+         demand_zero "tss-walk-admit-batch" (Some n) b.hr_minor_words_per_pkt;
+         demand_zero "tss-walk-admit-scalar" (Some n)
+           s.hr_minor_words_per_pkt)
+       tss_walk_admit_batch;
+     List.iter
+       (fun (n, (b, s)) ->
          demand_zero "mf-hit-batch" (Some n) b.hr_minor_words_per_pkt;
          demand_zero "mf-hit-scalar" (Some n) s.hr_minor_words_per_pkt)
        mf_hit_batch;
@@ -1247,8 +1331,8 @@ let run_hotpath () =
      else
        Printf.printf
          "  zero-alloc assertion (emc-hit, mf-hit-hinted, tss-walk,\n\
-         \  pmd-batch, tss-walk-batch, tss-walk-hashed-batch, mf-hit-batch,\n\
-         \  profiler on/off): OK\n");
+         \  pmd-batch, tss-walk-batch, tss-walk-hashed-batch,\n\
+         \  tss-walk-admit-batch, mf-hit-batch, profiler on/off): OK\n");
   (match Sys.getenv_opt "PI_BENCH_ASSERT_OBS_OVERHEAD" with
    | None | Some ("" | "0") -> ()
    | Some _ ->
@@ -1293,12 +1377,13 @@ let run_hotpath () =
      in
      List.iter (demand_faster "tss-walk-batch") tss_walk_batch;
      List.iter (demand_faster "tss-walk-hashed-batch") tss_walk_hashed_batch;
+     List.iter (demand_faster "tss-walk-admit-batch") tss_walk_admit_batch;
      List.iter (demand_faster "mf-hit-batch") mf_hit_batch;
      if !failed then exit 1
      else
        Printf.printf
          "  batch <= per-packet at >= 512 masks (tss-walk-batch, \
-          tss-walk-hashed-batch, mf-hit-batch): OK\n")
+          tss-walk-hashed-batch, tss-walk-admit-batch, mf-hit-batch): OK\n")
 
 (* ------------------------------------------------------------------ *)
 (* wallclock: real pkts/sec of the two PMD execution engines            *)

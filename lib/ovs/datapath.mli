@@ -97,7 +97,7 @@ val process_batch : t -> Batch.t -> now:float -> unit
     packet's action and outcome columns back into the batch.
 
     The walk is subtable-major, OVS dpcls style: one vectorised EMC
-    probe pass carves out the miss set, one {!Megaflow.lookup_batch}
+    probe pass carves out the miss set, one {!Megaflow.walk_batch}
     walk resolves it loading each subtable once per batch, and a
     completion pass replays the per-packet bookkeeping in strict packet
     order. Results are bit-for-bit those of [n] {!process} calls — same

@@ -20,7 +20,7 @@ type entry = {
    swap-with-last.
 
    [s_desc] is the packed probe descriptor: one [field; mask word; key
-   word] triple per support field of [s_mask]. Fields outside the
+   word] triple per support field of the mask. Fields outside the
    support are fully wildcarded, so a probe touches only these words
    and never builds a masked flow. How the arena is probed depends on
    the entry count alone:
@@ -30,9 +30,11 @@ type entry = {
    - two or more: [s_tbl] maps the masked-key hash to an arena index
      and each candidate's key is compared. The table is built when the
      second entry arrives and dropped when the count falls back to one.
-   The key words are meaningful only while [s_count = 1]. *)
+   The key words are meaningful only while [s_count = 1]. The mask
+   itself is not stored: the descriptor's field and mask words are it
+   (see [mask_of_desc]), and only cold paths need it as a [Mask.t]. *)
 type subtable = {
-  s_mask : Mask.t;
+  mutable s_pos : int;                    (* index in [t.arr] *)
   s_desc : int array;                     (* [field; mask; key] triples *)
   mutable s_tbl : Flat_tbl.t option;      (* Some iff s_count >= 2 *)
   mutable s_arena : entry option array;   (* slots [0, s_count) are Some *)
@@ -53,12 +55,22 @@ let default_config = { max_entries = 200_000; idle_timeout = 10.0 }
    is an amortised-O(1) append. [generation] counts the reorderings
    (resort, compaction, flush) that invalidate any previously handed-out
    subtable index — the {!Mask_cache} hints — while plain appends leave
-   existing indices valid and do not bump it. *)
+   existing indices valid and do not bump it.
+
+   The scan order is cut into blocks of [block_size] consecutive
+   subtables, and [blocks.(b)] summarises block [b] as a descriptor: the
+   bits every entry of the block constrains and on which all their
+   masked keys agree. A packet that matches any entry of a block passes
+   its summary, so a packet failing it skips the whole block; probe
+   counts are derived from positions, so nothing observable changes. *)
 type t = {
   cfg : config;
   by_mask : subtable Tables.Mask_tbl.t;
   mutable arr : subtable array;     (* slots [0, n_tables) are live *)
   mutable n_tables : int;
+  mutable blocks : int array array;
+      (* slots [0, ceil (n_tables / block_size)) are live summaries;
+         the rest hold [unmerged], ready for the next block *)
   mutable generation : int;
   mutable n : int;
   mutable hits : int;
@@ -74,6 +86,12 @@ type t = {
          [j], gathered once per batch so the per-subtable loops read them
          without the [idx]/[flows] indirection. Grows to the largest
          batch seen, then is reused. *)
+  mutable w_sel : int array;
+  mutable w_sel_ff : int array array;
+  mutable w_k : int;
+      (* walk scratch: the selection — slots [0, w_k) hold the miss-set
+         slot and the field words of each still-unresolved packet that
+         passed the current block's summary. Grow like [w_fields]. *)
   c_hit : Pi_telemetry.Metrics.counter option;
   c_miss : Pi_telemetry.Metrics.counter option;
   c_probes : Pi_telemetry.Metrics.counter option;
@@ -92,6 +110,7 @@ let create ?(config = default_config) ?metrics () =
     by_mask = Tables.Mask_tbl.create 64;
     arr = [||];
     n_tables = 0;
+    blocks = [||];
     generation = 0;
     n = 0;
     hits = 0;
@@ -100,6 +119,9 @@ let create ?(config = default_config) ?metrics () =
     last_probes = 0;
     w_remaining = 0;
     w_fields = [||];
+    w_sel = [||];
+    w_sel_ff = [||];
+    w_k = 0;
     c_hit = c "mf_hit";
     c_miss = c "mf_miss";
     c_probes = c "mf_probes";
@@ -131,24 +153,6 @@ let iter_entries f st =
     | Some e -> f e
     | None -> assert false
   done
-
-let push_subtable t st =
-  let cap = Array.length t.arr in
-  if t.n_tables = cap then begin
-    let arr = Array.make (max 8 (2 * cap)) st in
-    Array.blit t.arr 0 arr 0 cap;
-    t.arr <- arr
-  end;
-  t.arr.(t.n_tables) <- st;
-  t.n_tables <- t.n_tables + 1
-
-(* Replace the live prefix with [l]; any outstanding index is now stale,
-   so the generation advances. *)
-let set_tables t l =
-  t.arr <- Array.of_list l;
-  t.n_tables <- Array.length t.arr;
-  t.generation <- t.generation + 1;
-  sync_gauges t
 
 let bump ?(by = 1) = function
   | Some c -> Pi_telemetry.Metrics.incr ~by c
@@ -185,6 +189,124 @@ let rec desc_match d ff k =
   || Array.unsafe_get d (k + 1) land Array.unsafe_get ff (Array.unsafe_get d k)
      = Array.unsafe_get d (k + 2)
      && desc_match d ff (k + 3)
+
+(* The subtable's mask, rebuilt from its descriptor (cold paths only). *)
+let mask_of_desc d =
+  let m = ref Mask.empty in
+  for k = 0 to (Array.length d / 3) - 1 do
+    m := Mask.with_field !m (Field.of_index d.(3 * k)) d.((3 * k) + 1)
+  done;
+  !m
+
+let mask_of st = mask_of_desc st.s_desc
+
+(* --- Block summaries -------------------------------------------------
+
+   A summary is a descriptor in the [s_desc] triple format whose mask
+   words are the bits every entry of the block constrains and on which
+   all their masked keys agree, and whose key words are those agreed
+   values. Soundness: a packet matching an entry agrees with that
+   entry's masked key on every summary bit, hence with the summary — so
+   a packet failing the summary matches no entry of the block, and the
+   block can be skipped without changing which entry wins.
+
+   Summaries only narrow as entries are merged in; a removed entry's
+   bits are left in place, since a summary over a superset of the live
+   entries is still sound. [set_tables] — the only place positions
+   change — rebuilds them from the live entries. *)
+
+let block_bits = 6
+let block_size = 1 lsl block_bits  (* fixed: not a tunable *)
+
+(* The summary of a block no entry has been merged into. [0 land _ = 1]
+   fails every packet, so the block is skipped; recognised by physical
+   identity when the first entry is merged. *)
+let unmerged = [| 0; 0; 1 |]
+
+(* The mask word of descriptor [d] on field [f] (0 outside its support). *)
+let rec desc_mask_on d f k =
+  if k >= Array.length d then 0
+  else if d.(k) = f then d.(k + 1)
+  else desc_mask_on d f (k + 3)
+
+(* Narrow summary [s] to the bits that an entry with descriptor [d] and
+   pre-masked key fields [kf] also constrains and agrees on:
+   [agree <- agree land mask land lnot (key lxor entry key)]. Summaries
+   are owned by their block, so this narrows in place and allocates
+   only to drop the triples left with no bit. *)
+let merge_summary s d kf =
+  if s == unmerged then begin
+    let r = Array.copy d in
+    for k = 0 to (Array.length r / 3) - 1 do
+      r.((3 * k) + 2) <- r.((3 * k) + 1) land kf.(r.(3 * k))
+    done;
+    r
+  end
+  else begin
+    let n = Array.length s / 3 in
+    let live = ref 0 in
+    for k = 0 to n - 1 do
+      let f = s.(3 * k) and key = s.((3 * k) + 2) in
+      let m =
+        s.((3 * k) + 1) land desc_mask_on d f 0 land lnot (key lxor kf.(f))
+      in
+      s.((3 * k) + 1) <- m;
+      s.((3 * k) + 2) <- key land m;
+      if m <> 0 then incr live
+    done;
+    if !live = n then s
+    else begin
+      let r = Array.make (3 * !live) 0 in
+      let j = ref 0 in
+      for k = 0 to n - 1 do
+        if s.((3 * k) + 1) <> 0 then begin
+          Array.blit s (3 * k) r (3 * !j) 3;
+          incr j
+        end
+      done;
+      r
+    end
+  end
+
+let merge_entry t st e =
+  let b = st.s_pos lsr block_bits in
+  t.blocks.(b) <- merge_summary t.blocks.(b) st.s_desc (Flow.unsafe_fields e.key)
+
+let n_blocks t = (t.n_tables + block_size - 1) lsr block_bits
+
+let push_subtable t st =
+  let cap = Array.length t.arr in
+  if t.n_tables = cap then begin
+    let arr = Array.make (max 8 (2 * cap)) st in
+    Array.blit t.arr 0 arr 0 cap;
+    t.arr <- arr
+  end;
+  let i = t.n_tables in
+  t.arr.(i) <- st;
+  st.s_pos <- i;
+  t.n_tables <- i + 1;
+  let bcap = Array.length t.blocks in
+  if i lsr block_bits = bcap then begin
+    (* the first subtable of a block with no slot yet *)
+    let blocks = Array.make (max 4 (2 * bcap)) unmerged in
+    Array.blit t.blocks 0 blocks 0 bcap;
+    t.blocks <- blocks
+  end
+
+(* Replace the live prefix with [l]; any outstanding index is now stale,
+   so the generation advances. Positions move, so every block summary is
+   rebuilt from the live entries. *)
+let set_tables t l =
+  t.arr <- Array.of_list l;
+  t.n_tables <- Array.length t.arr;
+  t.blocks <- Array.make (n_blocks t) unmerged;
+  Array.iteri
+    (fun i st ->
+      st.s_pos <- i;
+      iter_entries (merge_entry t st) st)
+    t.arr;
+  t.generation <- t.generation + 1;
+  sync_gauges t
 
 (* [ff] agrees with the pre-masked key fields [kf] under the mask. *)
 let rec key_match d kf ff k =
@@ -252,31 +374,49 @@ let miss t ~probes =
   bump t.c_miss;
   bump ~by:probes t.c_probes
 
-(* The linear scans are top-level recursive functions, not closures
-   inside [lookup]/[lookup_hinted]: an inner [let rec go] captures its
+(* The linear scan is a pair of top-level recursive functions, not a
+   closure inside [lookup]: an inner [let rec go] captures its
    environment and is heap-allocated per call, which dominated the
    per-packet allocation of the miss path (the attack's victim regime).
-   The probe count is reported via [last_probes] rather than a result
-   tuple so a hit (and a miss) allocates no pair. *)
-let rec scan_tables t ff ~now ~pkt_len i probes =
+   It is pure: the position reached goes to [last_probes] rather than
+   into a result tuple, so a hit (and a miss) allocates no pair, and the
+   callers replay the statistics.
+
+   Each block is entered only if the packet passes its summary; a block
+   it fails is jumped over whole. The probe count is not carried through
+   the loop: the scan's only loop variable is the subtable index, and a
+   hit at index [i] paid [i + 1] probes, a miss all of them. *)
+let[@inline] block_end t i = min t.n_tables (i + block_size)
+
+let rec scan t ff i =
   if i >= t.n_tables then begin
-    miss t ~probes;
-    t.last_probes <- probes;
+    t.last_probes <- t.n_tables;
     None
   end
   else begin
-    let st = t.arr.(i) in
-    let probes = probes + 1 in
-    match find_fields st ff with
-    | Some e as r ->
-      hit_entry t st e ~now ~pkt_len ~probes;
-      t.last_probes <- probes;
+    let hi = block_end t i in
+    if desc_match (Array.unsafe_get t.blocks (i lsr block_bits)) ff 0 then
+      scan_block t ff i hi
+    else scan t ff hi
+  end
+
+and scan_block t ff i hi =
+  if i >= hi then scan t ff i
+  else begin
+    match find_fields t.arr.(i) ff with
+    | Some _ as r ->
+      t.last_probes <- i + 1;
       r
-    | None -> scan_tables t ff ~now ~pkt_len (i + 1) probes
+    | None -> scan_block t ff (i + 1) hi
   end
 
 let lookup t flow ~now ~pkt_len =
-  scan_tables t (Flow.unsafe_fields flow) ~now ~pkt_len 0 0
+  let r = scan t (Flow.unsafe_fields flow) 0 in
+  let probes = t.last_probes in
+  (match r with
+   | Some e -> hit_entry t t.arr.(probes - 1) e ~now ~pkt_len ~probes
+   | None -> miss t ~probes);
+  r
 
 (* Kernel-style lookup: try the mask the flow's hash slot matched last
    time (one probe); fall back to the linear scan and refresh the hint.
@@ -286,24 +426,19 @@ let lookup t flow ~now ~pkt_len =
    The cache is synchronised with the subtable generation first: after a
    resort/compaction every cached index may point at a different mask,
    and with overlapping attack masks a stale hint could return a
-   different entry than the linear scan would. *)
-let rec scan_tables_record t cache flow ff ~now ~pkt_len i probes =
-  if i >= t.n_tables then begin
-    miss t ~probes;
-    t.last_probes <- probes;
-    None
-  end
-  else begin
-    let st = t.arr.(i) in
-    let probes = probes + 1 in
-    match find_fields st ff with
-    | Some e as r ->
-      hit_entry t st e ~now ~pkt_len ~probes;
-      Mask_cache.record cache flow i;
-      t.last_probes <- probes;
-      r
-    | None -> scan_tables_record t cache flow ff ~now ~pkt_len (i + 1) probes
-  end
+   different entry than the linear scan would. [extra] is the probe a
+   failed hint already paid. *)
+let scan_record t cache flow ~now ~pkt_len ~extra =
+  let r = scan t (Flow.unsafe_fields flow) 0 in
+  let pos = t.last_probes in
+  let probes = pos + extra in
+  (match r with
+   | Some e ->
+     hit_entry t t.arr.(pos - 1) e ~now ~pkt_len ~probes;
+     Mask_cache.record cache flow (pos - 1)
+   | None -> miss t ~probes);
+  t.last_probes <- probes;
+  r
 
 let lookup_hinted t cache flow ~now ~pkt_len =
   Mask_cache.sync_generation cache t.generation;
@@ -322,13 +457,11 @@ let lookup_hinted t cache flow ~now ~pkt_len =
       r
     | None ->
       Mask_cache.note_miss cache;
-      scan_tables_record t cache flow (Flow.unsafe_fields flow) ~now ~pkt_len
-        0 1
+      scan_record t cache flow ~now ~pkt_len ~extra:1
   end
   else begin
     Mask_cache.note_miss cache;
-    scan_tables_record t cache flow (Flow.unsafe_fields flow) ~now ~pkt_len
-      0 0
+    scan_record t cache flow ~now ~pkt_len ~extra:0
   end
 
 (* Caller-owned probe reporting: the explicit record replaces a
@@ -351,73 +484,113 @@ let lookup_hinted_s t s cache flow ~now ~pkt_len =
 
 (* --- Subtable-major batch walk ------------------------------------- *)
 
-(* Pure walk of one subtable over the still-unclassified packets of the
-   batch ([out_tbl.(j) < 0]). The probe count is NOT tallied per probe:
-   a packet resolved under mask [ti] paid [ti + 1] probes and one that
-   survives the whole walk paid [n_tables], both derivable after the
-   fact — dropping the per-probe read-modify-write is what lets this
-   loop beat the sequential scan even at 512 masks, where every
-   subtable header still fits in cache and the dpcls amortisation alone
-   has nothing to amortise. Unresolved count lives in [t.w_remaining]
-   (a [ref] here would be heap-allocated per subtable, and the
-   zero-alloc gate rounds at 1/1000 word per packet).
+(* Pure walk of one subtable over the selection: the still-unresolved
+   packets of the batch that passed the block's summary, held in
+   [w_sel] (their miss-set slots) and [w_sel_ff] (their field words),
+   slots [0, w_k). A packet leaves the selection when it resolves, by
+   swap-with-last, so the probe loop reads its flow straight from the
+   selection with no resolved-or-not test. The probe count is NOT
+   tallied per probe: a packet resolved under mask [ti] paid [ti + 1]
+   probes and one that survives the whole walk paid [n_tables], both
+   derivable after the fact — dropping the per-probe read-modify-write
+   is what lets this loop beat the sequential scan even at 512 masks,
+   where every subtable header still fits in cache and the dpcls
+   amortisation alone has nothing to amortise. The selection size and
+   the unresolved count live in fields of [t] (a [ref] passed between
+   these functions would be heap-allocated, and the zero-alloc gate
+   rounds at 1/1000 word per packet).
 
    The singleton test is made once per subtable per batch, not once per
    packet: a singleton's packets then run a tight compare loop against
    the descriptor, whose few words stay in L1 across the burst. *)
-let[@inline] resolve t out_entry out_probes out_tbl ti j r =
+let resolve t out_entry out_probes out_tbl ti jj r =
+  let sel = t.w_sel and sel_ff = t.w_sel_ff in
+  let j = sel.(jj) in
   out_entry.(j) <- r;
   out_probes.(j) <- ti + 1;
   out_tbl.(j) <- ti;
+  let last = t.w_k - 1 in
+  sel.(jj) <- sel.(last);
+  sel_ff.(jj) <- sel_ff.(last);
+  t.w_k <- last;
   t.w_remaining <- t.w_remaining - 1
 
-let walk_singleton t d r fields n out_entry out_probes out_tbl ti =
+let walk_singleton t d r out_entry out_probes out_tbl ti =
   if Array.length d = 0 then begin
     (* the empty mask: its one entry matches every packet *)
-    for j = 0 to n - 1 do
-      if out_tbl.(j) < 0 then resolve t out_entry out_probes out_tbl ti j r
+    while t.w_k > 0 do
+      resolve t out_entry out_probes out_tbl ti 0 r
     done
   end
   else begin
     (* the first triple lives in registers: most packets fail on it *)
     let f0 = d.(0) and m0 = d.(1) and k0 = d.(2) in
-    for j = 0 to n - 1 do
-      if out_tbl.(j) < 0 then begin
-        let ff = fields.(j) in
-        if m0 land Array.unsafe_get ff f0 = k0 && desc_match d ff 3 then
-          resolve t out_entry out_probes out_tbl ti j r
-      end
+    let sel_ff = t.w_sel_ff in
+    let jj = ref 0 in
+    while !jj < t.w_k do
+      let ff = Array.unsafe_get sel_ff !jj in
+      if m0 land Array.unsafe_get ff f0 = k0 && desc_match d ff 3 then
+        (* slot [jj] now holds the selection's former last packet *)
+        resolve t out_entry out_probes out_tbl ti !jj r
+      else incr jj
     done
   end
 
-let walk_hashed t st tbl fields n out_entry out_probes out_tbl ti =
-  for j = 0 to n - 1 do
-    if out_tbl.(j) < 0 then begin
-      match find_hashed st tbl fields.(j) with
-      | Some _ as r -> resolve t out_entry out_probes out_tbl ti j r
-      | None -> ()
-    end
+let walk_hashed t st tbl out_entry out_probes out_tbl ti =
+  let sel_ff = t.w_sel_ff in
+  let jj = ref 0 in
+  while !jj < t.w_k do
+    match find_hashed st tbl (Array.unsafe_get sel_ff !jj) with
+    | Some _ as r -> resolve t out_entry out_probes out_tbl ti !jj r
+    | None -> incr jj
   done
 
-let walk_table t st fields n out_entry out_probes out_tbl ti =
+let walk_table t st out_entry out_probes out_tbl ti =
   if st.s_count = 1 then
-    walk_singleton t st.s_desc st.s_arena.(0) fields n out_entry out_probes
-      out_tbl ti
+    walk_singleton t st.s_desc st.s_arena.(0) out_entry out_probes out_tbl ti
   else
     match st.s_tbl with
-    | Some tbl -> walk_hashed t st tbl fields n out_entry out_probes out_tbl ti
+    | Some tbl -> walk_hashed t st tbl out_entry out_probes out_tbl ti
     | None -> ()
 
-let rec walk_tables t fields n out_entry out_probes out_tbl ti =
-  if t.w_remaining > 0 && ti < t.n_tables then begin
-    walk_table t t.arr.(ti) fields n out_entry out_probes out_tbl ti;
-    walk_tables t fields n out_entry out_probes out_tbl (ti + 1)
+let rec walk_block t out_entry out_probes out_tbl ti hi =
+  if t.w_k > 0 && ti < hi then begin
+    walk_table t t.arr.(ti) out_entry out_probes out_tbl ti;
+    walk_block t out_entry out_probes out_tbl (ti + 1) hi
+  end
+
+(* Gather the unresolved packets passing summary [s] into the
+   selection. *)
+let select t s fields n out_tbl =
+  let sel = t.w_sel and sel_ff = t.w_sel_ff in
+  let k = ref 0 in
+  for j = 0 to n - 1 do
+    if out_tbl.(j) < 0 then begin
+      let ff = fields.(j) in
+      if desc_match s ff 0 then begin
+        sel.(!k) <- j;
+        sel_ff.(!k) <- ff;
+        incr k
+      end
+    end
+  done;
+  t.w_k <- !k
+
+(* Per block: select the packets its summary admits; if there are none,
+   move on without loading any of the block's subtables. *)
+let rec walk_tables t fields n out_entry out_probes out_tbl b =
+  if t.w_remaining > 0 && b < n_blocks t then begin
+    select t t.blocks.(b) fields n out_tbl;
+    let lo = b lsl block_bits in
+    walk_block t out_entry out_probes out_tbl lo (block_end t lo);
+    walk_tables t fields n out_entry out_probes out_tbl (b + 1)
   end
 
 (* Pure subtable-major walk: for each mask, probe every unresolved
    packet of the miss set, then move to the next mask — the dpcls
    amortisation (each subtable's descriptor and table are loaded once
-   per batch, not once per packet). Touches no statistics and mutates
+   per batch, not once per packet). Blocks whose summary no unresolved
+   packet passes are skipped whole. Touches no statistics and mutates
    nothing: [out_entry.(j)] is the stored arena option (or [None]),
    [out_probes.(j)] the probe count the sequential scan would have paid,
    [out_tbl.(j)] the matching subtable index (-1 on a miss). The caller
@@ -427,7 +600,11 @@ let rec walk_tables t fields n out_entry out_probes out_tbl ti =
    entries are non-overlapping so probe order across packets cannot
    change which entry wins. *)
 let walk_batch t flows ~idx ~n ~out_entry ~out_probes ~out_tbl =
-  if Array.length t.w_fields < n then t.w_fields <- Array.make n [||];
+  if Array.length t.w_fields < n then begin
+    t.w_fields <- Array.make n [||];
+    t.w_sel <- Array.make n 0;
+    t.w_sel_ff <- Array.make n [||]
+  end;
   let fields = t.w_fields in
   for j = 0 to n - 1 do
     fields.(j) <- Flow.unsafe_fields flows.(idx.(j));
@@ -463,7 +640,7 @@ let commit_scan_record t s cache flow entry ~now ~pkt_len ~probes ~tbl =
    entry the walk found — entries are non-overlapping — but the probe
    count differs: 1, not the scan position). A failed in-range hint adds
    its one probe to the precomputed scan count, as in
-   [scan_tables_record ... 0 1]. Only valid while the cache has not been
+   [scan_record ~extra:1]. Only valid while the cache has not been
    mutated since {!walk_batch} ran. *)
 let commit_walk_hinted t s cache flow entry ~now ~pkt_len ~probes ~tbl =
   Mask_cache.sync_generation cache t.generation;
@@ -488,22 +665,6 @@ let commit_walk_hinted t s cache flow entry ~now ~pkt_len ~probes ~tbl =
     commit_scan_record t s cache flow entry ~now ~pkt_len ~probes ~tbl;
     entry
   end
-
-let rec commit_batch t idx pkt_lens n out_entry out_probes out_tbl ~now j =
-  if j < n then begin
-    (match out_entry.(j) with
-     | Some e ->
-       hit_entry t t.arr.(out_tbl.(j)) e ~now
-         ~pkt_len:pkt_lens.(idx.(j)) ~probes:out_probes.(j)
-     | None -> miss t ~probes:out_probes.(j));
-    commit_batch t idx pkt_lens n out_entry out_probes out_tbl ~now (j + 1)
-  end
-
-(* Batch lookup = pure walk + per-packet commit. Statistics end up
-   identical to [n] sequential {!lookup} calls; allocation-free. *)
-let lookup_batch t flows ~idx ~n ~pkt_lens ~now ~out_entry ~out_probes ~out_tbl =
-  walk_batch t flows ~idx ~n ~out_entry ~out_probes ~out_tbl;
-  commit_batch t idx pkt_lens n out_entry out_probes out_tbl ~now 0
 
 (* Userspace-dpcls-style ranking: periodically sort subtables so the
    most-hit masks are probed first (OVS's pvector). Decays counts so
@@ -570,12 +731,11 @@ let drop_empty_subtables t =
   let any_dead = ref false in
   iter_subtables (fun st -> if st.s_count = 0 then any_dead := true) t;
   if !any_dead then begin
+    Tables.Mask_tbl.filter_map_inplace
+      (fun _ st -> if st.s_count = 0 then None else Some st)
+      t.by_mask;
     let live = ref [] in
-    iter_subtables
-      (fun st ->
-        if st.s_count = 0 then Tables.Mask_tbl.remove t.by_mask st.s_mask
-        else live := st :: !live)
-      t;
+    iter_subtables (fun st -> if st.s_count > 0 then live := st :: !live) t;
     set_tables t (List.rev !live)
   end
 
@@ -644,7 +804,7 @@ let insert t ~key ~mask ~action ~revision ~now ?origin () =
     | Some st -> st
     | None ->
       let st =
-        { s_mask = mask; s_desc = desc_of_mask mask; s_tbl = None;
+        { s_pos = 0; s_desc = desc_of_mask mask; s_tbl = None;
           s_arena = [||]; s_count = 0; s_hits = 0 }
       in
       Tables.Mask_tbl.add t.by_mask mask st;
@@ -681,6 +841,7 @@ let insert t ~key ~mask ~action ~revision ~now ?origin () =
       | None -> assert false);
      Flat_tbl.add tbl (hash_key st key) i;
      st.s_tbl <- Some tbl);
+  merge_entry t st e;
   t.n <- t.n + 1;
   sync_gauges t;
   e
@@ -711,11 +872,59 @@ let flush t =
   t.n <- 0;
   set_tables t []
 
+(* --- Invariants -------------------------------------------------------
+
+   The structural facts the probe paths rely on, checked explicitly so a
+   model test can assert them after every operation. *)
+let check t =
+  let exception Broken of string in
+  let fail fmt = Printf.ksprintf (fun msg -> raise (Broken msg)) fmt in
+  try
+    let count = ref 0 in
+    for i = 0 to t.n_tables - 1 do
+      let st = t.arr.(i) in
+      if st.s_pos <> i then fail "subtable %d: s_pos is %d" i st.s_pos;
+      if st.s_count < 1 then fail "subtable %d: no entry" i;
+      (match Tables.Mask_tbl.find_opt t.by_mask (mask_of st) with
+       | Some x when x == st -> ()
+       | Some _ -> fail "subtable %d: by_mask holds another subtable" i
+       | None -> fail "subtable %d: mask missing from by_mask" i);
+      count := !count + st.s_count;
+      let summary = t.blocks.(i lsr block_bits) in
+      iter_entries
+        (fun e ->
+          let kf = Flow.unsafe_fields e.key in
+          if st.s_count = 1 then
+            for k = 0 to (Array.length st.s_desc / 3) - 1 do
+              let f = st.s_desc.(3 * k) and m = st.s_desc.((3 * k) + 1) in
+              if st.s_desc.((3 * k) + 2) <> m land kf.(f) then
+                fail "subtable %d: singleton key word %d is stale" i k
+            done;
+          (* every bit the summary pins must be pinned by the entry too,
+             to the same value — so every packet the entry matches
+             passes the summary *)
+          for k = 0 to (Array.length summary / 3) - 1 do
+            let f = summary.(3 * k) and m = summary.((3 * k) + 1) in
+            if m land lnot (desc_mask_on st.s_desc f 0) <> 0
+               || m land kf.(f) <> summary.((3 * k) + 2)
+            then
+              fail "subtable %d: an entry fails block %d's summary" i
+                (i lsr block_bits)
+          done)
+        st
+    done;
+    if Tables.Mask_tbl.length t.by_mask <> t.n_tables then
+      fail "by_mask holds %d masks, the scan %d"
+        (Tables.Mask_tbl.length t.by_mask) t.n_tables;
+    if !count <> t.n then fail "n is %d, subtables hold %d" t.n !count;
+    Ok ()
+  with Broken msg -> Error msg
+
 let n_entries t = t.n
 let n_masks t = t.n_tables
 
 let masks t =
-  List.init t.n_tables (fun i -> t.arr.(i).s_mask)
+  List.init t.n_tables (fun i -> mask_of t.arr.(i))
 
 type mask_stat = {
   ms_mask : Mask.t;
@@ -739,7 +948,7 @@ let subtable_stats t =
         | None when st.s_count = 1 -> (min_capacity, (1., 1))
         | None -> (min_capacity, (0., 0))
       in
-      { ms_mask = st.s_mask; ms_entries = st.s_count; ms_hits = st.s_hits;
+      { ms_mask = mask_of st; ms_entries = st.s_count; ms_hits = st.s_hits;
         ms_capacity = capacity; ms_mean_probe = mean; ms_max_probe = maxp })
 
 let entries t =

@@ -7,13 +7,24 @@
     the number of masks, the algorithmic deficiency the paper attacks.
     A miss necessarily probes {e every} mask.
 
+    That linear cost is the {e modelled} cost: probe counts, statistics
+    and everything {!Cost_model} charges from them are those of a scan
+    that probes every mask up to the hit. The implementation does not
+    pay it in wall-clock time. The scan order is cut into fixed blocks
+    of 64 consecutive subtables, each summarised by the bits all of its
+    entries constrain and agree on; a packet that fails a block's
+    summary cannot match any entry in it, so the block is skipped and
+    its subtables are charged as probed without being touched. Masks
+    minted by one policy share most of their constrained bits, so under
+    attack most blocks are rejected by one compare.
+
     A subtable holding a single entry (the attack's steady state: one
     covert flow per injected mask) has no hash table; it is probed by a
     direct masked compare of the flow against that entry's key. From
     two entries on, a subtable is an open-addressing hash table over
     its masked keys. The choice depends only on the entry count and is
     exact either way: results, probe counts and statistics are the
-    same as if every subtable were hashed. *)
+    same as if every subtable were hashed and probed. *)
 
 type entry = {
   key : Pi_classifier.Flow.t;   (** pre-masked *)
@@ -104,13 +115,18 @@ val walk_batch :
   out_entry:entry option array -> out_probes:int array ->
   out_tbl:int array -> unit
 (** Pure subtable-major walk over the [n] packets [flows.(idx.(0)) ..
-    flows.(idx.(n-1))]. For each packet slot [j]: [out_entry.(j)] is the
-    matching entry (the stored arena option — nothing is allocated),
-    [out_probes.(j)] the probes a sequential scan would have paid, and
-    [out_tbl.(j)] the matching subtable index, or [-1] on a miss. No
-    statistics are touched and nothing is mutated; commit each packet
-    with {!commit_walk} (or {!commit_walk_hinted}) before the cache is
-    mutated, or the precomputed results are stale. *)
+    flows.(idx.(n-1))], one block of subtables at a time: only the
+    still-unresolved packets that pass a block's summary probe its
+    subtables, and a block no such packet passes is not touched at all.
+    Skipped subtables still count as probed, so the results are those
+    of a subtable-by-subtable walk. For each packet slot [j]:
+    [out_entry.(j)] is the matching entry (the stored arena option —
+    nothing is allocated), [out_probes.(j)] the probes a sequential scan
+    would have paid, and [out_tbl.(j)] the matching subtable index, or
+    [-1] on a miss. No statistics are touched and nothing is mutated;
+    commit each packet with {!commit_walk} (or {!commit_walk_hinted})
+    before the cache is mutated, or the precomputed results are
+    stale. *)
 
 val commit_walk :
   t -> lookup_stats -> entry option -> now:float -> pkt_len:int ->
@@ -129,14 +145,6 @@ val commit_walk_hinted :
     entry (the hint's on a hint hit — with [s_probes = 1] — otherwise
     the precomputed one, with the failed in-range hint's extra probe
     added). *)
-
-val lookup_batch :
-  t -> Pi_classifier.Flow.t array -> idx:int array -> n:int ->
-  pkt_lens:int array -> now:float -> out_entry:entry option array ->
-  out_probes:int array -> out_tbl:int array -> unit
-(** {!walk_batch} + per-packet commit: statistics identical to [n]
-    sequential {!lookup} calls, allocation-free. [pkt_lens] is indexed
-    by [idx.(j)], like [flows]. *)
 
 val generation : t -> int
 (** Incremented whenever subtable indices are invalidated (ranking
@@ -219,3 +227,12 @@ val total_probes : t -> int
 (** Cumulative subtable probes across all lookups. *)
 
 val reset_stats : t -> unit
+
+val check : t -> (unit, string) result
+(** Verify the structural invariants the lookups rely on, naming the
+    first one broken: every subtable's recorded position is its scan
+    index and it holds at least one entry; the mask index and the scan
+    order list the same subtables; a one-entry subtable's descriptor
+    holds that entry's masked key; every live entry passes its block's
+    summary, on bits the entry itself constrains; and the entry count
+    is the sum of the subtables' counts. O(entries); for tests. *)

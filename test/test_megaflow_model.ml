@@ -1,8 +1,12 @@
 (* Model-based test of the megaflow cache: random command sequences run
    against [Megaflow] and against a list-based reference, compared after
-   every step. The commands push subtables through 0 -> 1 -> 2 -> 1 -> 0
-   entries, so a singleton (table-less) subtable is created, promoted to
-   a hashed one, demoted again and dropped, with lookups in between.
+   every step, with [Megaflow.check] asserting the cache's own structural
+   invariants after every command. The commands push subtables through
+   0 -> 1 -> 2 -> 1 -> 0 entries, so a singleton (table-less) subtable is
+   created, promoted to a hashed one, demoted again and dropped, with
+   lookups in between. Bulk mints grow the scan past several blocks of
+   64 subtables, so revalidation, LRU eviction and [resort_by_hits] move
+   subtables across block boundaries.
 
    The reference is the cache's specification:
    - masks are scanned in creation order; a mask disappears with its
@@ -10,6 +14,8 @@
    - a lookup returns the entry of the first mask whose masked key
      equals the flow's, having paid one probe per mask up to it (all of
      them on a miss), and stamps the entry with the lookup time;
+   - a hit counts against its mask; a resort stably orders the masks by
+     descending hit count, then halves every count;
    - an insert at the flow limit first evicts the [max 1 (n / 20)]
      least-recently-used entries, then replaces any entry with the same
      masked key under the same mask.
@@ -28,20 +34,34 @@ type rentry = {
   mutable r_used : float;
 }
 
+type rmask = { rm_mask : Mask.t; mutable rm_hits : int }
+
+(* Entries indexed by (mask, masked key), which identifies at most one. *)
+module Key_tbl = Hashtbl.Make (struct
+  type t = Mask.t * Flow.t
+
+  let equal (m, k) (m', k') = Mask.equal m m' && Flow.equal k k'
+  let hash (m, k) = Hashtbl.hash (Mask.hash m, Flow.hash k)
+end)
+
 type model = {
-  mutable masks : Mask.t list;      (* scan order *)
-  mutable entries : rentry list;
+  mutable masks : rmask list;       (* scan order *)
+  mutable entries : rentry list;    (* insertion order *)
+  index : rentry Key_tbl.t;         (* the same entries, by key *)
   mutable next_id : int;
   mutable clock : float;
 }
 
-let idle_timeout = 20.
+(* Larger than any run's own clock advance, so entries only go idle
+   when [Expire] moves the clock past them. *)
+let idle_timeout = 1e6
 
 (* Small value pools, so keys collide under the coarse masks (several
    entries per subtable) and overlap across masks. *)
 let ip_srcs = [| 0x0A000000; 0x0A000001; 0x0A000100; 0x0A010000; 0x0B000000 |]
 let tp_dsts = [| 80; 443; 8080 |]
 let tp_srcs = [| 1000; 2000 |]
+let ip_dsts = [| 0; 0x0A0A0001; 0x0A0A0002 |]
 
 (* 20 masks: an ip_src prefix of 0/8/16/24/32 bits, with or without an
    exact tp_dst and tp_src. The all-wildcard mask is among them. *)
@@ -60,48 +80,77 @@ let mask_pool =
            [ false; true ])
        [ 0; 8; 16; 24; 32 ])
 
-let mk_flow (s, d, p) =
+(* 561 masks for bulk mints: an exact ip_dst, as on every covert
+   megaflow, with an ip_src prefix of 0..32 and a tp_dst prefix of
+   0..16 bits. A mint pins one ip_dst for all its keys, so the blocks it
+   fills summarise to that ip_dst and a probe for another one skips
+   them. *)
+let mint_pool =
+  Array.init (33 * 17) (fun j ->
+      let m = Mask.with_exact Mask.empty Field.Ip_dst in
+      let m = Mask.with_prefix m Field.Ip_src (j mod 33) in
+      Mask.with_prefix m Field.Tp_dst (j / 33))
+
+let mk_flow (s, d, p, a) =
   Flow.make ~ip_src:(Int32.of_int ip_srcs.(s)) ~tp_dst:tp_dsts.(d)
-    ~tp_src:tp_srcs.(p) ()
+    ~tp_src:tp_srcs.(p) ~ip_dst:(Int32.of_int ip_dsts.(a)) ()
 
 type cmd =
-  | Insert of int * (int * int * int) * int   (* mask, flow, revision *)
+  | Insert of int * (int * int * int * int) * int  (* mask, flow, revision *)
+  | Mint of int * int * int        (* count, ip_dst, revision: fresh masks *)
   | Reinsert of int                            (* the i-th live entry *)
   | Drop_revision of int                       (* revalidate ~keep *)
-  | Expire of int                              (* advance, revalidate *)
+  | Expire of int              (* idle out entries older than the i-th *)
+  | Resort
   | Flush
-  | Probe of (int * int * int) list
+  | Probe of (int * int * int * int) list
 
 let pp_cmd = function
-  | Insert (m, (s, d, p), r) ->
-    Format.asprintf "insert %a key(%d,%d,%d) rev %d" Mask.pp mask_pool.(m) s
-      d p r
+  | Insert (m, (s, d, p, a), r) ->
+    Format.asprintf "insert %a key(%d,%d,%d,%d) rev %d" Mask.pp mask_pool.(m)
+      s d p a r
+  | Mint (k, a, r) -> Printf.sprintf "mint %d masks ip_dst #%d rev %d" k a r
   | Reinsert i -> Printf.sprintf "reinsert #%d" i
   | Drop_revision r -> Printf.sprintf "revalidate keep rev<>%d" r
-  | Expire dt -> Printf.sprintf "expire +%ds" dt
+  | Expire i -> Printf.sprintf "expire entries older than #%d" i
+  | Resort -> "resort by hits"
   | Flush -> "flush"
   | Probe fl -> Printf.sprintf "probe %d flows" (List.length fl)
 
 let gen_flow_ix =
   QCheck2.Gen.(
-    triple
-      (int_bound (Array.length ip_srcs - 1))
-      (int_bound (Array.length tp_dsts - 1))
-      (int_bound (Array.length tp_srcs - 1)))
+    map
+      (fun ((s, d), (p, a)) -> (s, d, p, a))
+      (pair
+         (pair
+            (int_bound (Array.length ip_srcs - 1))
+            (int_bound (Array.length tp_dsts - 1)))
+         (pair
+            (int_bound (Array.length tp_srcs - 1))
+            (int_bound (Array.length ip_dsts - 1)))))
 
+(* Flush is rare and mints are common enough that a long sequence
+   reaches three blocks or more. *)
 let gen_cmd =
   let open QCheck2.Gen in
   frequency
-    [ ( 8,
+    [ ( 24,
         map3
           (fun m f r -> Insert (m, f, r))
           (int_bound (Array.length mask_pool - 1))
           gen_flow_ix (int_bound 2) );
-      (3, map (fun i -> Reinsert i) (int_bound 63));
-      (2, map (fun r -> Drop_revision r) (int_bound 2));
-      (2, map (fun dt -> Expire dt) (int_bound 30));
+      ( 12,
+        map3
+          (fun k a r -> Mint (k, a, r))
+          (int_range 32 128)
+          (int_bound (Array.length ip_dsts - 1))
+          (int_bound 2) );
+      (9, map (fun i -> Reinsert i) (int_bound 63));
+      (6, map (fun r -> Drop_revision r) (int_bound 2));
+      (6, map (fun i -> Expire i) (int_bound 255));
+      (3, return Resort);
       (1, return Flush);
-      (2, map (fun fl -> Probe fl) (list_size (int_range 1 6) gen_flow_ix)) ]
+      (6, map (fun fl -> Probe fl) (list_size (int_range 1 6) gen_flow_ix)) ]
 
 (* --- Reference ------------------------------------------------------ *)
 
@@ -109,15 +158,16 @@ let tick m =
   m.clock <- m.clock +. 1.;
   m.clock
 
-let drop_empty_masks m =
-  m.masks <-
-    List.filter
-      (fun mask -> List.exists (fun e -> Mask.equal e.r_mask mask) m.entries)
-      m.masks
+(* Replace the entry list, re-index it and drop the masks left empty. *)
+let set_entries m l =
+  m.entries <- l;
+  Key_tbl.reset m.index;
+  List.iter (fun e -> Key_tbl.replace m.index (e.r_mask, e.r_key) e) l;
+  let live = Tables.Mask_tbl.create 64 in
+  List.iter (fun e -> Tables.Mask_tbl.replace live e.r_mask ()) l;
+  m.masks <- List.filter (fun rm -> Tables.Mask_tbl.mem live rm.rm_mask) m.masks
 
-let remove_where m p =
-  m.entries <- List.filter (fun e -> not (p e)) m.entries;
-  drop_empty_masks m
+let remove_where m p = set_entries m (List.filter (fun e -> not (p e)) m.entries)
 
 let model_insert m ~max_entries ~mask ~key ~rev ~now =
   let n = List.length m.entries in
@@ -131,31 +181,55 @@ let model_insert m ~max_entries ~mask ~key ~rev ~now =
     remove_where m (fun e -> List.memq e victims)
   end;
   let key = Mask.apply mask key in
-  if not (List.exists (Mask.equal mask) m.masks) then
-    m.masks <- m.masks @ [ mask ];
-  m.entries <-
-    List.filter
-      (fun e -> not (Mask.equal e.r_mask mask && Flow.equal e.r_key key))
-      m.entries
-    @ [ { r_key = key; r_mask = mask; r_id = m.next_id; r_rev = rev;
-          r_used = now } ];
+  if not (List.exists (fun rm -> Mask.equal rm.rm_mask mask) m.masks) then
+    m.masks <- m.masks @ [ { rm_mask = mask; rm_hits = 0 } ];
+  (* a replacement keeps its mask non-empty, so only the index changes *)
+  let kept =
+    match Key_tbl.find_opt m.index (mask, key) with
+    | Some old -> List.filter (fun e -> e != old) m.entries
+    | None -> m.entries
+  in
+  let e =
+    { r_key = key; r_mask = mask; r_id = m.next_id; r_rev = rev; r_used = now }
+  in
+  m.entries <- kept @ [ e ];
+  Key_tbl.replace m.index (mask, key) e;
   m.next_id <- m.next_id + 1
 
-(* (entry, probes, subtable index) of a lookup, without side effects. *)
+(* (entry and its mask, probes, subtable index) of a lookup, without
+   side effects. *)
 let model_find m flow =
   let rec go i = function
     | [] -> (None, List.length m.masks, -1)
-    | mask :: rest -> (
-      let key = Mask.apply mask flow in
-      match
-        List.find_opt
-          (fun e -> Mask.equal e.r_mask mask && Flow.equal e.r_key key)
-          m.entries
-      with
-      | Some e -> (Some e, i + 1, i)
+    | rm :: rest -> (
+      match Key_tbl.find_opt m.index (rm.rm_mask, Mask.apply rm.rm_mask flow) with
+      | Some e -> (Some (e, rm), i + 1, i)
       | None -> go (i + 1) rest)
   in
   go 0 m.masks
+
+(* A hit stamps the entry and counts against its mask. *)
+let model_hit now = function
+  | Some (e, rm) ->
+    e.r_used <- now;
+    rm.rm_hits <- rm.rm_hits + 1
+  | None -> ()
+
+(* The first [k] masks of [mint_pool] not in use, searched from a
+   rotating start so successive mints differ. *)
+let fresh_masks m k =
+  let n = Array.length mint_pool in
+  let start = m.next_id mod n in
+  let rec go acc got j =
+    if got = k || j = n then List.rev acc
+    else begin
+      let mask = mint_pool.((start + j) mod n) in
+      if List.exists (fun rm -> Mask.equal rm.rm_mask mask) m.masks then
+        go acc got (j + 1)
+      else go ((start + j) mod n :: acc) (got + 1) (j + 1)
+    end
+  in
+  go [] 0 0
 
 (* --- Comparison ----------------------------------------------------- *)
 
@@ -178,20 +252,29 @@ let check_int what ~got ~want =
 let singleton_capacity = Flat_tbl.capacity (Flat_tbl.create ())
 
 let check_shape mf m =
+  (match Megaflow.check mf with
+   | Ok () -> ()
+   | Error msg -> QCheck2.Test.fail_reportf "Megaflow.check: %s" msg);
   check_int "n_masks" ~got:(Megaflow.n_masks mf) ~want:(List.length m.masks);
   check_int "n_entries" ~got:(Megaflow.n_entries mf)
     ~want:(List.length m.entries);
+  let counts = Tables.Mask_tbl.create 64 in
+  List.iter
+    (fun e ->
+      let c = Option.value ~default:0 (Tables.Mask_tbl.find_opt counts e.r_mask) in
+      Tables.Mask_tbl.replace counts e.r_mask (c + 1))
+    m.entries;
   let stats = Megaflow.subtable_stats mf in
   List.iteri
-    (fun i (s, mask) ->
-      if not (Mask.equal s.Megaflow.ms_mask mask) then
+    (fun i (s, rm) ->
+      if not (Mask.equal s.Megaflow.ms_mask rm.rm_mask) then
         QCheck2.Test.fail_reportf "subtable %d: mask %a, want %a" i Mask.pp
-          s.Megaflow.ms_mask Mask.pp mask;
+          s.Megaflow.ms_mask Mask.pp rm.rm_mask;
       let n =
-        List.length
-          (List.filter (fun e -> Mask.equal e.r_mask mask) m.entries)
+        Option.value ~default:0 (Tables.Mask_tbl.find_opt counts rm.rm_mask)
       in
       check_int "ms_entries" ~got:s.Megaflow.ms_entries ~want:n;
+      check_int "ms_hits" ~got:s.Megaflow.ms_hits ~want:rm.rm_hits;
       (* a singleton reports what a one-entry minimum-capacity table
          does: its entry in its home slot *)
       if n = 1
@@ -217,18 +300,18 @@ let check_lookups mf m flows =
   let out_tbl = Array.make n 0 in
   Megaflow.walk_batch mf flows ~idx ~n ~out_entry ~out_probes ~out_tbl;
   let stats = Megaflow.lookup_stats () in
+  let id_of_hit = Option.map (fun (e, _) -> e.r_id) in
   Array.iteri
     (fun j flow ->
       let want, probes, tbl = model_find m flow in
-      let want_id = Option.map (fun e -> e.r_id) want in
       check_same "walk_batch entry" ~got:(Option.map id_of out_entry.(j))
-        ~want:want_id;
+        ~want:(id_of_hit want);
       check_int "walk_batch probes" ~got:out_probes.(j) ~want:probes;
       check_int "walk_batch subtable" ~got:out_tbl.(j) ~want:tbl;
       let now = tick m in
       Megaflow.commit_walk mf stats out_entry.(j) ~now ~pkt_len:64
         ~probes:out_probes.(j) ~tbl:out_tbl.(j);
-      Option.iter (fun e -> e.r_used <- now) want)
+      model_hit now want)
     flows;
   Array.iter
     (fun flow ->
@@ -236,30 +319,44 @@ let check_lookups mf m flows =
       let now = tick m in
       let got = Megaflow.lookup_s mf stats flow ~now ~pkt_len:64 in
       check_same "lookup entry" ~got:(Option.map id_of got)
-        ~want:(Option.map (fun e -> e.r_id) want);
+        ~want:(id_of_hit want);
       check_int "lookup probes" ~got:stats.Megaflow.s_probes ~want:probes;
-      Option.iter (fun e -> e.r_used <- now) want)
+      model_hit now want)
     flows
+
+(* Up to 48 live keys, spread evenly over the insertion order: probing
+   all of them at every step would make long sequences quadratic. *)
+let sample_keys m =
+  let n = List.length m.entries in
+  let stride = max 1 ((n + 47) / 48) in
+  List.filteri (fun i _ -> i mod stride = 0) m.entries
+  |> List.map (fun e -> e.r_key)
+
+let insert_both mf m ~max_entries ~mask ~key ~rev =
+  let now = tick m in
+  ignore
+    (Megaflow.insert mf ~key ~mask ~action:(Action.Output m.next_id)
+       ~revision:rev ~now ());
+  model_insert m ~max_entries ~mask ~key ~rev ~now
 
 let step mf m ~max_entries cmd =
   let probe_flows = ref [] in
   (match cmd with
    | Insert (mi, f, rev) ->
-     let mask = mask_pool.(mi) and key = mk_flow f in
-     let now = tick m in
-     ignore
-       (Megaflow.insert mf ~key ~mask ~action:(Action.Output m.next_id)
-          ~revision:rev ~now ());
-     model_insert m ~max_entries ~mask ~key ~rev ~now
+     insert_both mf m ~max_entries ~mask:mask_pool.(mi) ~key:(mk_flow f) ~rev
+   | Mint (k, a, rev) ->
+     List.iter
+       (fun j ->
+         let key =
+           mk_flow (j mod Array.length ip_srcs, j mod Array.length tp_dsts, 0, a)
+         in
+         insert_both mf m ~max_entries ~mask:mint_pool.(j) ~key ~rev)
+       (fresh_masks m k)
    | Reinsert i -> (
      match List.nth_opt m.entries (i mod max 1 (List.length m.entries)) with
      | Some e ->
-       let now = tick m in
-       let rev = (e.r_rev + 1) mod 3 in
-       ignore
-         (Megaflow.insert mf ~key:e.r_key ~mask:e.r_mask
-            ~action:(Action.Output m.next_id) ~revision:rev ~now ());
-       model_insert m ~max_entries ~mask:e.r_mask ~key:e.r_key ~rev ~now
+       insert_both mf m ~max_entries ~mask:e.r_mask ~key:e.r_key
+         ~rev:((e.r_rev + 1) mod 3)
      | None -> ())
    | Drop_revision r ->
      let now = tick m in
@@ -268,28 +365,44 @@ let step mf m ~max_entries cmd =
           ~keep:(fun e -> e.Megaflow.revision <> r)
           ());
      remove_where m (fun e -> now -. e.r_used > idle_timeout || e.r_rev = r)
-   | Expire dt ->
-     m.clock <- m.clock +. float_of_int dt;
+   | Expire i ->
+     (* move the clock so exactly the entries used before the i-th
+        oldest stamp are idle *)
+     (match List.sort Float.compare (List.map (fun e -> e.r_used) m.entries) with
+      | [] -> ()
+      | used ->
+        let cut = List.nth used (i mod List.length used) in
+        m.clock <- Float.max m.clock (cut +. idle_timeout -. 1.));
      let now = tick m in
      ignore (Megaflow.revalidate mf ~now ());
      remove_where m (fun e -> now -. e.r_used > idle_timeout)
+   | Resort ->
+     Megaflow.resort_by_hits mf;
+     m.masks <-
+       List.stable_sort (fun a b -> Int.compare b.rm_hits a.rm_hits) m.masks;
+     List.iter (fun rm -> rm.rm_hits <- rm.rm_hits / 2) m.masks
    | Flush ->
      Megaflow.flush mf;
-     m.masks <- [];
-     m.entries <- []
+     set_entries m []
    | Probe fl -> probe_flows := List.map mk_flow fl);
   check_shape mf m;
-  (* every live key (a hit somewhere, maybe under an earlier
-     overlapping mask) plus the command's own flows *)
-  check_lookups mf m (List.map (fun e -> e.r_key) m.entries @ !probe_flows)
+  (* live keys (a hit somewhere, maybe under an earlier overlapping
+     mask) plus the command's own flows *)
+  check_lookups mf m (sample_keys m @ !probe_flows)
 
 let gen_case =
   QCheck2.Gen.(
-    pair (oneofl [ 3; 6; 64 ]) (list_size (int_range 1 40) gen_cmd))
+    pair
+      (oneofl [ 3; 6; 64; 200; 1_000; 1_000 ])
+      (list_size (int_range 1 40) gen_cmd))
 
 let print_case (max_entries, cmds) =
   Printf.sprintf "max_entries %d:\n  %s" max_entries
     (String.concat "\n  " (List.map pp_cmd cmds))
+
+let new_model () =
+  { masks = []; entries = []; index = Key_tbl.create 64; next_id = 0;
+    clock = 0. }
 
 let prop_model =
   QCheck2.Test.make ~count:300 ~print:print_case
@@ -299,7 +412,7 @@ let prop_model =
       let mf =
         Megaflow.create ~config:{ Megaflow.max_entries; idle_timeout } ()
       in
-      let m = { masks = []; entries = []; next_id = 0; clock = 0. } in
+      let m = new_model () in
       List.iter (step mf m ~max_entries) cmds;
       true)
 
@@ -316,7 +429,7 @@ let test_transitions () =
       (Megaflow.insert mf ~key ~mask ~action:(Action.Output rev) ~revision:rev
          ~now:0. ())
   in
-  let a = mk_flow (0, 0, 0) and b = mk_flow (4, 0, 0) in
+  let a = mk_flow (0, 0, 0, 0) and b = mk_flow (4, 0, 0, 0) in
   let hit flow = Option.map id_of (Megaflow.lookup mf flow ~now:0. ~pkt_len:1) in
   let entries () =
     match Megaflow.subtable_stats mf with
@@ -340,6 +453,66 @@ let test_transitions () =
   Alcotest.(check int) "no subtable" 0 (Megaflow.n_masks mf);
   Alcotest.(check (option int)) "empty miss" None (hit b)
 
+(* Compaction that moves a subtable across a block boundary must rebuild
+   the block summaries. 128 singleton subtables fill blocks 0 and 1;
+   every mask pins ip_dst exactly, and block 0's keys share one ip_dst
+   while block 1's share another, so each block's summary pins its
+   ip_dst. The keys are complement prefixes — each differs from 0 in
+   the last bit of its ip_src and tp_dst prefixes — so no key matches
+   any other subtable's entry. Dropping one block-0 entry shifts the
+   first block-1 subtable into block 0; with stale summaries block 0
+   would still pin the old ip_dst and that key would miss. *)
+let test_compaction_across_blocks () =
+  let mf =
+    Megaflow.create
+      ~config:{ Megaflow.max_entries = 1000; idle_timeout = 1e9 } ()
+  in
+  let n = 128 and dropped = 5 in
+  let mask i =
+    let m = Mask.with_exact Mask.empty Field.Ip_dst in
+    let m = Mask.with_prefix m Field.Ip_src ((i mod 32) + 1) in
+    Mask.with_prefix m Field.Tp_dst ((i / 32) + 1)
+  in
+  let key i =
+    let f = Flow.with_field Flow.zero Field.Ip_dst (if i < 64 then 0x0A0A0001 else 0x0A0A0002) in
+    let f = Flow.with_field f Field.Ip_src (1 lsl (32 - ((i mod 32) + 1))) in
+    Flow.with_field f Field.Tp_dst (1 lsl (16 - ((i / 32) + 1)))
+  in
+  for i = 0 to n - 1 do
+    ignore
+      (Megaflow.insert mf ~key:(key i) ~mask:(mask i) ~action:(Action.Output i)
+         ~revision:(if i = dropped then 1 else 0) ~now:0. ())
+  done;
+  ignore
+    (Megaflow.revalidate mf ~now:0. ~keep:(fun e -> e.Megaflow.revision = 0) ());
+  Alcotest.(check int) "one mask fewer" (n - 1) (Megaflow.n_masks mf);
+  let survivors = List.filter (fun i -> i <> dropped) (List.init n Fun.id) in
+  let stats = Megaflow.lookup_stats () in
+  List.iteri
+    (fun pos i ->
+      let got = Megaflow.lookup_s mf stats (key i) ~now:0. ~pkt_len:1 in
+      Alcotest.(check (option int))
+        (Printf.sprintf "key %d hits" i) (Some i) (Option.map id_of got);
+      Alcotest.(check int)
+        (Printf.sprintf "key %d probes" i) (pos + 1) stats.Megaflow.s_probes)
+    survivors;
+  let flows = Array.of_list (List.map key survivors) in
+  let k = Array.length flows in
+  let out_entry = Array.make k None and out_probes = Array.make k 0 in
+  let out_tbl = Array.make k 0 in
+  Megaflow.walk_batch mf flows ~idx:(Array.init k Fun.id) ~n:k ~out_entry
+    ~out_probes ~out_tbl;
+  List.iteri
+    (fun pos i ->
+      Alcotest.(check (option int))
+        (Printf.sprintf "walk: key %d hits" i) (Some i)
+        (Option.map id_of out_entry.(pos));
+      Alcotest.(check int)
+        (Printf.sprintf "walk: key %d probes" i) (pos + 1) out_probes.(pos))
+    survivors;
+  Alcotest.(check (result unit string)) "invariants" (Ok ())
+    (Megaflow.check mf)
+
 (* A hashed subtable hashes its keys exactly as [Mask.hash_masked_on]
    does, so its table layout — and the occupancy and probe lengths
    [dpctl dump-masks] prints — is that of a [Flat_tbl] filled with those
@@ -358,7 +531,7 @@ let prop_hash_layout =
       let seen = ref [] in
       List.iter
         (fun (low, f) ->
-          let s, d, p = f in
+          let s, d, p, _ = f in
           let key =
             Flow.make ~ip_src:(Int32.of_int (ip_srcs.(s) lor low))
               ~tp_dst:tp_dsts.(d) ~tp_src:tp_srcs.(p) ()
@@ -385,5 +558,7 @@ let prop_hash_layout =
 
 let suite =
   [ Alcotest.test_case "singleton transitions" `Quick test_transitions;
+    Alcotest.test_case "block summaries follow compaction" `Quick
+      test_compaction_across_blocks;
     QCheck_alcotest.to_alcotest prop_model;
     QCheck_alcotest.to_alcotest prop_hash_layout ]
