@@ -14,6 +14,8 @@ let exact = Array.copy full
 
 let get t f = t.(Field.index f)
 
+let unsafe_words t = t
+
 let with_field t f v =
   let a = Array.copy t in
   let i = Field.index f in
@@ -60,7 +62,11 @@ let fields t = List.filter (fun f -> get t f <> 0) Field.all
 
 let apply t k =
   let kf = Flow.unsafe_fields k in
-  Flow.unsafe_of_fields (Array.init Field.count (fun i -> t.(i) land kf.(i)))
+  let r = Array.make Field.count 0 in
+  for i = 0 to Field.count - 1 do
+    r.(i) <- t.(i) land kf.(i)
+  done;
+  Flow.unsafe_of_fields r
 
 let rec masked_eq_from t af bf i =
   i = Field.count

@@ -88,6 +88,15 @@ val pp : Format.formatter -> t -> unit
 (** Prints e.g. [ip_src/8,tp_dst/16] (prefix notation when contiguous,
     hex otherwise); [any] for the empty mask. *)
 
+(**/**)
+
+val unsafe_words : t -> int array
+(** Internal: the backing array, one word per field index (do not
+    mutate). Exposed, like [Flow.unsafe_fields], for the megaflow
+    cache's mask index and probe descriptors. *)
+
+(**/**)
+
 (** Mutable mask accumulator used during classifier lookups to collect
     the bits that were examined (OVS "un-wildcarding"). *)
 module Builder : sig

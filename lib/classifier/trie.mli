@@ -1,4 +1,6 @@
-(** Binary prefix tries over classifier fields.
+(** Binary prefix tries over classifier fields, path-compressed like
+    OVS's [classifier.c] tries: a run of bits with one child and no
+    stored prefix is one node, compared in one step.
 
     Two uses, both central to the reproduced attack:
 
@@ -37,9 +39,10 @@ val size : t -> int
 (** Number of stored prefixes (with multiplicity). *)
 
 type lookup_result = {
-  plens : bool array;
-      (** [plens.(n)] iff some stored prefix of length [n] covers the
-          value; length [width + 1] (index 0 = the empty prefix). *)
+  mutable plens : int;
+      (** Bit [n] is set iff some stored prefix of length [n] covers the
+          value ([0 <= n <= width]; bit 0 = the empty prefix). One int
+          holds them all since widths are at most 62. *)
   mutable checked : int;
       (** Number of leading bits that must be un-wildcarded so that any
           value sharing them yields the same [plens] — the megaflow
@@ -48,18 +51,19 @@ type lookup_result = {
 
 val lookup : t -> int -> lookup_result
 
-val result : width:int -> lookup_result
-(** A blank result sized for tries of [width], for reuse with
-    {!lookup_into}. *)
+val result : unit -> lookup_result
+(** A blank result, for reuse with {!lookup_into}. *)
 
 val lookup_into : t -> int -> lookup_result -> unit
 (** [lookup_into t v r] performs {!lookup} into the caller-owned
-    scratch [r] (sized via {!result} for this trie's width) without
-    allocating. The slow path keeps one scratch per field per
-    classifier and reuses it across upcalls. *)
+    scratch [r] without allocating. The slow path keeps one scratch per
+    field per classifier and reuses it across upcalls. *)
+
+val covers : lookup_result -> int -> bool
+(** [covers r n]: some stored prefix of length [n] covers the value. *)
 
 val longest_match : lookup_result -> int
-(** Largest [n] with [plens.(n)], or [-1] if none (not even [/0]). *)
+(** Largest [n] with [covers r n], or [-1] if none (not even [/0]). *)
 
 val complement : t -> (int * int) list
 (** Maximal prefixes [(value, len)] covering the complement of the union

@@ -70,8 +70,7 @@ let create ?(config = default_config) () =
     tries = Array.init Field.count (fun i -> Trie.create ~width:(Field.width (Field.of_index i)));
     trie_on;
     scratch_trie =
-      Array.init Field.count (fun i ->
-          Trie.result ~width:(Field.width (Field.of_index i)));
+      Array.init Field.count (fun _ -> Trie.result ());
     scratch_trie_ok = Array.make Field.count false;
     find_scratch = Mask.Builder.create ();
     stats = lookup_stats ();
@@ -318,7 +317,7 @@ let rec trie_check t st flow b tr ok i skipped =
     let skipped =
       if plen > 0 && ((not skipped) || t.cfg.check_all_tries) then begin
         let r = trie_res t flow tr ok i in
-        if not r.Trie.plens.(plen) then begin
+        if not (Trie.covers r plen) then begin
           Mask.Builder.add_prefix b (Field.of_index i) r.Trie.checked;
           true
         end
@@ -445,8 +444,7 @@ let batch ~capacity =
     bs_builders = Array.init capacity (fun _ -> Mask.Builder.create ());
     bs_trie =
       Array.init capacity (fun _ ->
-          Array.init Field.count (fun i ->
-              Trie.result ~width:(Field.width (Field.of_index i))));
+          Array.init Field.count (fun _ -> Trie.result ()));
     bs_trie_ok = Array.init capacity (fun _ -> Array.make Field.count false);
     bs_rule = Array.make capacity None;
     bs_megaflow = Array.make capacity Mask.empty;

@@ -121,9 +121,13 @@ let tokenize ~file src =
            incr i;
            let l = !i in
            let len_s = digits () in
-           let len = int_of_string len_s in
-           if len > 32 then
-             (raise (Fail (Diag.f (loc l) "prefix length /%s out of range (0..32)" len_s)));
+           let len =
+             match int_of_string_opt len_s with
+             | Some len when len <= 32 -> len
+             | Some _ | None ->
+               raise
+                 (Fail (Diag.f (loc l) "prefix length /%s out of range (0..32)" len_s))
+           in
            let p = Pi_pkt.Ipv4_addr.Prefix.make addr len in
            if not (Pi_pkt.Ipv4_addr.equal p.Pi_pkt.Ipv4_addr.Prefix.base addr)
            then

@@ -241,10 +241,10 @@ let install_verdict t ~now flow (v : Slowpath.verdict) =
   e
 
 (* Everything after an EMC miss: megaflow lookup, then hit / upcall /
-   deferred enqueue. Top-level so the batch completion's dirty-state
-   fallback can re-enter the live per-packet path mid-batch without
-   duplicating it (the packet counters have already been bumped by
-   then). *)
+   deferred enqueue. Top-level so the batch completion can re-enter the
+   live per-packet path for a packet whose phase-P EMC hit went stale,
+   without duplicating it (the packet counters have already been bumped
+   by then). *)
 let miss_path t ~now flow ~pkt_len =
   let mf_entry =
     match t.mcache with
@@ -344,11 +344,11 @@ let process t ~now flow ~pkt_len =
    ({!Emc.commit_hit}); after any insert, the slot is re-read with a
    real {!Emc.lookup} (which also counts the miss, or the hit if an
    in-batch insert landed the flow — exactly what the fold would see).
-   [mf_dirty]: a synchronous upcall installed a megaflow (possibly
-   appending a subtable or evicting entries), so the remaining packets'
-   precomputed walk results are stale and fall back to the live scalar
-   miss path. Deferred-upcall mode never installs mid-batch, so the
-   attack/pipeline regime keeps the whole batch vectorised. *)
+   When a synchronous upcall installs a megaflow mid-batch, the walk
+   results of the miss-set packets still pending are patched against
+   the one new entry ({!Megaflow.patch_walk}), so every packet keeps
+   its precomputed result instead of re-scanning the cache. Deferred-
+   upcall mode never installs mid-batch. *)
 
 let finish_b t (b : Batch.t) i action ~emc_hit ~mf_probes ~mf_hit ~upcall
     ~slow_probes =
@@ -399,11 +399,11 @@ let commit_emc_hit t (b : Batch.t) ~now i r =
       ~mf_hit:false ~upcall:false ~slow_probes:0
   | None -> assert false
 
-(* Live fallback once the megaflow has been mutated mid-batch: run the
-   real per-packet miss path (the EMC has already been consulted) and
-   copy its outcome into the batch columns — [miss_path] has done the
-   charging. Returns the dirty-state delta: 0 = no cache write,
-   1 = EMC possibly written, 2 = megaflow mutated. *)
+(* A packet whose phase-P EMC hit went stale has no walk result: run
+   the real per-packet miss path (the EMC has already been consulted)
+   and copy its outcome into the batch columns — [miss_path] has done
+   the charging. Returns the dirty-state delta: 0 = no cache write,
+   1 = EMC possibly written, 2 = megaflow installed. *)
 let scalar_miss t (b : Batch.t) ~now i =
   let action, o =
     miss_path t ~now b.Batch.flows.(i) ~pkt_len:b.Batch.pkt_lens.(i)
@@ -416,7 +416,7 @@ let scalar_miss t (b : Batch.t) ~now i =
   else 0
 
 (* Commit the precomputed walk result of miss-set slot [j] (packet [i]).
-   Only sound while the megaflow is unmutated since phase P. Same
+   Sound while every install since phase P has been patched in. Same
    dirty-delta return as [scalar_miss]. *)
 let complete_miss t (b : Batch.t) ~now i j =
   let flow = b.Batch.flows.(i) in
@@ -485,27 +485,22 @@ let complete_miss t (b : Batch.t) ~now i j =
     end
 
 (* Phase C. [i] is the packet position, [j] its position in the miss
-   set. Top-level tail recursion with the flags as parameters — local
-   [ref] cells would allocate per batch. *)
-let rec complete_batch t (b : Batch.t) ~now i n j emc_clean mf_dirty =
+   set of [k] packets. Top-level tail recursion with the flag as a
+   parameter — a local [ref] cell would allocate per batch. *)
+let rec complete_batch t (b : Batch.t) ~now i n j k emc_clean =
   if i < n then begin
     t.n_processed <- t.n_processed + 1;
     (match t.c_packets with
      | Some c -> Pi_telemetry.Metrics.incr c
      | None -> ());
-    if not t.cfg.emc_enabled then begin
-      let d =
-        if mf_dirty then scalar_miss t b ~now i
-        else complete_miss t b ~now i j
-      in
-      complete_batch t b ~now (i + 1) n (j + 1) emc_clean (mf_dirty || d = 2)
-    end
+    if not t.cfg.emc_enabled then
+      next_packet t b ~now i n (j + 1) k emc_clean (complete_miss t b ~now i j)
     else
       match b.Batch.sc_emc.(i) with
-      | Some _ as r when emc_clean && not mf_dirty ->
+      | Some _ as r when emc_clean ->
         Emc.commit_hit t.emc;
         commit_emc_hit t b ~now i r;
-        complete_batch t b ~now (i + 1) n j emc_clean mf_dirty
+        complete_batch t b ~now (i + 1) n j k emc_clean
       | Some _ -> begin
         (* The pure hit may be stale (slot overwritten, entry killed):
            re-read for real — the lookup's own counting is exactly what
@@ -513,11 +508,8 @@ let rec complete_batch t (b : Batch.t) ~now i n j emc_clean mf_dirty =
         match Emc.lookup t.emc b.Batch.flows.(i) with
         | Some _ as r ->
           commit_emc_hit t b ~now i r;
-          complete_batch t b ~now (i + 1) n j emc_clean mf_dirty
-        | None ->
-          let d = scalar_miss t b ~now i in
-          complete_batch t b ~now (i + 1) n j (emc_clean && d = 0)
-            (mf_dirty || d = 2)
+          complete_batch t b ~now (i + 1) n j k emc_clean
+        | None -> next_packet t b ~now i n j k emc_clean (scalar_miss t b ~now i)
       end
       | None -> begin
         (* A pure miss can have become a hit if an in-batch insert
@@ -526,16 +518,22 @@ let rec complete_batch t (b : Batch.t) ~now i n j emc_clean mf_dirty =
         match Emc.lookup t.emc b.Batch.flows.(i) with
         | Some _ as r ->
           commit_emc_hit t b ~now i r;
-          complete_batch t b ~now (i + 1) n (j + 1) emc_clean mf_dirty
+          complete_batch t b ~now (i + 1) n (j + 1) k emc_clean
         | None ->
-          let d =
-            if mf_dirty then scalar_miss t b ~now i
-            else complete_miss t b ~now i j
-          in
-          complete_batch t b ~now (i + 1) n (j + 1) (emc_clean && d = 0)
-            (mf_dirty || d = 2)
+          next_packet t b ~now i n (j + 1) k emc_clean
+            (complete_miss t b ~now i j)
       end
   end
+
+(* After packet [i] took the miss path with dirty delta [d]: an install
+   is patched into the walk results of the pending miss-set slots
+   [j, k) before the next packet. *)
+and next_packet t b ~now i n j k emc_clean d =
+  if d = 2 then
+    Megaflow.patch_walk t.mf b.Batch.flows ~idx:b.Batch.sc_miss ~lo:j ~n:k
+      ~out_entry:b.Batch.sc_entry ~out_probes:b.Batch.sc_probes
+      ~out_tbl:b.Batch.sc_tbl;
+  complete_batch t b ~now (i + 1) n j k (emc_clean && d = 0)
 
 let process_batch t (b : Batch.t) ~now =
   let n = b.Batch.n in
@@ -556,7 +554,7 @@ let process_batch t (b : Batch.t) ~now =
     Megaflow.walk_batch t.mf b.Batch.flows ~idx:b.Batch.sc_miss ~n:k
       ~out_entry:b.Batch.sc_entry ~out_probes:b.Batch.sc_probes
       ~out_tbl:b.Batch.sc_tbl;
-    complete_batch t b ~now 0 n 0 true false
+    complete_batch t b ~now 0 n 0 k true
   end
 
 let pop_pending_upcall t =

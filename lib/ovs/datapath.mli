@@ -102,9 +102,9 @@ val process_batch : t -> Batch.t -> now:float -> unit
     completion pass replays the per-packet bookkeeping in strict packet
     order. Results are bit-for-bit those of [n] {!process} calls — same
     actions and outcomes, same megaflows minted, same mask counts, same
-    EMC insertion RNG draws, same traces; a mid-batch synchronous
-    upcall falls the remaining packets back to the live scalar path to
-    keep that guarantee. With deferred upcalls, misses enqueue exactly
+    EMC insertion RNG draws, same traces; a megaflow a mid-batch
+    synchronous upcall installs is patched into the pending packets'
+    walk results ({!Megaflow.patch_walk}) to keep that guarantee. With deferred upcalls, misses enqueue exactly
     as in {!process} and resolve at the next {!service_upcalls}, which
     classifies queued misses in slow-path batches of its own.
 

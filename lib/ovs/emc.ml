@@ -137,15 +137,14 @@ let insert_stored t flow r =
 
 let invalidate_if t pred =
   let n = ref 0 in
-  Array.iteri
-    (fun i slot ->
-      match slot with
-      | Some v when pred v ->
-        t.values.(i) <- None;
-        t.occupied <- t.occupied - 1;
-        incr n
-      | Some _ | None -> ())
-    t.values;
+  for i = 0 to Array.length t.values - 1 do
+    match t.values.(i) with
+    | Some v when pred v ->
+      t.values.(i) <- None;
+      t.occupied <- t.occupied - 1;
+      incr n
+    | Some _ | None -> ()
+  done;
   !n
 
 let clear t =

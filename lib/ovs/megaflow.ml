@@ -52,10 +52,20 @@ let default_config = { max_entries = 200_000; idle_timeout = 10.0 }
 (* Subtables live in a growable array scanned in creation order, so the
    per-packet bookkeeping is O(1): [n_tables] is the mask count (no list
    walk), [by_mask] answers mask-membership in one probe, and a new mask
-   is an amortised-O(1) append. [generation] counts the reorderings
-   (resort, compaction, flush) that invalidate any previously handed-out
-   subtable index — the {!Mask_cache} hints — while plain appends leave
-   existing indices valid and do not bump it.
+   is an amortised-O(1) append. The array keeps its capacity when masks
+   are dropped, and its unused slots hold the static [vacant]: growing
+   or refilling it never fills a large array with a young value, which
+   would force a minor collection (DESIGN.md §5b).
+
+   [by_mask] maps the support-only hash of a mask (its nonzero words and
+   their field indices) to the position of its subtable; a candidate is
+   confirmed against that subtable's descriptor, whose field and mask
+   words are the mask. It is rebuilt wherever positions change.
+
+   [generation] counts the reorderings (resort, compaction, flush) that
+   invalidate any previously handed-out subtable index — the
+   {!Mask_cache} hints — while plain appends leave existing indices
+   valid and do not bump it.
 
    The scan order is cut into blocks of [block_size] consecutive
    subtables, and [blocks.(b)] summarises block [b] as a descriptor: the
@@ -65,7 +75,7 @@ let default_config = { max_entries = 200_000; idle_timeout = 10.0 }
    counts are derived from positions, so nothing observable changes. *)
 type t = {
   cfg : config;
-  by_mask : subtable Tables.Mask_tbl.t;
+  by_mask : Flat_tbl.t;             (* mask hash -> position in [arr] *)
   mutable arr : subtable array;     (* slots [0, n_tables) are live *)
   mutable n_tables : int;
   mutable blocks : int array array;
@@ -92,6 +102,10 @@ type t = {
       (* walk scratch: the selection — slots [0, w_k) hold the miss-set
          slot and the field words of each still-unresolved packet that
          passed the current block's summary. Grow like [w_fields]. *)
+  mutable ins_pos : int;
+  mutable ins_evicted : bool;
+      (* the last insert: its subtable's position, and whether it had to
+         evict first — what {!patch_walk} needs *)
   c_hit : Pi_telemetry.Metrics.counter option;
   c_miss : Pi_telemetry.Metrics.counter option;
   c_probes : Pi_telemetry.Metrics.counter option;
@@ -107,7 +121,7 @@ let create ?(config = default_config) ?metrics () =
   let c name = Option.map (fun m -> Pi_telemetry.Metrics.counter m name) metrics in
   let g name = Option.map (fun m -> Pi_telemetry.Metrics.gauge m name) metrics in
   { cfg = config;
-    by_mask = Tables.Mask_tbl.create 64;
+    by_mask = Flat_tbl.create ();
     arr = [||];
     n_tables = 0;
     blocks = [||];
@@ -122,6 +136,8 @@ let create ?(config = default_config) ?metrics () =
     w_sel = [||];
     w_sel_ff = [||];
     w_k = 0;
+    ins_pos = -1;
+    ins_evicted = false;
     c_hit = c "mf_hit";
     c_miss = c "mf_miss";
     c_probes = c "mf_probes";
@@ -167,13 +183,20 @@ let bump ?(by = 1) = function
    not inner closures, so that no probe allocates. *)
 
 let desc_of_mask mask =
-  let support = Mask.support mask in
-  let d = Array.make (3 * Array.length support) 0 in
-  Array.iteri
-    (fun j f ->
-      d.(3 * j) <- f;
-      d.((3 * j) + 1) <- Mask.get mask (Field.of_index f))
-    support;
+  let w = Mask.unsafe_words mask in
+  let n = ref 0 in
+  for f = 0 to Array.length w - 1 do
+    if w.(f) <> 0 then incr n
+  done;
+  let d = Array.make (3 * !n) 0 in
+  let k = ref 0 in
+  for f = 0 to Array.length w - 1 do
+    if w.(f) <> 0 then begin
+      d.(!k) <- f;
+      d.(!k + 1) <- w.(f);
+      k := !k + 3
+    end
+  done;
   d
 
 (* Load the singleton's masked key into the descriptor's key words. *)
@@ -274,10 +297,58 @@ let merge_entry t st e =
 
 let n_blocks t = (t.n_tables + block_size - 1) lsr block_bits
 
+(* The filler of the subtable array's unused slots; never probed. *)
+let vacant =
+  { s_pos = -1; s_desc = [||]; s_tbl = None; s_arena = [||]; s_count = 0;
+    s_hits = 0 }
+
+(* --- Mask index ------------------------------------------------------ *)
+
+(* [w] is a mask's words, one per field index. *)
+let rec mask_hash w h i =
+  if i >= Array.length w then Bits.finalize h
+  else begin
+    let x = Array.unsafe_get w i in
+    mask_hash w (if x = 0 then h else Bits.mix (Bits.mix h i) x) (i + 1)
+  end
+
+(* The same hash from a descriptor: its triples are the mask's support
+   in field order. *)
+let rec desc_mask_hash d h k =
+  if k >= Array.length d then Bits.finalize h
+  else desc_mask_hash d (Bits.mix (Bits.mix h d.(k)) d.(k + 1)) (k + 3)
+
+(* Descriptor [d] (from triple [k]) describes exactly the mask words
+   [w] (from field [i]). *)
+let rec desc_is_mask d w k i =
+  if i >= Array.length w then k >= Array.length d
+  else begin
+    let x = Array.unsafe_get w i in
+    if x = 0 then desc_is_mask d w k (i + 1)
+    else
+      k < Array.length d && d.(k) = i && d.(k + 1) = x
+      && desc_is_mask d w (k + 3) (i + 1)
+  end
+
+(* Position of the subtable of mask words [w], or -1; [h] is their
+   {!mask_hash}. *)
+let rec find_pos t w h slot =
+  if slot < 0 then -1
+  else begin
+    let p = Flat_tbl.value t.by_mask slot in
+    if desc_is_mask t.arr.(p).s_desc w 0 0 then p
+    else find_pos t w h (Flat_tbl.next t.by_mask h slot)
+  end
+
+let position t mask =
+  let w = Mask.unsafe_words mask in
+  let h = mask_hash w 0 0 in
+  find_pos t w h (Flat_tbl.find_first t.by_mask h)
+
 let push_subtable t st =
   let cap = Array.length t.arr in
   if t.n_tables = cap then begin
-    let arr = Array.make (max 8 (2 * cap)) st in
+    let arr = Array.make (max 8 (2 * cap)) vacant in
     Array.blit t.arr 0 arr 0 cap;
     t.arr <- arr
   end;
@@ -293,18 +364,25 @@ let push_subtable t st =
     t.blocks <- blocks
   end
 
-(* Replace the live prefix with [l]; any outstanding index is now stale,
-   so the generation advances. Positions move, so every block summary is
-   rebuilt from the live entries. *)
+(* Replace the live prefix with [l], some of the live subtables in a
+   new order; any outstanding index is now stale, so the generation
+   advances. Positions move, so the mask index and every block summary
+   are rebuilt from the live subtables. [l] is no longer than the live
+   prefix, so both arrays are refilled in place and keep their
+   capacity. *)
 let set_tables t l =
-  t.arr <- Array.of_list l;
-  t.n_tables <- Array.length t.arr;
-  t.blocks <- Array.make (n_blocks t) unmerged;
-  Array.iteri
+  let n = List.length l in
+  Array.fill t.arr n (t.n_tables - n) vacant;
+  t.n_tables <- n;
+  Array.fill t.blocks 0 (Array.length t.blocks) unmerged;
+  Flat_tbl.clear t.by_mask;
+  List.iteri
     (fun i st ->
+      t.arr.(i) <- st;
       st.s_pos <- i;
+      Flat_tbl.add t.by_mask (desc_mask_hash st.s_desc 0 0) i;
       iter_entries (merge_entry t st) st)
-    t.arr;
+    l;
   t.generation <- t.generation + 1;
   sync_gauges t
 
@@ -559,12 +637,12 @@ let rec walk_block t out_entry out_probes out_tbl ti hi =
     walk_block t out_entry out_probes out_tbl (ti + 1) hi
   end
 
-(* Gather the unresolved packets passing summary [s] into the
-   selection. *)
-let select t s fields n out_tbl =
+(* Gather the unresolved packets of slots [lo, n) passing summary [s]
+   into the selection. *)
+let select t s fields lo n out_tbl =
   let sel = t.w_sel and sel_ff = t.w_sel_ff in
   let k = ref 0 in
-  for j = 0 to n - 1 do
+  for j = lo to n - 1 do
     if out_tbl.(j) < 0 then begin
       let ff = fields.(j) in
       if desc_match s ff 0 then begin
@@ -578,12 +656,12 @@ let select t s fields n out_tbl =
 
 (* Per block: select the packets its summary admits; if there are none,
    move on without loading any of the block's subtables. *)
-let rec walk_tables t fields n out_entry out_probes out_tbl b =
+let rec walk_tables t fields lo n out_entry out_probes out_tbl b =
   if t.w_remaining > 0 && b < n_blocks t then begin
-    select t t.blocks.(b) fields n out_tbl;
-    let lo = b lsl block_bits in
-    walk_block t out_entry out_probes out_tbl lo (block_end t lo);
-    walk_tables t fields n out_entry out_probes out_tbl (b + 1)
+    select t t.blocks.(b) fields lo n out_tbl;
+    let first = b lsl block_bits in
+    walk_block t out_entry out_probes out_tbl first (block_end t first);
+    walk_tables t fields lo n out_entry out_probes out_tbl (b + 1)
   end
 
 (* Pure subtable-major walk: for each mask, probe every unresolved
@@ -599,14 +677,14 @@ let rec walk_tables t fields n out_entry out_probes out_tbl b =
    bit-for-bit what per-packet {!lookup} would have produced, because
    entries are non-overlapping so probe order across packets cannot
    change which entry wins. *)
-let walk_batch t flows ~idx ~n ~out_entry ~out_probes ~out_tbl =
+let walk_range t flows idx lo n out_entry out_probes out_tbl =
   if Array.length t.w_fields < n then begin
     t.w_fields <- Array.make n [||];
     t.w_sel <- Array.make n 0;
     t.w_sel_ff <- Array.make n [||]
   end;
   let fields = t.w_fields in
-  for j = 0 to n - 1 do
+  for j = lo to n - 1 do
     fields.(j) <- Flow.unsafe_fields flows.(idx.(j));
     out_entry.(j) <- None;
     (* overwritten with the hit position on a hit; a packet that walks
@@ -614,8 +692,40 @@ let walk_batch t flows ~idx ~n ~out_entry ~out_probes ~out_tbl =
     out_probes.(j) <- t.n_tables;
     out_tbl.(j) <- -1
   done;
-  t.w_remaining <- n;
-  walk_tables t fields n out_entry out_probes out_tbl 0
+  t.w_remaining <- n - lo;
+  walk_tables t fields lo n out_entry out_probes out_tbl 0
+
+let walk_batch t flows ~idx ~n ~out_entry ~out_probes ~out_tbl =
+  walk_range t flows idx 0 n out_entry out_probes out_tbl
+
+(* Bring walk results up to date after one {!insert}. With no eviction
+   the insert only added entry [e] under the subtable at [p] (replacing
+   at most an entry of that subtable with the same masked key), so the
+   first match of the sequential scan changes only where [e] matches at
+   a position no later than the recorded one; a miss now pays for the
+   current subtable count. An eviction removes entries and may compact
+   the array, so the pending slots are walked again. *)
+let patch_walk t flows ~idx ~lo ~n ~out_entry ~out_probes ~out_tbl =
+  if t.ins_evicted then walk_range t flows idx lo n out_entry out_probes out_tbl
+  else begin
+    let p = t.ins_pos in
+    let st = t.arr.(p) in
+    let r = st.s_arena.(st.s_count - 1) in
+    let kf =
+      match r with Some e -> Flow.unsafe_fields e.key | None -> assert false
+    in
+    for j = lo to n - 1 do
+      let q = out_tbl.(j) in
+      if (q < 0 || p <= q)
+         && key_match st.s_desc kf (Flow.unsafe_fields flows.(idx.(j))) 0
+      then begin
+        out_entry.(j) <- r;
+        out_probes.(j) <- p + 1;
+        out_tbl.(j) <- p
+      end
+      else if q < 0 then out_probes.(j) <- t.n_tables
+    done
+  end
 
 let commit_walk t s entry ~now ~pkt_len ~probes ~tbl =
   (match entry with
@@ -731,9 +841,6 @@ let drop_empty_subtables t =
   let any_dead = ref false in
   iter_subtables (fun st -> if st.s_count = 0 then any_dead := true) t;
   if !any_dead then begin
-    Tables.Mask_tbl.filter_map_inplace
-      (fun _ st -> if st.s_count = 0 then None else Some st)
-      t.by_mask;
     let live = ref [] in
     iter_subtables (fun st -> if st.s_count > 0 then live := st :: !live) t;
     set_tables t (List.rev !live)
@@ -795,22 +902,26 @@ let evict_lru t =
   done;
   drop_empty_subtables t
 
-let has_mask t mask = Tables.Mask_tbl.mem t.by_mask mask
+let has_mask t mask = position t mask >= 0
 
 let insert t ~key ~mask ~action ~revision ~now ?origin () =
-  if t.n >= t.cfg.max_entries then evict_lru t;
+  let evicted = t.n >= t.cfg.max_entries in
+  if evicted then evict_lru t;
+  let w = Mask.unsafe_words mask in
+  let h = mask_hash w 0 0 in
+  let p = find_pos t w h (Flat_tbl.find_first t.by_mask h) in
   let st =
-    match Tables.Mask_tbl.find_opt t.by_mask mask with
-    | Some st -> st
-    | None ->
+    if p >= 0 then t.arr.(p)
+    else begin
       let st =
         { s_pos = 0; s_desc = desc_of_mask mask; s_tbl = None;
           s_arena = [||]; s_count = 0; s_hits = 0 }
       in
-      Tables.Mask_tbl.add t.by_mask mask st;
       push_subtable t st;
+      Flat_tbl.add t.by_mask h st.s_pos;
       bump t.c_mask_created;
       st
+    end
   in
   let key = Mask.apply mask key in
   (match find_in_subtable st key with
@@ -843,32 +954,32 @@ let insert t ~key ~mask ~action ~revision ~now ?origin () =
      st.s_tbl <- Some tbl);
   merge_entry t st e;
   t.n <- t.n + 1;
+  t.ins_pos <- st.s_pos;
+  t.ins_evicted <- evicted;
   sync_gauges t;
   e
 
 let revalidate t ~now ?(keep = fun _ -> true) () =
   let evicted = ref 0 in
-  iter_subtables
-    (fun st ->
-      let dead = ref [] in
-      iter_entries
-        (fun e ->
-          if now -. e.last_used > t.cfg.idle_timeout || not (keep e) then
-            dead := e :: !dead)
-        st;
-      List.iter
-        (fun e ->
-          remove_entry t st e;
-          bump t.c_evicted;
-          incr evicted)
-        !dead)
-    t;
+  for i = 0 to t.n_tables - 1 do
+    let st = t.arr.(i) in
+    (* Downward, so a swap-with-last removal only moves an entry that
+       was already visited. *)
+    for j = st.s_count - 1 downto 0 do
+      match st.s_arena.(j) with
+      | Some e when now -. e.last_used > t.cfg.idle_timeout || not (keep e) ->
+        remove_entry t st e;
+        bump t.c_evicted;
+        incr evicted
+      | Some _ -> ()
+      | None -> assert false
+    done
+  done;
   drop_empty_subtables t;
   !evicted
 
 let flush t =
   iter_subtables (fun st -> iter_entries (fun e -> e.alive <- false) st) t;
-  Tables.Mask_tbl.reset t.by_mask;
   t.n <- 0;
   set_tables t []
 
@@ -885,10 +996,9 @@ let check t =
       let st = t.arr.(i) in
       if st.s_pos <> i then fail "subtable %d: s_pos is %d" i st.s_pos;
       if st.s_count < 1 then fail "subtable %d: no entry" i;
-      (match Tables.Mask_tbl.find_opt t.by_mask (mask_of st) with
-       | Some x when x == st -> ()
-       | Some _ -> fail "subtable %d: by_mask holds another subtable" i
-       | None -> fail "subtable %d: mask missing from by_mask" i);
+      if position t (mask_of st) <> i then
+        fail "subtable %d: by_mask finds its mask at %d" i
+          (position t (mask_of st));
       count := !count + st.s_count;
       let summary = t.blocks.(i lsr block_bits) in
       iter_entries
@@ -913,9 +1023,9 @@ let check t =
           done)
         st
     done;
-    if Tables.Mask_tbl.length t.by_mask <> t.n_tables then
+    if Flat_tbl.length t.by_mask <> t.n_tables then
       fail "by_mask holds %d masks, the scan %d"
-        (Tables.Mask_tbl.length t.by_mask) t.n_tables;
+        (Flat_tbl.length t.by_mask) t.n_tables;
     if !count <> t.n then fail "n is %d, subtables hold %d" t.n !count;
     Ok ()
   with Broken msg -> Error msg

@@ -124,9 +124,22 @@ val walk_batch :
     nothing is allocated), [out_probes.(j)] the probes a sequential scan
     would have paid, and [out_tbl.(j)] the matching subtable index, or
     [-1] on a miss. No statistics are touched and nothing is mutated;
-    commit each packet with {!commit_walk} (or {!commit_walk_hinted})
-    before the cache is mutated, or the precomputed results are
-    stale. *)
+    commit each packet with {!commit_walk} (or {!commit_walk_hinted}),
+    and after any {!insert} in between bring the pending results up to
+    date with {!patch_walk}, or they are stale. *)
+
+val patch_walk :
+  t -> Pi_classifier.Flow.t array -> idx:int array -> lo:int -> n:int ->
+  out_entry:entry option array -> out_probes:int array ->
+  out_tbl:int array -> unit
+(** Bring the {!walk_batch} results of slots [lo, n) up to date after
+    one {!insert}, so they are again what a sequential scan of the
+    current cache gives. Without eviction only the new entry can change
+    a result, so each slot is checked against it alone: a packet it
+    matches no later than the recorded position takes it, and a miss
+    pays the new subtable count. After a flow-limit eviction the slots
+    are walked again. Call it after each insert that lands between the
+    walk and the commits. *)
 
 val commit_walk :
   t -> lookup_stats -> entry option -> now:float -> pkt_len:int ->

@@ -7,8 +7,9 @@
    as a diverging tail).
 
    The generated traffic mixes the whitelisted flow, the covert stream
-   (fresh masks, hence mid-batch upcalls — synchronous backends fall
-   back to the scalar path for the rest of the batch) and random flows;
+   (fresh masks, hence mid-batch upcalls — synchronous backends patch
+   each install into the rest of the batch's walk results) and random
+   flows;
    batch sizes 1, 7 and 32 cover the degenerate, the ragged and the
    rx-ring case, and sequence lengths indivisible by the batch size
    leave a partial final batch. *)
@@ -123,6 +124,24 @@ let backend_cases =
           ~config:{ Datapath.default_config with
                     Datapath.emc_enabled = false;
                     mask_cache_capacity = Some 256 }
+          () );
+    ( "datapath-flow-limit",
+      150,
+      fun () ->
+        (* a flow limit this small evicts on most installs, so the walk
+           results are re-walked mid-batch, with and without the
+           subtable array compacting (the generation moving) *)
+        Dataplane.datapath
+          ~config:{ Datapath.default_config with
+                    Datapath.megaflow =
+                      { Megaflow.default_config with Megaflow.max_entries = 6 } }
+          () );
+    ( "datapath-mask-limit",
+      150,
+      fun () ->
+        (* past 4 masks, installs fall back to exact-match megaflows *)
+        Dataplane.datapath
+          ~config:{ Datapath.default_config with Datapath.mask_limit = Some 4 }
           () );
     ( "pmd-4",
       80,

@@ -176,6 +176,10 @@ let diag_cases =
     ( "lexer: prefix too long",
       "scenario s\npolicy p {\n  allow src 10.0.0.0/33\n}\n",
       [ "t.pis:3:22: prefix length /33 out of range (0..32)" ] );
+    ( "lexer: prefix length beyond int range",
+      "scenario s\npolicy p {\n  allow src 10.0.0.0/99999999999999999999\n}\n",
+      [ "t.pis:3:22: prefix length /99999999999999999999 out of range \
+         (0..32)" ] );
     ( "lexer: host bits set",
       "scenario s\npolicy p {\n  allow src 10.0.0.9/24\n}\n",
       [ "t.pis:3:13: host bits set in prefix 10.0.0.9/24 (aligned base: \
@@ -279,14 +283,74 @@ let diag_tests =
       Alcotest.test_case name `Quick (check_diags name src expected))
     diag_cases
 
-(* --- DSL / OCaml equivalence --------------------------------------- *)
-
 (* dune runtest runs with cwd _build/default/test (deps are staged one
    level up); fall back so `dune exec test/main.exe` from the project
    root works too. *)
 let resolve rel =
   if Sys.file_exists rel then rel
   else Filename.concat "_build/default/test" rel
+
+(* --- untrusted input never raises ---------------------------------- *)
+
+let examples = [ "fig3.pis"; "mitigation_comparison.pis"; "multi_backend.pis" ]
+
+let example_sources =
+  lazy
+    (List.map
+       (fun f ->
+         let ic = open_in_bin (resolve (Filename.concat "../examples" f)) in
+         let s = really_input_string ic (in_channel_length ic) in
+         close_in ic;
+         s)
+       examples)
+
+(* One byte-level edit: overwrite a byte, delete a span, or insert a
+   run of digits (long runs overflow the integer literals, CIDR lengths
+   and octets the lexer converts). *)
+type edit = Set of int * char | Delete of int * int | Insert of int * string
+
+let apply_edit s = function
+  | Set (at, c) ->
+    let b = Bytes.of_string s in
+    if String.length s > 0 then Bytes.set b (at mod String.length s) c;
+    Bytes.to_string b
+  | Delete (at, len) ->
+    let n = String.length s in
+    if n = 0 then s
+    else
+      let at = at mod n in
+      let len = min len (n - at) in
+      String.sub s 0 at ^ String.sub s (at + len) (n - at - len)
+  | Insert (at, ins) ->
+    let at = at mod (String.length s + 1) in
+    String.sub s 0 at ^ ins ^ String.sub s at (String.length s - at)
+
+let gen_edit =
+  let open QCheck2.Gen in
+  let pos = int_bound 4096 in
+  oneof
+    [ map2 (fun at c -> Set (at, c)) pos
+        (oneof [ oneofl [ '/'; '.'; '{'; '}'; '\n'; '-'; '#'; ' ' ];
+                 char_range '0' '9'; printable ]);
+      map2 (fun at len -> Delete (at, len)) pos (int_range 1 8);
+      map2 (fun at ins -> Insert (at, ins)) pos
+        (string_size ~gen:(char_range '0' '9') (int_range 1 24)) ]
+
+let prop_mutated_examples_never_raise =
+  Helpers.qtest ~count:20_000
+    "mutated examples: lexer, parser, validator return Ok or Error"
+    QCheck2.Gen.(pair (int_bound 2) (list_size (int_range 1 4) gen_edit))
+    (fun (which, edits) ->
+      let src =
+        List.fold_left apply_edit
+          (List.nth (Lazy.force example_sources) which) edits
+      in
+      match Parser.parse ~file:"fuzz.pis" src with
+      | Error _ -> true
+      | Ok prog ->
+        (match Validate.check prog with Ok _ | Error _ -> true))
+
+(* --- DSL / OCaml equivalence --------------------------------------- *)
 
 let load_pis path =
   let path = resolve path in
@@ -427,7 +491,8 @@ let test_interp_json_shape () =
 let suite =
   [ roundtrip ]
   @ diag_tests
-  @ [ Alcotest.test_case "fig3.pis lowers to the default-params record"
+  @ [ prop_mutated_examples_never_raise;
+      Alcotest.test_case "fig3.pis lowers to the default-params record"
         `Quick test_fig3_params;
       Alcotest.test_case "fig3 golden JSON = direct Scenario.run numbers"
         `Slow test_fig3_report_matches_golden;

@@ -283,6 +283,37 @@ let test_churn_keeps_survivors_reachable () =
   Alcotest.(check int) "drained" 0 (Megaflow.n_entries mf);
   Alcotest.(check int) "no masks left" 0 (Megaflow.n_masks mf)
 
+(* Growing the subtable array must never fill it with a young value: on
+   OCaml 5 that forces a minor collection once the array passes 256
+   words, i.e. once per round of a workload that re-mints hundreds of
+   masks after each revalidation. With a minor heap large enough for the
+   whole round, re-minting 600 masks must not collect at all. *)
+let test_mask_mint_forces_no_collection () =
+  let mf = mk () in
+  let masks =
+    Array.init 600 (fun i ->
+        Mask.with_prefix (src_mask (1 + (i mod 32))) Field.Ip_dst (i / 32))
+  in
+  let key = Flow.make ~ip_src:(ip "10.0.0.1") ~ip_dst:(ip "10.0.0.2") () in
+  let mint now =
+    Array.iter
+      (fun mask ->
+        ignore
+          (Megaflow.insert mf ~key ~mask ~action:Action.Drop ~revision:0 ~now ()))
+      masks
+  in
+  mint 0.;
+  ignore (Megaflow.revalidate mf ~now:100. ());
+  Alcotest.(check int) "every mask evicted" 0 (Megaflow.n_masks mf);
+  let saved = Gc.get () in
+  Gc.set { saved with Gc.minor_heap_size = 1 lsl 20 };
+  let before = (Gc.quick_stat ()).Gc.minor_collections in
+  mint 200.;
+  let after = (Gc.quick_stat ()).Gc.minor_collections in
+  Gc.set saved;
+  Alcotest.(check int) "masks re-minted" 600 (Megaflow.n_masks mf);
+  Alcotest.(check int) "minor collections while minting" 0 (after - before)
+
 let suite =
   [ Alcotest.test_case "insert/lookup" `Quick test_insert_lookup;
     Alcotest.test_case "miss probes all masks" `Quick test_miss_probes_all_masks;
@@ -304,4 +335,6 @@ let suite =
     Alcotest.test_case "has_mask" `Quick test_has_mask;
     Alcotest.test_case "subtable stats probe health" `Quick test_subtable_stats_probe_health;
     Alcotest.test_case "churn keeps survivors reachable" `Quick test_churn_keeps_survivors_reachable;
-    Alcotest.test_case "generation tracks reorders" `Quick test_generation_tracks_reorders ]
+    Alcotest.test_case "generation tracks reorders" `Quick test_generation_tracks_reorders;
+    Alcotest.test_case "mask minting forces no minor collection" `Quick
+      test_mask_mint_forces_no_collection ]

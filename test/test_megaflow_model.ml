@@ -332,31 +332,75 @@ let sample_keys m =
   List.filteri (fun i _ -> i mod stride = 0) m.entries
   |> List.map (fun e -> e.r_key)
 
-let insert_both mf m ~max_entries ~mask ~key ~rev =
+(* Walk results taken before a command's inserts and patched after
+   each one ({!Megaflow.patch_walk}), as the batch path does for the
+   rest of a burst; after the command they must equal a fresh lookup. *)
+type pending = {
+  p_flows : Flow.t array;
+  p_idx : int array;
+  p_entry : Megaflow.entry option array;
+  p_probes : int array;
+  p_tbl : int array;
+}
+
+let walk_pending mf flows =
+  let p_flows = Array.of_list flows in
+  let n = Array.length p_flows in
+  let p =
+    { p_flows; p_idx = Array.init n Fun.id; p_entry = Array.make n None;
+      p_probes = Array.make n 0; p_tbl = Array.make n 0 }
+  in
+  Megaflow.walk_batch mf p.p_flows ~idx:p.p_idx ~n ~out_entry:p.p_entry
+    ~out_probes:p.p_probes ~out_tbl:p.p_tbl;
+  p
+
+let check_pending m p =
+  Array.iteri
+    (fun j flow ->
+      let want, probes, tbl = model_find m flow in
+      check_same "patched walk entry" ~got:(Option.map id_of p.p_entry.(j))
+        ~want:(Option.map (fun (e, _) -> e.r_id) want);
+      check_int "patched walk probes" ~got:p.p_probes.(j) ~want:probes;
+      check_int "patched walk subtable" ~got:p.p_tbl.(j) ~want:tbl)
+    p.p_flows
+
+let insert_both mf m pending ~max_entries ~mask ~key ~rev =
   let now = tick m in
   ignore
     (Megaflow.insert mf ~key ~mask ~action:(Action.Output m.next_id)
        ~revision:rev ~now ());
+  Megaflow.patch_walk mf pending.p_flows ~idx:pending.p_idx ~lo:0
+    ~n:(Array.length pending.p_flows) ~out_entry:pending.p_entry
+    ~out_probes:pending.p_probes ~out_tbl:pending.p_tbl;
   model_insert m ~max_entries ~mask ~key ~rev ~now
+
+let mint_key a j =
+  mk_flow (j mod Array.length ip_srcs, j mod Array.length tp_dsts, 0, a)
 
 let step mf m ~max_entries cmd =
   let probe_flows = ref [] in
+  let pending flows = walk_pending mf (sample_keys m @ flows) in
   (match cmd with
    | Insert (mi, f, rev) ->
-     insert_both mf m ~max_entries ~mask:mask_pool.(mi) ~key:(mk_flow f) ~rev
+     let p = pending [ mk_flow f ] in
+     insert_both mf m p ~max_entries ~mask:mask_pool.(mi) ~key:(mk_flow f) ~rev;
+     check_pending m p
    | Mint (k, a, rev) ->
+     let fresh = fresh_masks m k in
+     let p = pending (List.map (mint_key a) fresh) in
      List.iter
        (fun j ->
-         let key =
-           mk_flow (j mod Array.length ip_srcs, j mod Array.length tp_dsts, 0, a)
-         in
-         insert_both mf m ~max_entries ~mask:mint_pool.(j) ~key ~rev)
-       (fresh_masks m k)
+         insert_both mf m p ~max_entries ~mask:mint_pool.(j) ~key:(mint_key a j)
+           ~rev)
+       fresh;
+     check_pending m p
    | Reinsert i -> (
      match List.nth_opt m.entries (i mod max 1 (List.length m.entries)) with
      | Some e ->
-       insert_both mf m ~max_entries ~mask:e.r_mask ~key:e.r_key
-         ~rev:((e.r_rev + 1) mod 3)
+       let p = pending [ e.r_key ] in
+       insert_both mf m p ~max_entries ~mask:e.r_mask ~key:e.r_key
+         ~rev:((e.r_rev + 1) mod 3);
+       check_pending m p
      | None -> ())
    | Drop_revision r ->
      let now = tick m in

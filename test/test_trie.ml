@@ -48,16 +48,16 @@ let test_plens_multiple () =
   Trie.insert t ~value:0b10000000 ~len:1;   (* 1/1 *)
   Trie.insert t ~value:0b10100000 ~len:3;   (* 101/3 *)
   let r = Trie.lookup t 0b10100001 in
-  Alcotest.(check bool) "len1 matches" true r.Trie.plens.(1);
-  Alcotest.(check bool) "len2 no" false r.Trie.plens.(2);
-  Alcotest.(check bool) "len3 matches" true r.Trie.plens.(3);
+  Alcotest.(check bool) "len1 matches" true (Trie.covers r 1);
+  Alcotest.(check bool) "len2 no" false (Trie.covers r 2);
+  Alcotest.(check bool) "len3 matches" true (Trie.covers r 3);
   Alcotest.(check int) "longest" 3 (Trie.longest_match r)
 
 let test_root_prefix () =
   let t = Trie.create ~width:8 in
   Trie.insert t ~value:0 ~len:0;
   let r = Trie.lookup t 0xFF in
-  Alcotest.(check bool) "/0 covers all" true r.Trie.plens.(0);
+  Alcotest.(check bool) "/0 covers all" true (Trie.covers r 0);
   Alcotest.(check int) "longest 0" 0 (Trie.longest_match r)
 
 (* Fig. 2b verbatim: complement of {00001010} over 8 bits. *)
@@ -150,6 +150,15 @@ let prop_lookup_checked_sound =
       let r' = Trie.lookup t other in
       Trie.longest_match r = Trie.longest_match r')
 
+(* A lookup that parts from a 62-bit segment after its first bit:
+   the differing run is 61 ones, which a double rounds up to 2^61. *)
+let test_long_differing_run () =
+  let t = Trie.create ~width:62 in
+  Trie.insert t ~value:0 ~len:62;
+  let r = Trie.lookup t ((1 lsl 61) - 1) in
+  Alcotest.(check int) "one shared bit, two checked" 2 r.Trie.checked;
+  Alcotest.(check int) "no match" (-1) (Trie.longest_match r)
+
 let test_prefixes_listing () =
   let t = Trie.create ~width:8 in
   Trie.insert t ~value:0b11000000 ~len:2;
@@ -157,6 +166,103 @@ let test_prefixes_listing () =
   Alcotest.(check (list (pair int int))) "sorted prefixes"
     [ (0b11000000, 2); (0b00001010, 8) ]
     (Trie.prefixes t)
+
+(* --- reference model ------------------------------------------------
+
+   The path-compressed trie against the bit-per-node one it replaced
+   ([Trie_ref]): the same insert/remove sequence must give the same
+   lookups, membership, sizes, listings and complements. Values come
+   from a few random bases with random low bits flipped, so prefixes
+   share long runs and nodes split and re-merge; lengths 0 and [width]
+   are drawn often, and prefixes are re-inserted (the reference counts
+   must agree too). *)
+
+type op = Insert of int * int | Remove of int | Probe of int
+
+let gen_model =
+  let open QCheck2.Gen in
+  let* width = oneof [ oneofl [ 1; 2; 8; 32; 48; 62 ]; int_range 1 62 ] in
+  let full = if width = 62 then max_int else (1 lsl width) - 1 in
+  let* bases = list_size (int_range 1 3) (map (fun v -> v land full) int) in
+  let gen_value =
+    let* base = oneofl bases in
+    let* k = int_range 0 width in
+    (* all ones: a long run of differing bits, which a lookup measures *)
+    let* noise = oneof [ int; return (-1) ] in
+    return (base lxor (noise land ((1 lsl k) - 1)) land full)
+  in
+  let gen_len =
+    frequency [ (1, return 0); (2, return width); (5, int_range 0 width) ]
+  in
+  let gen_op =
+    frequency
+      [ (4, map2 (fun v l -> Insert (v, l)) gen_value gen_len);
+        (2, map (fun i -> Remove i) nat);
+        (3, map (fun v -> Probe v) gen_value) ]
+  in
+  let* ops = list_size (int_range 1 40) gen_op in
+  return (width, ops)
+
+let plens_of_ref (r : Trie_ref.lookup_result) =
+  let bits = ref 0 in
+  Array.iteri (fun n b -> if b then bits := !bits lor (1 lsl n)) r.Trie_ref.plens;
+  !bits
+
+let prop_matches_reference =
+  qtest ~count:500 "path-compressed trie = bit-per-node reference" gen_model
+    (fun (width, ops) ->
+      let t = Trie.create ~width and m = Trie_ref.create ~width in
+      let r = Trie.result () and rr = Trie_ref.result ~width in
+      let stored = ref [] in     (* with multiplicity, newest first *)
+      let prefix v l = if l = 0 then 0 else v land lnot ((1 lsl (width - l)) - 1) in
+      let agree_on v =
+        Trie.lookup_into t v r;
+        Trie_ref.lookup_into m v rr;
+        if r.Trie.plens <> plens_of_ref rr || r.Trie.checked <> rr.Trie_ref.checked
+        then
+          QCheck2.Test.fail_reportf
+            "lookup %#x: covering lengths %#x / reference %#x, checked %d / %d"
+            v r.Trie.plens (plens_of_ref rr) r.Trie.checked rr.Trie_ref.checked;
+        for l = 0 to width do
+          if Trie.mem t ~value:(prefix v l) ~len:l
+             <> Trie_ref.mem m ~value:(prefix v l) ~len:l
+          then QCheck2.Test.fail_reportf "mem %#x/%d differs" (prefix v l) l
+        done
+      in
+      let step = function
+        | Insert (v, l) ->
+          let v = prefix v l in
+          Trie.insert t ~value:v ~len:l;
+          Trie_ref.insert m ~value:v ~len:l;
+          stored := (v, l) :: !stored;
+          agree_on v
+        | Remove i ->
+          (match !stored with
+           | [] -> ()
+           | l ->
+             let v, len = List.nth l (i mod List.length l) in
+             Trie.remove t ~value:v ~len;
+             Trie_ref.remove m ~value:v ~len;
+             let rec drop = function
+               | [] -> []
+               | x :: rest -> if x = (v, len) then rest else x :: drop rest
+             in
+             stored := drop !stored;
+             agree_on v)
+        | Probe v -> agree_on v
+      in
+      List.iter
+        (fun op ->
+          step op;
+          if Trie.size t <> Trie_ref.size m then
+            QCheck2.Test.fail_reportf "size %d / reference %d" (Trie.size t)
+              (Trie_ref.size m);
+          if Trie.prefixes t <> Trie_ref.prefixes m then
+            QCheck2.Test.fail_report "prefixes differ";
+          if Trie.complement t <> Trie_ref.complement m then
+            QCheck2.Test.fail_report "complements differ")
+        ops;
+      true)
 
 let suite =
   [ Alcotest.test_case "insert/mem/remove" `Quick test_insert_mem_remove;
@@ -173,4 +279,6 @@ let suite =
     Alcotest.test_case "complement count = width" `Quick
       test_complement_count_exact_value;
     prop_lookup_checked_sound;
-    Alcotest.test_case "prefixes listing" `Quick test_prefixes_listing ]
+    Alcotest.test_case "prefixes listing" `Quick test_prefixes_listing;
+    Alcotest.test_case "62-bit differing run" `Quick test_long_differing_run;
+    prop_matches_reference ]
