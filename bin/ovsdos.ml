@@ -50,6 +50,19 @@ let allow_src_arg =
   Arg.(value & opt ipv4_conv (ip "10.0.0.10")
        & info [ "allow-src" ] ~docv:"IP" ~doc:"Whitelisted source address.")
 
+(* Shard counts, burst sizes, queue depths and sample periods must be at
+   least 1: a zero or negative value is a usage error, not a raised
+   exception. *)
+let pos_int_conv =
+  let parse s =
+    match int_of_string_opt s with
+    | Some n when n >= 1 -> Ok n
+    | Some _ | None ->
+      Error
+        (`Msg (Printf.sprintf "invalid value %S (expected an integer >= 1)" s))
+  in
+  Arg.conv (parse, Format.pp_print_int)
+
 let seed_arg =
   Arg.(value & opt int 42 & info [ "seed" ] ~docv:"N" ~doc:"PRNG seed.")
 
@@ -229,7 +242,7 @@ let backend_arg =
                  $(b,pmd) (sharded, honours --shards) or $(b,cacheless).")
 
 let shards_arg =
-  Arg.(value & opt int 2
+  Arg.(value & opt pos_int_conv 2
        & info [ "shards" ] ~docv:"N" ~doc:"PMD threads for the pmd backend.")
 
 (* A small live dataplane for the introspection views: the attacked
@@ -521,21 +534,21 @@ let attack_cmd =
          & info [ "offered" ] ~docv:"GBPS" ~doc:"Victim offered load.")
   in
   let every =
-    Arg.(value & opt int 5
+    Arg.(value & opt pos_int_conv 5
          & info [ "every" ] ~docv:"SECONDS" ~doc:"Print one sample per N seconds.")
   in
   let coarse =
     Arg.(value & flag & info [ "mitigate" ] ~doc:"Enable the coarsened un-wildcarding mitigation.")
   in
   let shards =
-    Arg.(value & opt int dp.Pi_sim.Scenario.n_shards
+    Arg.(value & opt pos_int_conv dp.Pi_sim.Scenario.n_shards
          & info [ "shards" ] ~docv:"N"
              ~doc:"PMD threads (one core each); covert and victim flows are \
                    RSS-steered across them. 1 reproduces the single-datapath \
                    model exactly.")
   in
   let batch =
-    Arg.(value & opt int dp.Pi_sim.Scenario.batch_size
+    Arg.(value & opt pos_int_conv dp.Pi_sim.Scenario.batch_size
          & info [ "batch" ] ~docv:"B" ~doc:"Rx burst size per PMD (OVS: 32).")
   in
   let pipeline =
@@ -560,7 +573,7 @@ let attack_cmd =
                    baseline). All run through the same scenario code.")
   in
   let upcall_queue =
-    Arg.(value & opt (some int) None
+    Arg.(value & opt (some pos_int_conv) None
          & info [ "upcall-queue" ] ~docv:"N"
              ~doc:"Bound the fast-path-to-slow-path upcall queue at $(docv) \
                    entries (per shard): cache misses defer to handler \
@@ -667,11 +680,11 @@ let monitor_cmd =
          & info [ "offered" ] ~docv:"GBPS" ~doc:"Victim offered load.")
   in
   let shards =
-    Arg.(value & opt int dp.Pi_sim.Scenario.n_shards
+    Arg.(value & opt pos_int_conv dp.Pi_sim.Scenario.n_shards
          & info [ "shards" ] ~docv:"N" ~doc:"PMD threads (one core each).")
   in
   let every =
-    Arg.(value & opt int 1
+    Arg.(value & opt pos_int_conv 1
          & info [ "every" ] ~docv:"SECONDS"
              ~doc:"Refresh the view once per N simulated seconds.")
   in

@@ -52,8 +52,11 @@ type t = {
          array stores are unboxed. *)
   mf_stats : Megaflow.lookup_stats;
       (* caller-owned probe reporting for this datapath's own megaflow
-         lookups (replaces reading the deprecated [Megaflow.last_probes]
-         side-channel) *)
+         commits *)
+  one : Batch.t;
+      (* {!process}'s batch of one. Its walk scratch doubles as the
+         one-slot walk of a stale phase-P EMC hit, which a batch of one
+         never has, so the two uses cannot collide. *)
   (* Batched handler scratch for {!service_upcalls}: one chunk of popped
      items, an identity index row, and the verdicts. *)
   su_flows : Pi_classifier.Flow.t array;
@@ -125,6 +128,7 @@ let create ?(config = default_config) ?tss_config ?telemetry ?provenance rng
     sync_upcalls = sync;
     cy = Array.make 2 0.;
     mf_stats = Megaflow.lookup_stats ();
+    one = Batch.create ~capacity:1;
     su_flows = Array.make service_chunk Pi_classifier.Flow.zero;
     su_lens = Array.make service_chunk 0;
     su_idx = Array.init service_chunk (fun i -> i);
@@ -165,26 +169,6 @@ let trace t ~now kind =
   match t.tracer with
   | Some tr -> Pi_telemetry.Tracer.record tr ~at:now kind
   | None -> ()
-
-let finish t flow outcome action =
-  let c = Cost_model.cycles t.cfg.cost outcome in
-  t.cy.(0) <- t.cy.(0) +. c;
-  observe t.h_cycles c;
-  (match t.perf with
-   | Some p ->
-     Pi_telemetry.Perf.record p ~pkt_len:outcome.Cost_model.pkt_len
-       ~emc_hit:outcome.Cost_model.emc_hit
-       ~mf_probes:outcome.Cost_model.mf_probes
-       ~mf_hit:outcome.Cost_model.mf_hit
-       ~upcalled:outcome.Cost_model.upcall
-       ~slow_probes:outcome.Cost_model.slow_probes
-   | None -> ());
-  (match t.prov with
-   | Some p ->
-     Provenance.account p ~port:(Pi_classifier.Flow.in_port flow) ~outcome
-       ~cycles:c
-   | None -> ());
-  (action, outcome)
 
 (* Slow-path verdict → cached state: apply the mitigation hooks
    (narrowing transform, mask cap), install the megaflow, trace mask
@@ -240,115 +224,33 @@ let install_verdict t ~now flow (v : Slowpath.verdict) =
   if t.cfg.emc_enabled then Emc.insert t.emc flow e;
   e
 
-(* Everything after an EMC miss: megaflow lookup, then hit / upcall /
-   deferred enqueue. Top-level so the batch completion can re-enter the
-   live per-packet path for a packet whose phase-P EMC hit went stale,
-   without duplicating it (the packet counters have already been bumped
-   by then). *)
-let miss_path t ~now flow ~pkt_len =
-  let mf_entry =
-    match t.mcache with
-    | Some cache ->
-      Megaflow.lookup_hinted_s t.mf t.mf_stats cache flow ~now ~pkt_len
-    | None -> Megaflow.lookup_s t.mf t.mf_stats flow ~now ~pkt_len
-  in
-  let probes = t.mf_stats.Megaflow.s_probes in
-  match mf_entry with
-  | Some e ->
-    t.last_mf <- mf_entry;
-    if t.cfg.emc_enabled then Emc.insert_stored t.emc flow mf_entry;
-    observe t.h_probes (float_of_int probes);
-    trace t ~now (Pi_telemetry.Tracer.Mf_hit { probes });
-    finish t flow
-      { Cost_model.emc_hit = false; mf_probes = probes; mf_hit = true;
-        upcall = false; slow_probes = 0; pkt_len }
-      e.Megaflow.action
-  | None ->
-    observe t.h_probes (float_of_int probes);
-    if t.sync_upcalls then begin
-      (* Synchronous model: classify inline, exactly the behaviour
-         (and cost accounting) of the pre-queue datapath. *)
-      t.n_upcalls <- t.n_upcalls + 1;
-      let v = Slowpath.upcall t.slow flow in
-      ignore (install_verdict t ~now flow v);
-      finish t flow
-        { Cost_model.emc_hit = false; mf_probes = probes; mf_hit = false;
-          upcall = true; slow_probes = v.Slowpath.probes; pkt_len }
-        v.Slowpath.action
-    end
-    else begin
-      (* Deferred model: the miss posts an upcall (one per packet,
-         duplicates included — the kernel's per-packet Netlink queue)
-         and the packet itself is not forwarded this tick; the handler
-         resolves the flow in {!service_upcalls}. A full queue means
-         the packet — and its upcall — is dropped on the floor. *)
-      (if
-         Upcall_queue.push t.uq
-           { ui_flow = flow; ui_pkt_len = pkt_len; ui_at = now }
-       then
-         trace t ~now
-           (Pi_telemetry.Tracer.Upcall_enqueued
-              { queued = Upcall_queue.length t.uq })
-       else begin
-         t.n_upcall_drops <- t.n_upcall_drops + 1;
-         (match t.c_upcall_drops with
-          | Some c -> Pi_telemetry.Metrics.incr c
-          | None -> ());
-         trace t ~now
-           (Pi_telemetry.Tracer.Upcall_dropped
-              { queued = Upcall_queue.length t.uq })
-       end);
-      finish t flow
-        { Cost_model.emc_hit = false; mf_probes = probes; mf_hit = false;
-          upcall = false; slow_probes = 0; pkt_len }
-        Action.Drop
-    end
+(* --- Packet processing -----------------------------------------------
 
-let process t ~now flow ~pkt_len =
-  t.n_processed <- t.n_processed + 1;
-  (match t.c_packets with
-   | Some c -> Pi_telemetry.Metrics.incr c
-   | None -> ());
-  let emc_entry =
-    if t.cfg.emc_enabled then Emc.lookup t.emc flow else None
-  in
-  match emc_entry with
-  | Some e ->
-    t.last_mf <- emc_entry;
-    e.Megaflow.last_used <- now;
-    e.Megaflow.n_packets <- e.Megaflow.n_packets + 1;
-    e.Megaflow.n_bytes <- e.Megaflow.n_bytes + pkt_len;
-    trace t ~now Pi_telemetry.Tracer.Emc_hit;
-    finish t flow
-      { Cost_model.emc_hit = true; mf_probes = 0; mf_hit = false;
-        upcall = false; slow_probes = 0; pkt_len }
-      e.Megaflow.action
-  | None -> miss_path t ~now flow ~pkt_len
-
-(* --- Batch processing ----------------------------------------------
-
-   [process_batch] runs the hierarchy in two phases.
+   [process_batch] is the one classification path; [process] is a batch
+   of one. It runs the hierarchy in two phases.
 
    Phase P (pure, vectorised): probe the EMC for every packet — no
    counters, no eviction, no RNG — to carve out the miss set, then one
-   subtable-major {!Megaflow.walk_batch} over the miss set precomputes
-   each miss packet's (entry, probes, subtable). This is where the
-   batch's cache locality comes from: each subtable is loaded once per
-   batch, not once per packet.
+   {!Megaflow.walk_batch} over the miss set precomputes each miss
+   packet's (entry, probes, subtable). This is where the batch's cache
+   locality comes from: each subtable is loaded once per batch, not
+   once per packet.
 
    Phase C (completion): replay the per-packet bookkeeping in strict
    packet order, so counters, entry stamps, EMC insertion RNG draws,
-   upcalls and traces are bit-for-bit those of the per-packet fold. Two
-   flags guard the precomputed results. [emc_clean]: no EMC write has
-   happened since the probes ran — a pure hit can be committed directly
-   ({!Emc.commit_hit}); after any insert, the slot is re-read with a
-   real {!Emc.lookup} (which also counts the miss, or the hit if an
-   in-batch insert landed the flow — exactly what the fold would see).
-   When a synchronous upcall installs a megaflow mid-batch, the walk
-   results of the miss-set packets still pending are patched against
-   the one new entry ({!Megaflow.patch_walk}), so every packet keeps
-   its precomputed result instead of re-scanning the cache. Deferred-
-   upcall mode never installs mid-batch. *)
+   upcalls and traces are bit-for-bit those of the same packets run one
+   at a time. Two guards keep the precomputed results sound. The
+   [emc_clean] flag: no EMC write has happened since the probes ran — a
+   pure hit can be committed directly ({!Emc.commit_hit}); after any
+   insert, the slot is re-read with a real {!Emc.lookup} (which also
+   counts the miss, or the hit if an in-batch insert landed the flow —
+   exactly what one-at-a-time processing would see). A hit that went
+   stale has no walk result, so that packet is walked alone. And when a
+   synchronous upcall installs a megaflow mid-batch, the walk results
+   of the miss-set packets still pending are patched against the one
+   new entry ({!Megaflow.patch_walk}), so every packet keeps its
+   precomputed result instead of re-scanning the cache. Deferred-upcall
+   mode never installs mid-batch. *)
 
 let finish_b t (b : Batch.t) i action ~emc_hit ~mf_probes ~mf_hit ~upcall
     ~slow_probes =
@@ -399,37 +301,23 @@ let commit_emc_hit t (b : Batch.t) ~now i r =
       ~mf_hit:false ~upcall:false ~slow_probes:0
   | None -> assert false
 
-(* A packet whose phase-P EMC hit went stale has no walk result: run
-   the real per-packet miss path (the EMC has already been consulted)
-   and copy its outcome into the batch columns — [miss_path] has done
-   the charging. Returns the dirty-state delta: 0 = no cache write,
-   1 = EMC possibly written, 2 = megaflow installed. *)
-let scalar_miss t (b : Batch.t) ~now i =
-  let action, o =
-    miss_path t ~now b.Batch.flows.(i) ~pkt_len:b.Batch.pkt_lens.(i)
-  in
-  Batch.set_result b i action ~emc_hit:o.Cost_model.emc_hit
-    ~mf_probes:o.Cost_model.mf_probes ~mf_hit:o.Cost_model.mf_hit
-    ~upcall:o.Cost_model.upcall ~slow_probes:o.Cost_model.slow_probes;
-  if o.Cost_model.upcall then 2
-  else if o.Cost_model.mf_hit && t.cfg.emc_enabled then 1
-  else 0
-
-(* Commit the precomputed walk result of miss-set slot [j] (packet [i]).
-   Sound while every install since phase P has been patched in. Same
-   dirty-delta return as [scalar_miss]. *)
-let complete_miss t (b : Batch.t) ~now i j =
+(* Commit packet [i]'s walk result, held in slot [j] of [w]'s walk
+   scratch ([w] is [b] itself, or [t.one] for a stale EMC hit walked
+   alone). Sound while every install since the walk has been patched
+   in. Returns the dirty-state delta: 0 = no cache write, 1 = EMC
+   possibly written, 2 = megaflow installed. *)
+let complete_miss t (b : Batch.t) (w : Batch.t) ~now i j =
   let flow = b.Batch.flows.(i) in
   let pkt_len = b.Batch.pkt_lens.(i) in
-  let pre = b.Batch.sc_entry.(j) in
+  let pre = w.Batch.sc_entry.(j) in
   let entry =
     match t.mcache with
     | Some cache ->
       Megaflow.commit_walk_hinted t.mf t.mf_stats cache flow pre ~now
-        ~pkt_len ~probes:b.Batch.sc_probes.(j) ~tbl:b.Batch.sc_tbl.(j)
+        ~pkt_len ~probes:w.Batch.sc_probes.(j) ~tbl:w.Batch.sc_tbl.(j)
     | None ->
       Megaflow.commit_walk t.mf t.mf_stats pre ~now ~pkt_len
-        ~probes:b.Batch.sc_probes.(j) ~tbl:b.Batch.sc_tbl.(j);
+        ~probes:w.Batch.sc_probes.(j) ~tbl:w.Batch.sc_tbl.(j);
       pre
   in
   let probes = t.mf_stats.Megaflow.s_probes in
@@ -455,6 +343,7 @@ let complete_miss t (b : Batch.t) ~now i j =
      | Some h -> Pi_telemetry.Histogram.observe h (float_of_int probes)
      | None -> ());
     if t.sync_upcalls then begin
+      (* Synchronous model: classify inline. *)
       t.n_upcalls <- t.n_upcalls + 1;
       let v = Slowpath.upcall t.slow flow in
       ignore (install_verdict t ~now flow v);
@@ -463,6 +352,11 @@ let complete_miss t (b : Batch.t) ~now i j =
       2
     end
     else begin
+      (* Deferred model: the miss posts an upcall (one per packet,
+         duplicates included — the kernel's per-packet Netlink queue)
+         and the packet itself is not forwarded this tick; the handler
+         resolves the flow in {!service_upcalls}. A full queue means
+         the packet — and its upcall — is dropped on the floor. *)
       (if
          Upcall_queue.push t.uq
            { ui_flow = flow; ui_pkt_len = pkt_len; ui_at = now }
@@ -494,7 +388,8 @@ let rec complete_batch t (b : Batch.t) ~now i n j k emc_clean =
      | Some c -> Pi_telemetry.Metrics.incr c
      | None -> ());
     if not t.cfg.emc_enabled then
-      next_packet t b ~now i n (j + 1) k emc_clean (complete_miss t b ~now i j)
+      next_packet t b ~now i n (j + 1) k emc_clean
+        (complete_miss t b b ~now i j)
     else
       match b.Batch.sc_emc.(i) with
       | Some _ as r when emc_clean ->
@@ -504,12 +399,20 @@ let rec complete_batch t (b : Batch.t) ~now i n j k emc_clean =
       | Some _ -> begin
         (* The pure hit may be stale (slot overwritten, entry killed):
            re-read for real — the lookup's own counting is exactly what
-           the per-packet fold would have done here. *)
+           one-at-a-time processing would have done here. *)
         match Emc.lookup t.emc b.Batch.flows.(i) with
         | Some _ as r ->
           commit_emc_hit t b ~now i r;
           complete_batch t b ~now (i + 1) n j k emc_clean
-        | None -> next_packet t b ~now i n j k emc_clean (scalar_miss t b ~now i)
+        | None ->
+          (* Stale: the packet has no walk result, so walk it alone. *)
+          let w = t.one in
+          w.Batch.sc_miss.(0) <- i;
+          Megaflow.walk_batch t.mf b.Batch.flows ~idx:w.Batch.sc_miss ~n:1
+            ~out_entry:w.Batch.sc_entry ~out_probes:w.Batch.sc_probes
+            ~out_tbl:w.Batch.sc_tbl;
+          next_packet t b ~now i n j k emc_clean
+            (complete_miss t b w ~now i 0)
       end
       | None -> begin
         (* A pure miss can have become a hit if an in-batch insert
@@ -521,7 +424,7 @@ let rec complete_batch t (b : Batch.t) ~now i n j k emc_clean =
           complete_batch t b ~now (i + 1) n (j + 1) k emc_clean
         | None ->
           next_packet t b ~now i n (j + 1) k emc_clean
-            (complete_miss t b ~now i j)
+            (complete_miss t b b ~now i j)
       end
   end
 
@@ -556,6 +459,13 @@ let process_batch t (b : Batch.t) ~now =
       ~out_tbl:b.Batch.sc_tbl;
     complete_batch t b ~now 0 n 0 k true
   end
+
+let process t ~now flow ~pkt_len =
+  let b = t.one in
+  Batch.clear b;
+  Batch.push b flow ~pkt_len;
+  process_batch t b ~now;
+  Batch.result b 0
 
 let pop_pending_upcall t =
   match Upcall_queue.pop t.uq with

@@ -2,8 +2,9 @@
     glued together exactly as in the OVS fast/slow path architecture the
     paper describes (§2).
 
-    [process] classifies one packet, updates every cache layer, and
-    reports the precise {!Cost_model.outcome}, from which simulations
+    {!process_batch} classifies a burst of packets (and {!process} one
+    packet, as a burst of one), updates every cache layer, and reports
+    each packet's precise {!Cost_model.outcome}, from which simulations
     derive CPU consumption and forwarding capacity. *)
 
 type config = {
@@ -82,7 +83,9 @@ val remove_rules : t -> (Action.t Pi_classifier.Rule.t -> bool) -> int
 val process :
   t -> now:float -> Pi_classifier.Flow.t -> pkt_len:int ->
   Action.t * Cost_model.outcome
-(** Classify one packet through the cache hierarchy.
+(** Classify one packet through the cache hierarchy: {!process_batch}
+    over a batch of one that the datapath owns, so a packet gets the
+    same result either way.
 
     With the default synchronous upcall queue, a double miss classifies
     in the slow path inline and returns its verdict. With a bounded
@@ -94,19 +97,23 @@ val process :
 
 val process_batch : t -> Batch.t -> now:float -> unit
 (** Classify a whole {!Batch} through the cache hierarchy, writing each
-    packet's action and outcome columns back into the batch.
+    packet's action and outcome columns back into the batch. This is
+    the datapath's only classification path.
 
-    The walk is subtable-major, OVS dpcls style: one vectorised EMC
-    probe pass carves out the miss set, one {!Megaflow.walk_batch}
-    walk resolves it loading each subtable once per batch, and a
-    completion pass replays the per-packet bookkeeping in strict packet
-    order. Results are bit-for-bit those of [n] {!process} calls — same
+    One vectorised EMC probe pass carves out the miss set, one
+    {!Megaflow.walk_batch} walk resolves it (subtable-major, OVS dpcls
+    style, loading each subtable once per batch), and a completion pass
+    replays the per-packet bookkeeping in strict packet order. Results
+    are bit-for-bit those of running the packets one at a time — same
     actions and outcomes, same megaflows minted, same mask counts, same
-    EMC insertion RNG draws, same traces; a megaflow a mid-batch
-    synchronous upcall installs is patched into the pending packets'
-    walk results ({!Megaflow.patch_walk}) to keep that guarantee. With deferred upcalls, misses enqueue exactly
-    as in {!process} and resolve at the next {!service_upcalls}, which
-    classifies queued misses in slow-path batches of its own.
+    EMC insertion RNG draws, same traces. Two guards keep that
+    guarantee: a megaflow a mid-batch synchronous upcall installs is
+    patched into the pending packets' walk results
+    ({!Megaflow.patch_walk}), and a packet whose EMC hit went stale
+    mid-batch is walked alone. With deferred upcalls, misses enqueue as
+    described under {!process} and resolve at the next
+    {!service_upcalls}, which classifies queued misses in slow-path
+    batches of its own.
 
     The batch hit and walk paths allocate nothing on the minor heap. *)
 
@@ -137,7 +144,7 @@ val service_upcalls : t -> now:float -> int
     the default synchronous configuration. *)
 
 val last_megaflow : t -> Megaflow.entry option
-(** The megaflow entry the most recent {!process} call hit or installed
+(** The megaflow entry the most recent packet hit or installed
     ([None] before the first packet) — an instrumentation hook for
     simulations that need per-flow entry handles without extra
     lookups. *)
@@ -148,7 +155,7 @@ val revalidate : t -> now:float -> int
     megaflow count. *)
 
 val cycles_used : t -> float
-(** Cumulative CPU cycles consumed by [process] calls since the last
+(** Cumulative CPU cycles consumed by processed packets since the last
     {!reset_stats}, per the cost model. *)
 
 val handler_cycles_used : t -> float

@@ -56,9 +56,12 @@ module type S = sig
   val process :
     t -> now:float -> Pi_classifier.Flow.t -> pkt_len:int ->
     Action.t * Cost_model.outcome
-  (** Classify one packet — the 1-length batch special case, kept
-      per-packet for parity oracles and single-flow probes. Hot callers
-      should fill a {!Batch.t} and use {!process_batch}. *)
+  (** Classify one packet: {!process_batch} over a batch of one,
+      without the per-burst overhead charge. The cache-hierarchy
+      backends run it through that very path, so there is no separate
+      per-packet classifier. For single-flow probes and one-at-a-time
+      drivers; hot callers should fill a {!Batch.t} and use
+      {!process_batch}. *)
 
   val process_batch : t -> Batch.t -> now:float -> unit
   (** One rx round over a {!Batch}: classify packets [0 .. length - 1],

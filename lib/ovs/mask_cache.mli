@@ -4,7 +4,7 @@
     small (256-entry) direct-mapped array from a packet's flow hash to
     the index of the megaflow mask that matched that hash last time, so
     a stable flow pays one probe instead of a scan
-    ({!Megaflow.lookup_hinted} consumes the hint).
+    ({!Megaflow.commit_walk_hinted} consumes the hint).
 
     Crucially for the paper, the cache is tiny: once the covert stream
     keeps thousands of flows alive, benign hints are continually
@@ -33,14 +33,14 @@ val generation : t -> int
 val sync_generation : t -> int -> unit
 (** [sync_generation t gen] empties the cache iff its recorded
     generation differs from [gen] (then remembers [gen]). Used by
-    {!Megaflow.lookup_hinted}: whenever the megaflow subtable array is
+    {!Megaflow.commit_walk_hinted}: whenever the megaflow subtable array is
     reordered, every cached index may point at the wrong subtable — with
     overlapping masks a stale hint could even return a {e different}
     entry than the linear scan — so all hints are dropped wholesale. *)
 
 val note_hit : t -> unit
 val note_miss : t -> unit
-(** Counter hooks used by {!Megaflow.lookup_hinted}: a hint that led
+(** Counter hooks used by {!Megaflow.commit_walk_hinted}: a hint that led
     directly to the matching entry is a hit; everything else
     (no hint, stale hint) is a miss. *)
 

@@ -86,7 +86,8 @@ type t = {
   mutable hits : int;
   mutable misses : int;
   mutable probes : int;
-  mutable last_probes : int;        (* subtables probed by the last lookup *)
+  mutable scan_pos : int;
+      (* walk scratch: the probes paid by the last one-packet [scan] *)
   mutable w_remaining : int;
       (* walk scratch: packets of the current batch still unresolved.
          A field, not a [ref], so the per-subtable walk loop allocates
@@ -130,7 +131,7 @@ let create ?(config = default_config) ?metrics () =
     hits = 0;
     misses = 0;
     probes = 0;
-    last_probes = 0;
+    scan_pos = 0;
     w_remaining = 0;
     w_fields = [||];
     w_sel = [||];
@@ -452,13 +453,17 @@ let miss t ~probes =
   bump t.c_miss;
   bump ~by:probes t.c_probes
 
-(* The linear scan is a pair of top-level recursive functions, not a
-   closure inside [lookup]: an inner [let rec go] captures its
-   environment and is heap-allocated per call, which dominated the
-   per-packet allocation of the miss path (the attack's victim regime).
-   It is pure: the position reached goes to [last_probes] rather than
-   into a result tuple, so a hit (and a miss) allocates no pair, and the
-   callers replay the statistics.
+(* Caller-owned probe reporting: each commit writes the probe count it
+   charged into the record its caller passed, so two walks in flight
+   cannot clobber each other's count. *)
+type lookup_stats = { mutable s_probes : int }
+
+let lookup_stats () = { s_probes = 0 }
+
+(* The one-packet kernel: the sequential scan. A pair of top-level
+   recursive functions, not an inner closure, so that no call allocates;
+   the position reached goes to [t.scan_pos] rather than into a result
+   tuple.
 
    Each block is entered only if the packet passes its summary; a block
    it fails is jumped over whole. The probe count is not carried through
@@ -468,7 +473,7 @@ let[@inline] block_end t i = min t.n_tables (i + block_size)
 
 let rec scan t ff i =
   if i >= t.n_tables then begin
-    t.last_probes <- t.n_tables;
+    t.scan_pos <- t.n_tables;
     None
   end
   else begin
@@ -483,82 +488,10 @@ and scan_block t ff i hi =
   else begin
     match find_fields t.arr.(i) ff with
     | Some _ as r ->
-      t.last_probes <- i + 1;
+      t.scan_pos <- i + 1;
       r
     | None -> scan_block t ff (i + 1) hi
   end
-
-let lookup t flow ~now ~pkt_len =
-  let r = scan t (Flow.unsafe_fields flow) 0 in
-  let probes = t.last_probes in
-  (match r with
-   | Some e -> hit_entry t t.arr.(probes - 1) e ~now ~pkt_len ~probes
-   | None -> miss t ~probes);
-  r
-
-(* Kernel-style lookup: try the mask the flow's hash slot matched last
-   time (one probe); fall back to the linear scan and refresh the hint.
-   A correct hint makes a stable flow O(1) even with thousands of masks
-   — until the cache's few hundred slots are thrashed.
-
-   The cache is synchronised with the subtable generation first: after a
-   resort/compaction every cached index may point at a different mask,
-   and with overlapping attack masks a stale hint could return a
-   different entry than the linear scan would. [extra] is the probe a
-   failed hint already paid. *)
-let scan_record t cache flow ~now ~pkt_len ~extra =
-  let r = scan t (Flow.unsafe_fields flow) 0 in
-  let pos = t.last_probes in
-  let probes = pos + extra in
-  (match r with
-   | Some e ->
-     hit_entry t t.arr.(pos - 1) e ~now ~pkt_len ~probes;
-     Mask_cache.record cache flow (pos - 1)
-   | None -> miss t ~probes);
-  t.last_probes <- probes;
-  r
-
-let lookup_hinted t cache flow ~now ~pkt_len =
-  Mask_cache.sync_generation cache t.generation;
-  (* A failed hint costs one probe before the fallback scan. Only an
-     index that actually reached [find_in_subtable] counts; an
-     out-of-range hint (or the -1 "no hint" sentinel) never probed
-     anything. *)
-  let i = Mask_cache.hint cache flow in
-  if i >= 0 && i < t.n_tables then begin
-    let st = t.arr.(i) in
-    match find_in_subtable st flow with
-    | Some e as r ->
-      hit_entry t st e ~now ~pkt_len ~probes:1;
-      Mask_cache.note_hit cache;
-      t.last_probes <- 1;
-      r
-    | None ->
-      Mask_cache.note_miss cache;
-      scan_record t cache flow ~now ~pkt_len ~extra:1
-  end
-  else begin
-    Mask_cache.note_miss cache;
-    scan_record t cache flow ~now ~pkt_len ~extra:0
-  end
-
-(* Caller-owned probe reporting: the explicit record replaces a
-   "valid until the next lookup" side-channel, which broke down as soon
-   as two lookups were in flight per batch. [t.last_probes] is the
-   single-lookup scratch the scans write and the [_s] wrappers copy. *)
-type lookup_stats = { mutable s_probes : int }
-
-let lookup_stats () = { s_probes = 0 }
-
-let lookup_s t s flow ~now ~pkt_len =
-  let r = lookup t flow ~now ~pkt_len in
-  s.s_probes <- t.last_probes;
-  r
-
-let lookup_hinted_s t s cache flow ~now ~pkt_len =
-  let r = lookup_hinted t cache flow ~now ~pkt_len in
-  s.s_probes <- t.last_probes;
-  r
 
 (* --- Subtable-major batch walk ------------------------------------- *)
 
@@ -664,36 +597,45 @@ let rec walk_tables t fields lo n out_entry out_probes out_tbl b =
     walk_tables t fields lo n out_entry out_probes out_tbl (b + 1)
   end
 
-(* Pure subtable-major walk: for each mask, probe every unresolved
-   packet of the miss set, then move to the next mask — the dpcls
-   amortisation (each subtable's descriptor and table are loaded once
-   per batch, not once per packet). Blocks whose summary no unresolved
-   packet passes are skipped whole. Touches no statistics and mutates
-   nothing: [out_entry.(j)] is the stored arena option (or [None]),
+(* Pure walk of slots [lo, n): touches no statistics and mutates
+   nothing. [out_entry.(j)] is the stored arena option (or [None]),
    [out_probes.(j)] the probe count the sequential scan would have paid,
    [out_tbl.(j)] the matching subtable index (-1 on a miss). The caller
    replays hit/miss bookkeeping per packet with {!commit_walk} /
-   {!commit_walk_hinted}; while the cache is unmutated the replay is
-   bit-for-bit what per-packet {!lookup} would have produced, because
-   entries are non-overlapping so probe order across packets cannot
-   change which entry wins. *)
+   {!commit_walk_hinted}; entries are non-overlapping, so probe order
+   across packets cannot change which entry wins.
+
+   The kernel is chosen by the range's size. One packet has nothing to
+   amortise, so it runs the sequential [scan]. From two packets on the
+   walk is subtable-major: for each mask, probe every unresolved packet,
+   then move to the next mask — the dpcls amortisation (each subtable's
+   descriptor and table are loaded once per batch, not once per packet),
+   with blocks whose summary no unresolved packet passes skipped whole. *)
 let walk_range t flows idx lo n out_entry out_probes out_tbl =
-  if Array.length t.w_fields < n then begin
-    t.w_fields <- Array.make n [||];
-    t.w_sel <- Array.make n 0;
-    t.w_sel_ff <- Array.make n [||]
-  end;
-  let fields = t.w_fields in
-  for j = lo to n - 1 do
-    fields.(j) <- Flow.unsafe_fields flows.(idx.(j));
-    out_entry.(j) <- None;
-    (* overwritten with the hit position on a hit; a packet that walks
-       every subtable and misses paid them all, like the scan *)
-    out_probes.(j) <- t.n_tables;
-    out_tbl.(j) <- -1
-  done;
-  t.w_remaining <- n - lo;
-  walk_tables t fields lo n out_entry out_probes out_tbl 0
+  if n - lo = 1 then begin
+    let r = scan t (Flow.unsafe_fields flows.(idx.(lo))) 0 in
+    out_entry.(lo) <- r;
+    out_probes.(lo) <- t.scan_pos;
+    out_tbl.(lo) <- (match r with Some _ -> t.scan_pos - 1 | None -> -1)
+  end
+  else begin
+    if Array.length t.w_fields < n then begin
+      t.w_fields <- Array.make n [||];
+      t.w_sel <- Array.make n 0;
+      t.w_sel_ff <- Array.make n [||]
+    end;
+    let fields = t.w_fields in
+    for j = lo to n - 1 do
+      fields.(j) <- Flow.unsafe_fields flows.(idx.(j));
+      out_entry.(j) <- None;
+      (* overwritten with the hit position on a hit; a packet that walks
+         every subtable and misses paid them all, like the scan *)
+      out_probes.(j) <- t.n_tables;
+      out_tbl.(j) <- -1
+    done;
+    t.w_remaining <- n - lo;
+    walk_tables t fields lo n out_entry out_probes out_tbl 0
+  end
 
 let walk_batch t flows ~idx ~n ~out_entry ~out_probes ~out_tbl =
   walk_range t flows idx 0 n out_entry out_probes out_tbl
@@ -731,50 +673,40 @@ let commit_walk t s entry ~now ~pkt_len ~probes ~tbl =
   (match entry with
    | Some e -> hit_entry t t.arr.(tbl) e ~now ~pkt_len ~probes
    | None -> miss t ~probes);
-  s.s_probes <- probes;
-  t.last_probes <- probes
+  s.s_probes <- probes
 
-let commit_scan_record t s cache flow entry ~now ~pkt_len ~probes ~tbl =
-  (match entry with
-   | Some e ->
-     hit_entry t t.arr.(tbl) e ~now ~pkt_len ~probes;
-     Mask_cache.record cache flow tbl
-   | None -> miss t ~probes);
-  s.s_probes <- probes;
-  t.last_probes <- probes
+(* Hinted (kernel-flavour) commit of a walk result: try the mask the
+   flow's {!Mask_cache} slot matched last time (one probe); otherwise
+   commit the walk's result and refresh the hint. A correct hint makes a
+   stable flow O(1) even with thousands of masks — until the cache's few
+   hundred slots are thrashed. The hint is read {e live}, in packet
+   order; on a hint hit the hint's entry is authoritative and returned
+   (the same entry the walk found — entries are non-overlapping — but
+   with 1 probe, not the scan position). A failed in-range hint adds its
+   probe to the walk's count; an out-of-range hint (or the -1 "no hint"
+   sentinel) never probed anything.
 
-(* Hinted (kernel-flavour) commit of a precomputed walk result. The hint
-   is read {e live}, in packet order, so the hint/hit/miss accounting is
-   exactly what per-packet {!lookup_hinted} would have done; on a hint
-   hit the hint's entry is authoritative and returned (it is the same
-   entry the walk found — entries are non-overlapping — but the probe
-   count differs: 1, not the scan position). A failed in-range hint adds
-   its one probe to the precomputed scan count, as in
-   [scan_record ~extra:1]. Only valid while the cache has not been
-   mutated since {!walk_batch} ran. *)
+   The cache is synchronised with the subtable generation first: after a
+   resort/compaction every cached index may point at a different mask,
+   and with overlapping attack masks a stale hint could return a
+   different entry than the scan would. Only valid while the cache has
+   not been mutated since the walk ran. *)
 let commit_walk_hinted t s cache flow entry ~now ~pkt_len ~probes ~tbl =
   Mask_cache.sync_generation cache t.generation;
   let h = Mask_cache.hint cache flow in
-  if h >= 0 && h < t.n_tables then begin
-    let st = t.arr.(h) in
-    match find_in_subtable st flow with
-    | Some e as r ->
-      hit_entry t st e ~now ~pkt_len ~probes:1;
-      Mask_cache.note_hit cache;
-      s.s_probes <- 1;
-      t.last_probes <- 1;
-      r
-    | None ->
-      Mask_cache.note_miss cache;
-      commit_scan_record t s cache flow entry ~now ~pkt_len
-        ~probes:(probes + 1) ~tbl;
-      entry
-  end
-  else begin
+  let in_range = h >= 0 && h < t.n_tables in
+  match if in_range then find_in_subtable t.arr.(h) flow else None with
+  | Some e as r ->
+    hit_entry t t.arr.(h) e ~now ~pkt_len ~probes:1;
+    Mask_cache.note_hit cache;
+    s.s_probes <- 1;
+    r
+  | None ->
     Mask_cache.note_miss cache;
-    commit_scan_record t s cache flow entry ~now ~pkt_len ~probes ~tbl;
+    commit_walk t s entry ~now ~pkt_len
+      ~probes:(if in_range then probes + 1 else probes) ~tbl;
+    if tbl >= 0 then Mask_cache.record cache flow tbl;
     entry
-  end
 
 (* Userspace-dpcls-style ranking: periodically sort subtables so the
    most-hit masks are probed first (OVS's pvector). Decays counts so

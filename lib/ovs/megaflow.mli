@@ -59,63 +59,36 @@ val create : ?config:config -> ?metrics:Pi_telemetry.Metrics.t -> unit -> t
     [n_megaflows] gauges track the current sizes (unlike the cumulative
     [mask_created] counter, which evictions never decrease). *)
 
-val lookup : t -> Pi_classifier.Flow.t -> now:float -> pkt_len:int -> entry option
-(** The matching entry, if any; hit statistics are updated. The result
-    is the stored option of the entry arena and a miss is the immediate
-    [None], so lookup allocates nothing. For the number of subtable
-    probes performed (= position of the matching mask, or the
-    total mask count on a miss), use {!lookup_s} with a caller-owned
-    {!lookup_stats} record. *)
-
-val lookup_hinted :
-  t -> Mask_cache.t -> Pi_classifier.Flow.t -> now:float -> pkt_len:int ->
-  entry option
-(** Kernel-datapath flavour: consult the {!Mask_cache} first (a correct
-    hint costs one probe), fall back to the linear scan and refresh the
-    hint. A stale in-range hint costs its probe, exactly as in the
-    kernel; a hint that never reached a subtable (out of range) costs
-    nothing. The cache is invalidated first if the subtable array has
-    been reordered since the hints were recorded (see {!generation}).
-    Allocation-free, like {!lookup}; probes via {!lookup_hinted_s}. *)
-
 type lookup_stats = { mutable s_probes : int }
-(** Caller-owned probe reporting. A lookup writes the number of subtable
-    probes it performed into the record the caller passed, so two
-    concurrent walks (e.g. the batch path interleaving with a hinted
-    commit) cannot clobber each other the way the retired cache-global
-    [last_probes] accessor could (removed in 0.11.0 as CHANGES.md
-    0.10.0 announced). *)
+(** Caller-owned probe reporting. A commit writes the number of subtable
+    probes it charged into the record the caller passed, so two walks in
+    flight cannot clobber each other's count. *)
 
 val lookup_stats : unit -> lookup_stats
 
-val lookup_s :
-  t -> lookup_stats -> Pi_classifier.Flow.t -> now:float -> pkt_len:int ->
-  entry option
-(** {!lookup}, reporting the probe count into the caller's record. *)
+(** {2 Lookup}
 
-val lookup_hinted_s :
-  t -> lookup_stats -> Mask_cache.t -> Pi_classifier.Flow.t -> now:float ->
-  pkt_len:int -> entry option
-(** {!lookup_hinted}, reporting the probe count into the caller's
-    record. *)
+    There is one lookup path, split in two so {!Datapath.process_batch}
+    can interleave EMC bookkeeping: a {e pure} walk over a burst of
+    packets ({!walk_batch}) followed by a per-packet, packet-ordered
+    commit ({!commit_walk} / {!commit_walk_hinted}) that replays the
+    statistics of a sequential scan. A single packet is a burst of one.
 
-(** {2 Batch (subtable-major) lookup}
-
-    OVS dpcls probes one subtable for a whole packet burst before
-    touching the next, amortising the probe-descriptor/table loads across
-    the batch — the amortisation the Tuple Space Explosion attack tries
-    to defeat. The walk is split in two so {!Datapath.process_batch} can
-    interleave EMC bookkeeping: a {e pure} vectorised walk
-    ({!walk_batch}) followed by a per-packet, packet-ordered commit
-    ({!commit_walk} / {!commit_walk_hinted}) that replays exactly the
-    statistics the sequential lookups would have produced. *)
+    From two packets on the walk is subtable-major, as in OVS dpcls: it
+    probes one subtable for the whole burst before touching the next,
+    amortising the probe-descriptor/table loads across the burst — the
+    amortisation the Tuple Space Explosion attack tries to defeat. A
+    burst of one has nothing to amortise and runs a sequential scan
+    instead. The choice depends only on the burst size, and the results
+    are the same either way. *)
 
 val walk_batch :
   t -> Pi_classifier.Flow.t array -> idx:int array -> n:int ->
   out_entry:entry option array -> out_probes:int array ->
   out_tbl:int array -> unit
-(** Pure subtable-major walk over the [n] packets [flows.(idx.(0)) ..
-    flows.(idx.(n-1))], one block of subtables at a time: only the
+(** Pure walk over the [n] packets [flows.(idx.(0)) ..
+    flows.(idx.(n-1))]. With [n = 1] it is the sequential scan. With
+    more it goes one block of subtables at a time: only the
     still-unresolved packets that pass a block's summary probe its
     subtables, and a block no such packet passes is not touched at all.
     Skipped subtables still count as probed, so the results are those
@@ -126,7 +99,8 @@ val walk_batch :
     [-1] on a miss. No statistics are touched and nothing is mutated;
     commit each packet with {!commit_walk} (or {!commit_walk_hinted}),
     and after any {!insert} in between bring the pending results up to
-    date with {!patch_walk}, or they are stale. *)
+    date with {!patch_walk}, or they are stale. Allocation-free once
+    the walk scratch has grown to the largest burst seen. *)
 
 val patch_walk :
   t -> Pi_classifier.Flow.t array -> idx:int array -> lo:int -> n:int ->
@@ -146,24 +120,28 @@ val commit_walk :
   probes:int -> tbl:int -> unit
 (** Replay the hit/miss bookkeeping of one packet's {!walk_batch} result
     ([entry], [probes], [tbl]) — entry usage stamps, hit/miss/probe
-    counters — exactly as {!lookup} would have. *)
+    counters — and report [probes] into the caller's record. *)
 
 val commit_walk_hinted :
   t -> lookup_stats -> Mask_cache.t -> Pi_classifier.Flow.t ->
   entry option -> now:float -> pkt_len:int -> probes:int -> tbl:int ->
   entry option
-(** Kernel-flavour commit: consults the {!Mask_cache} {e live}, in
-    packet order, so hint hits/misses and recorded hints are exactly
-    those of per-packet {!lookup_hinted}. Returns the authoritative
-    entry (the hint's on a hint hit — with [s_probes = 1] — otherwise
-    the precomputed one, with the failed in-range hint's extra probe
-    added). *)
+(** Kernel-datapath flavour: consult the {!Mask_cache} first (a correct
+    hint costs one probe), otherwise commit the walk's result and
+    refresh the hint. A stale in-range hint costs its probe, exactly as
+    in the kernel; a hint that never reached a subtable (out of range)
+    costs nothing. The cache is invalidated first if the subtable array
+    has been reordered since the hints were recorded (see
+    {!generation}). The hint is read {e live}, in packet order. Returns
+    the authoritative entry (the hint's on a hint hit — with
+    [s_probes = 1] — otherwise the walk's, with the failed in-range
+    hint's extra probe added). *)
 
 val generation : t -> int
 (** Incremented whenever subtable indices are invalidated (ranking
     resort, empty-subtable compaction, flush). Appending a new mask
     leaves existing indices valid and does not change the generation.
-    {!lookup_hinted} uses this to drop stale {!Mask_cache} hints. *)
+    {!commit_walk_hinted} uses this to drop stale {!Mask_cache} hints. *)
 
 val has_mask : t -> Pi_classifier.Mask.t -> bool
 (** O(1) mask-membership test (the [mask_limit] check), replacing a

@@ -75,7 +75,7 @@ type shard = {
 
 (* worker → handler: one deferred upcall, carried off the shard's
    {!Upcall_queue} (depth bound and drop accounting already applied at
-   enqueue time by [Datapath.process]). *)
+   enqueue time by [Datapath.process_batch]). *)
 type upcall_msg = {
   um_shard : int;
   um_flow : Pi_classifier.Flow.t;

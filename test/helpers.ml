@@ -100,3 +100,21 @@ module Astring_like = struct
     let rec go i = i + nn <= nh && (String.sub haystack i nn = needle || go (i + 1)) in
     nn = 0 || go 0
 end
+
+(* A one-packet megaflow lookup: {!Pi_ovs.Megaflow.walk_batch} over a
+   burst of one, then its commit — hinted through [cache] when given.
+   The probes charged land in [stats]. *)
+let mf_lookup ?(stats = Pi_ovs.Megaflow.lookup_stats ()) ?cache mf flow ~now
+    ~pkt_len =
+  let out_entry = [| None |] and out_probes = [| 0 |] and out_tbl = [| 0 |] in
+  Pi_ovs.Megaflow.walk_batch mf [| flow |] ~idx:[| 0 |] ~n:1 ~out_entry
+    ~out_probes ~out_tbl;
+  let probes = out_probes.(0) and tbl = out_tbl.(0) in
+  match cache with
+  | Some cache ->
+    Pi_ovs.Megaflow.commit_walk_hinted mf stats cache flow out_entry.(0) ~now
+      ~pkt_len ~probes ~tbl
+  | None ->
+    Pi_ovs.Megaflow.commit_walk mf stats out_entry.(0) ~now ~pkt_len ~probes
+      ~tbl;
+    out_entry.(0)

@@ -1,10 +1,16 @@
 (* Differential property for the batch-first Dataplane API: chopping a
    packet sequence into rx batches and running [process_batch] must be
-   observationally identical to folding per-packet [process] over the
-   same sequence — same actions, same outcome records, same statistics,
+   observationally identical to running the packets one at a time with
+   [process] — same actions, same outcome records, same statistics,
    same per-shard mask census, and the same PRNG stream afterwards (EMC
    insertion sampling draws from it, so a divergent draw order surfaces
    as a diverging tail).
+
+   On the cache-hierarchy backends [process] is itself a batch of one
+   through the same code, so the two sides are also held to an oracle
+   independent of that code: every packet's action must be the first
+   matching rule of a linear scan ([Linear]), except that in deferred
+   mode a packet may instead get the pending drop.
 
    The generated traffic mixes the whitelisted flow, the covert stream
    (fresh masks, hence mid-batch upcalls — synchronous backends patch
@@ -12,7 +18,9 @@
    flows;
    batch sizes 1, 7 and 32 cover the degenerate, the ragged and the
    rx-ring case, and sequence lengths indivisible by the batch size
-   leave a partial final batch. *)
+   leave a partial final batch. A four-slot EMC that inserts every
+   flow has in-batch inserts overwrite the slots of phase-P hits, so
+   those hits go stale and their packets are walked alone. *)
 
 open Pi_ovs
 open Pi_classifier
@@ -25,6 +33,22 @@ let rules =
     Rule.make ~priority:50 ~pattern:(Pattern.with_tp_dst Pattern.any 53)
       ~action:(Action.Output 3) ();
     Rule.make ~priority:1 ~pattern:Pattern.any ~action:Action.Drop () ]
+
+let spec = Linear.of_rules rules
+
+(* Every packet gets the first matching rule's action; with [deferred]
+   upcalls a packet may instead get the pending drop: [Drop], with no
+   EMC hit, no megaflow hit and no upcall. *)
+let agrees_with_spec ~deferred (flow, _)
+    ((action, o) : Action.t * Cost_model.outcome) =
+  let want =
+    match Linear.lookup spec flow with
+    | Some r -> r.Rule.action
+    | None -> Action.Drop
+  in
+  Action.equal action want
+  || deferred && Action.equal action Action.Drop
+     && not (o.Cost_model.emc_hit || o.Cost_model.mf_hit || o.Cost_model.upcall)
 
 let trusted = Flow.make ~ip_src:(ip "10.0.0.10") ()
 
@@ -88,11 +112,12 @@ let mk backend =
   Dataplane.install_rules dp rules;
   dp
 
-let differential backend (pkts, bs) =
+let differential ~deferred backend (pkts, bs) =
   let a = mk backend and b = mk backend in
   let ra = drive_scalar a bs pkts in
   let rb = drive_batch b bs pkts in
   let same_results = ra = rb in
+  let per_spec = List.for_all2 (agrees_with_spec ~deferred) pkts rb in
   let same_stats = Dataplane.stats a = Dataplane.stats b in
   let same_masks = Dataplane.shard_masks a = Dataplane.shard_masks b in
   (* Deferred backends: the queues must drain identically... *)
@@ -101,15 +126,20 @@ let differential backend (pkts, bs) =
     && Dataplane.stats a = Dataplane.stats b
   in
   (* ...and the PRNG streams must still be in lockstep. *)
-  let ta = drive_scalar a 1 (List.map (fun f -> (f, 100)) tail) in
-  let tb = drive_scalar b 1 (List.map (fun f -> (f, 100)) tail) in
+  let tail = List.map (fun f -> (f, 100)) tail in
+  let ta = drive_scalar a 1 tail in
+  let tb = drive_scalar b 1 tail in
   let same_tail = ta = tb && Dataplane.stats a = Dataplane.stats b in
-  same_results && same_stats && same_masks && same_service && same_tail
+  let tail_per_spec = List.for_all2 (agrees_with_spec ~deferred) tail tb in
+  same_results && per_spec && same_stats && same_masks && same_service
+  && same_tail && tail_per_spec
 
+(* (label, count, deferred, backend) *)
 let backend_cases =
-  [ ("datapath", 150, fun () -> Dataplane.datapath ());
+  [ ("datapath", 150, false, fun () -> Dataplane.datapath ());
     ( "datapath-deferred",
       150,
+      true,
       fun () ->
         (* depth 8 so overflow drops happen mid-sequence and their
            order/count must match too *)
@@ -119,6 +149,7 @@ let backend_cases =
           () );
     ( "datapath-kernel",
       150,
+      false,
       fun () ->
         Dataplane.datapath
           ~config:{ Datapath.default_config with
@@ -127,6 +158,7 @@ let backend_cases =
           () );
     ( "datapath-flow-limit",
       150,
+      false,
       fun () ->
         (* a flow limit this small evicts on most installs, so the walk
            results are re-walked mid-batch, with and without the
@@ -138,23 +170,47 @@ let backend_cases =
           () );
     ( "datapath-mask-limit",
       150,
+      false,
       fun () ->
         (* past 4 masks, installs fall back to exact-match megaflows *)
         Dataplane.datapath
           ~config:{ Datapath.default_config with Datapath.mask_limit = Some 4 }
           () );
+    ( "datapath-tiny-emc",
+      150,
+      false,
+      fun () ->
+        (* four slots, every flow inserted: in-batch inserts overwrite
+           the slots of phase-P hits, whose packets are then walked
+           alone *)
+        Dataplane.datapath
+          ~config:{ Datapath.default_config with
+                    Datapath.emc_capacity = 4;
+                    emc_insert_inv_prob = 1 }
+          () );
+    ( "datapath-tiny-emc-deferred",
+      150,
+      true,
+      fun () ->
+        Dataplane.datapath
+          ~config:{ Datapath.default_config with
+                    Datapath.emc_capacity = 4;
+                    emc_insert_inv_prob = 1;
+                    upcall_queue = Upcall_queue.bounded 8 }
+          () );
     ( "pmd-4",
       80,
+      false,
       fun () ->
         Dataplane.pmd
           ~config:{ Pmd.default_config with Pmd.n_shards = 4; parallel = false }
           () );
-    ("cacheless", 100, fun () -> Pi_mitigation.Cacheless.dataplane ()) ]
+    ("cacheless", 100, false, fun () -> Pi_mitigation.Cacheless.dataplane ()) ]
 
 let suite =
   List.map
-    (fun (label, count, backend) ->
+    (fun (label, count, deferred, backend) ->
       qtest ~count
         (Printf.sprintf "%s: process_batch ≡ per-packet fold" label)
-        gen_case (differential backend))
+        gen_case (differential ~deferred backend))
     backend_cases

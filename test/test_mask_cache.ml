@@ -45,11 +45,11 @@ let test_hinted_lookup_o1 () =
   let cache = Mask_cache.create () in
   let s = Megaflow.lookup_stats () in
   (* First lookup: full scan, hint recorded. *)
-  let e1 = Megaflow.lookup_hinted_s mf s cache flow ~now:0. ~pkt_len:10 in
+  let e1 = mf_lookup ~stats:s ~cache mf flow ~now:0. ~pkt_len:10 in
   Alcotest.(check bool) "found" true (e1 <> None);
   Alcotest.(check int) "cold lookup scans" 32 s.Megaflow.s_probes;
   (* Second lookup: one probe via the hint. *)
-  let e2 = Megaflow.lookup_hinted_s mf s cache flow ~now:0. ~pkt_len:10 in
+  let e2 = mf_lookup ~stats:s ~cache mf flow ~now:0. ~pkt_len:10 in
   Alcotest.(check bool) "found again" true (e2 <> None);
   Alcotest.(check int) "hinted lookup is one probe" 1 s.Megaflow.s_probes;
   Alcotest.(check int) "cache hit counted" 1 (Mask_cache.hits cache);
@@ -62,7 +62,7 @@ let test_stale_hint_pays_extra_probe () =
   let s = Megaflow.lookup_stats () in
   (* Poison the slot with a wrong index. *)
   Mask_cache.record cache flow 2;
-  ignore (Megaflow.lookup_hinted_s mf s cache flow ~now:0. ~pkt_len:10);
+  ignore (mf_lookup ~stats:s ~cache mf flow ~now:0. ~pkt_len:10);
   Alcotest.(check int) "stale probe + full scan" (1 + 8) s.Megaflow.s_probes
 
 let test_out_of_range_hint_not_charged () =
@@ -73,7 +73,7 @@ let test_out_of_range_hint_not_charged () =
   (* A hint beyond the subtable array probes nothing, so the fallback
      scan must not be charged a phantom failed-hint probe: 8, not 9. *)
   Mask_cache.record cache flow 100;
-  let e = Megaflow.lookup_hinted_s mf s cache flow ~now:0. ~pkt_len:10 in
+  let e = mf_lookup ~stats:s ~cache mf flow ~now:0. ~pkt_len:10 in
   Alcotest.(check bool) "found" true (e <> None);
   Alcotest.(check int) "no probe charged for the bogus index" 8 s.Megaflow.s_probes
 
@@ -83,15 +83,15 @@ let test_resort_invalidates_hints () =
   let mf = deep_megaflow 8 flow in
   let cache = Mask_cache.create () in
   let s = Megaflow.lookup_stats () in
-  ignore (Megaflow.lookup_hinted_s mf s cache flow ~now:0. ~pkt_len:10);
-  ignore (Megaflow.lookup_hinted_s mf s cache flow ~now:0. ~pkt_len:10);
+  ignore (mf_lookup ~stats:s ~cache mf flow ~now:0. ~pkt_len:10);
+  ignore (mf_lookup ~stats:s ~cache mf flow ~now:0. ~pkt_len:10);
   Alcotest.(check int) "hint serves before resort" 1 s.Megaflow.s_probes;
   (* Ranking moves the (only) hit subtable to the front and reorders the
      array: every recorded index is now stale. The cache must be
      invalidated — a stale hint would probe a cold subtable first and
      pay 2 where a clean scan pays 1. *)
   Megaflow.resort_by_hits mf;
-  let e = Megaflow.lookup_hinted_s mf s cache flow ~now:0. ~pkt_len:10 in
+  let e = mf_lookup ~stats:s ~cache mf flow ~now:0. ~pkt_len:10 in
   Alcotest.(check bool) "still found" true (e <> None);
   Alcotest.(check int) "no stale probe after resort" 1 s.Megaflow.s_probes;
   Alcotest.(check int) "invalidated lookup counted as miss" 2
@@ -113,7 +113,7 @@ let test_hinted_miss () =
   let cache = Mask_cache.create () in
   let stranger = Flow.make ~ip_src:(ip "99.0.0.1") ~tp_dst:7 () in
   let s = Megaflow.lookup_stats () in
-  let e = Megaflow.lookup_hinted_s mf s cache stranger ~now:0. ~pkt_len:10 in
+  let e = mf_lookup ~stats:s ~cache mf stranger ~now:0. ~pkt_len:10 in
   Alcotest.(check bool) "miss" true (e = None);
   Alcotest.(check int) "scanned everything" 8 s.Megaflow.s_probes
 
@@ -125,13 +125,13 @@ let test_resort_by_hits () =
   ignore (Megaflow.insert mf ~key:hot ~mask:Mask.exact ~action:Action.Drop ~revision:0 ~now:0. ());
   (* Hot flow hits the second subtable repeatedly... *)
   for _ = 1 to 10 do
-    ignore (Megaflow.lookup mf hot ~now:0. ~pkt_len:10)
+    ignore (mf_lookup mf hot ~now:0. ~pkt_len:10)
   done;
   let s = Megaflow.lookup_stats () in
-  ignore (Megaflow.lookup_s mf s hot ~now:0. ~pkt_len:10);
+  ignore (mf_lookup ~stats:s mf hot ~now:0. ~pkt_len:10);
   Alcotest.(check int) "second position before ranking" 2 s.Megaflow.s_probes;
   Megaflow.resort_by_hits mf;
-  ignore (Megaflow.lookup_s mf s hot ~now:0. ~pkt_len:10);
+  ignore (mf_lookup ~stats:s mf hot ~now:0. ~pkt_len:10);
   Alcotest.(check int) "first position after ranking" 1 s.Megaflow.s_probes
 
 let test_datapath_kernel_flavour () =
@@ -223,9 +223,9 @@ let prop_hinted_equiv =
       List.for_all
         (fun f ->
           (* Look each flow up twice so hints are exercised. *)
-          let a1 = entry_action (Megaflow.lookup mf_a f ~now:0. ~pkt_len:1) in
-          let b1 = entry_action (Megaflow.lookup_hinted mf_b cache f ~now:0. ~pkt_len:1) in
-          let b2 = entry_action (Megaflow.lookup_hinted mf_b cache f ~now:0. ~pkt_len:1) in
+          let a1 = entry_action (mf_lookup mf_a f ~now:0. ~pkt_len:1) in
+          let b1 = entry_action (mf_lookup ~cache mf_b f ~now:0. ~pkt_len:1) in
+          let b2 = entry_action (mf_lookup ~cache mf_b f ~now:0. ~pkt_len:1) in
           a1 = b1 && b1 = b2)
         flows)
 
@@ -234,11 +234,11 @@ let prop_resort_preserves =
     (fun (rules, warm, flows) ->
       let mf = build_mf rules warm in
       let before =
-        List.map (fun f -> entry_action (Megaflow.lookup mf f ~now:0. ~pkt_len:1)) flows
+        List.map (fun f -> entry_action (mf_lookup mf f ~now:0. ~pkt_len:1)) flows
       in
       Megaflow.resort_by_hits mf;
       let after =
-        List.map (fun f -> entry_action (Megaflow.lookup mf f ~now:0. ~pkt_len:1)) flows
+        List.map (fun f -> entry_action (mf_lookup mf f ~now:0. ~pkt_len:1)) flows
       in
       before = after)
 

@@ -16,7 +16,7 @@ let test_insert_lookup () =
       ~now:0. ()
   in
   let s = Megaflow.lookup_stats () in
-  match Megaflow.lookup_s mf s (Flow.make ~ip_src:(ip "10.9.9.9") ()) ~now:1. ~pkt_len:100 with
+  match mf_lookup ~stats:s mf (Flow.make ~ip_src:(ip "10.9.9.9") ()) ~now:1. ~pkt_len:100 with
   | Some e ->
     Alcotest.(check action_t) "action" Action.Drop e.Megaflow.action;
     Alcotest.(check int) "one probe" 1 s.Megaflow.s_probes;
@@ -31,7 +31,7 @@ let test_miss_probes_all_masks () =
     ignore (Megaflow.insert mf ~key ~mask:(src_mask i) ~action:Action.Drop ~revision:0 ~now:0. ())
   done;
   let s = Megaflow.lookup_stats () in
-  match Megaflow.lookup_s mf s (Flow.make ~ip_src:0l ()) ~now:0. ~pkt_len:1 with
+  match mf_lookup ~stats:s mf (Flow.make ~ip_src:0l ()) ~now:0. ~pkt_len:1 with
   | None -> Alcotest.(check int) "probed all 5 masks" 5 s.Megaflow.s_probes
   | Some _ -> Alcotest.fail "expected miss"
 
@@ -44,25 +44,27 @@ let test_scan_order_is_creation_order () =
   let k2 = Flow.make ~ip_src:(ip "10.0.0.1") () in
   ignore (Megaflow.insert mf ~key:k2 ~mask:(src_mask 32) ~action:(Action.Output 2) ~revision:0 ~now:0. ());
   let s = Megaflow.lookup_stats () in
-  match Megaflow.lookup_s mf s (Flow.make ~ip_src:(ip "10.0.0.1") ()) ~now:0. ~pkt_len:1 with
+  match mf_lookup ~stats:s mf (Flow.make ~ip_src:(ip "10.0.0.1") ()) ~now:0. ~pkt_len:1 with
   | Some e ->
     Alcotest.(check action_t) "first mask wins" (Action.Output 1) e.Megaflow.action;
     Alcotest.(check int) "one probe" 1 s.Megaflow.s_probes
   | None -> Alcotest.fail "expected hit"
 
-(* [last_probes] is gone (0.11.0, as 0.10.0's CHANGES announced); the
-   caller-owned stats record is the only probe-reporting channel and a
-   plain [lookup] still answers without one. *)
+(* The caller-owned stats record is the only probe-reporting channel: a
+   commit reports into the record it was given and into no other. *)
 let test_probe_reporting_post_retirement () =
   let mf = mk () in
   let key = Flow.make ~ip_src:(ip "10.0.0.0") () in
   ignore (Megaflow.insert mf ~key ~mask:(src_mask 8) ~action:Action.Drop ~revision:0 ~now:0. ());
-  (match Megaflow.lookup mf key ~now:0. ~pkt_len:1 with
-   | Some _ -> ()
-   | None -> Alcotest.fail "expected hit");
+  ignore (Megaflow.insert mf ~key:(Flow.make ~ip_src:(ip "11.0.0.0") ()) ~mask:(src_mask 16) ~action:Action.Drop ~revision:0 ~now:0. ());
+  let other = Megaflow.lookup_stats () in
+  (match mf_lookup ~stats:other mf (Flow.make ~ip_src:(ip "99.0.0.1") ()) ~now:0. ~pkt_len:1 with
+   | None -> ()
+   | Some _ -> Alcotest.fail "expected miss");
   let s = Megaflow.lookup_stats () in
-  ignore (Megaflow.lookup_s mf s key ~now:0. ~pkt_len:1);
-  Alcotest.(check int) "caller-owned record reports" 1 s.Megaflow.s_probes
+  ignore (mf_lookup ~stats:s mf key ~now:0. ~pkt_len:1);
+  Alcotest.(check int) "caller-owned record reports" 1 s.Megaflow.s_probes;
+  Alcotest.(check int) "another record untouched" 2 other.Megaflow.s_probes
 
 let test_replace_same_key () =
   let mf = mk () in
@@ -70,7 +72,7 @@ let test_replace_same_key () =
   ignore (Megaflow.insert mf ~key ~mask:(src_mask 8) ~action:Action.Drop ~revision:0 ~now:0. ());
   ignore (Megaflow.insert mf ~key ~mask:(src_mask 8) ~action:(Action.Output 3) ~revision:0 ~now:0. ());
   Alcotest.(check int) "still one entry" 1 (Megaflow.n_entries mf);
-  match Megaflow.lookup mf key ~now:0. ~pkt_len:1 with
+  match mf_lookup mf key ~now:0. ~pkt_len:1 with
   | Some e -> Alcotest.(check action_t) "replaced" (Action.Output 3) e.Megaflow.action
   | None -> Alcotest.fail "expected hit"
 
@@ -87,7 +89,7 @@ let test_usage_refreshes_idle () =
   let mf = mk ~config:{ Megaflow.max_entries = 100; idle_timeout = 10. } () in
   let key = Flow.make ~ip_src:(ip "10.0.0.0") () in
   ignore (Megaflow.insert mf ~key ~mask:(src_mask 8) ~action:Action.Drop ~revision:0 ~now:0. ());
-  ignore (Megaflow.lookup mf key ~now:8. ~pkt_len:1);
+  ignore (mf_lookup mf key ~now:8. ~pkt_len:1);
   Alcotest.(check int) "refreshed by traffic" 0 (Megaflow.revalidate mf ~now:15. ())
 
 let test_revision_keep () =
@@ -133,8 +135,8 @@ let test_counters () =
   let mf = mk () in
   let key = Flow.make ~ip_src:(ip "10.0.0.0") () in
   ignore (Megaflow.insert mf ~key ~mask:(src_mask 8) ~action:Action.Drop ~revision:0 ~now:0. ());
-  ignore (Megaflow.lookup mf key ~now:0. ~pkt_len:1);
-  ignore (Megaflow.lookup mf (Flow.make ~ip_src:(ip "99.0.0.1") ()) ~now:0. ~pkt_len:1);
+  ignore (mf_lookup mf key ~now:0. ~pkt_len:1);
+  ignore (mf_lookup mf (Flow.make ~ip_src:(ip "99.0.0.1") ()) ~now:0. ~pkt_len:1);
   Alcotest.(check int) "hits" 1 (Megaflow.hits mf);
   Alcotest.(check int) "misses" 1 (Megaflow.misses mf);
   Alcotest.(check int) "probes accumulated" 2 (Megaflow.total_probes mf);
@@ -152,7 +154,7 @@ let test_pp_entry () =
   let mf = mk () in
   let key = Flow.make ~ip_src:(ip "10.0.0.0") () in
   let e = Megaflow.insert mf ~key ~mask:(src_mask 9) ~action:Action.Drop ~revision:0 ~now:0. () in
-  ignore (Megaflow.lookup mf key ~now:4.2 ~pkt_len:100);
+  ignore (mf_lookup mf key ~now:4.2 ~pkt_len:100);
   let s = Format.asprintf "%a" (Megaflow.pp_entry ~now:6.7) e in
   Alcotest.(check bool) "prefix rendered" true
     (Astring_like.contains s "ip_src=10.0.0.0/9");
@@ -263,7 +265,7 @@ let test_churn_keeps_survivors_reachable () =
   in
   Alcotest.(check int) "half evicted" 250 evicted;
   for i = 0 to 499 do
-    match Megaflow.lookup mf (key i) ~now:0. ~pkt_len:1 with
+    match mf_lookup mf (key i) ~now:0. ~pkt_len:1 with
     | Some e when i mod 2 = 0 ->
       Alcotest.(check action_t) "survivor action" (Action.Output i) e.Megaflow.action
     | None when i mod 2 = 1 -> ()

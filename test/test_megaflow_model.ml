@@ -288,9 +288,9 @@ let check_shape mf m =
           s.Megaflow.ms_max_probe)
     (List.combine stats m.masks)
 
-(* The batch walk and the per-packet lookup, each against the
-   reference on the same state. Both stamp hit entries, one clock tick
-   per packet, like the reference. *)
+(* A walk over the whole burst and one-packet walks (the sequential-scan
+   kernel), each against the reference on the same state. Both stamp hit
+   entries, one clock tick per packet, like the reference. *)
 let check_lookups mf m flows =
   let flows = Array.of_list flows in
   let n = Array.length flows in
@@ -317,7 +317,7 @@ let check_lookups mf m flows =
     (fun flow ->
       let want, probes, _ = model_find m flow in
       let now = tick m in
-      let got = Megaflow.lookup_s mf stats flow ~now ~pkt_len:64 in
+      let got = Helpers.mf_lookup ~stats mf flow ~now ~pkt_len:64 in
       check_same "lookup entry" ~got:(Option.map id_of got)
         ~want:(id_of_hit want);
       check_int "lookup probes" ~got:stats.Megaflow.s_probes ~want:probes;
@@ -474,7 +474,7 @@ let test_transitions () =
          ~now:0. ())
   in
   let a = mk_flow (0, 0, 0, 0) and b = mk_flow (4, 0, 0, 0) in
-  let hit flow = Option.map id_of (Megaflow.lookup mf flow ~now:0. ~pkt_len:1) in
+  let hit flow = Option.map id_of (Helpers.mf_lookup mf flow ~now:0. ~pkt_len:1) in
   let entries () =
     match Megaflow.subtable_stats mf with
     | [ s ] -> s.Megaflow.ms_entries
@@ -534,7 +534,7 @@ let test_compaction_across_blocks () =
   let stats = Megaflow.lookup_stats () in
   List.iteri
     (fun pos i ->
-      let got = Megaflow.lookup_s mf stats (key i) ~now:0. ~pkt_len:1 in
+      let got = Helpers.mf_lookup ~stats mf (key i) ~now:0. ~pkt_len:1 in
       Alcotest.(check (option int))
         (Printf.sprintf "key %d hits" i) (Some i) (Option.map id_of got);
       Alcotest.(check int)
