@@ -389,8 +389,15 @@ let run p =
             decr exact_budget;
             incr exact_count;
             exact_sh.(s) <- exact_sh.(s) + 1;
-            ignore (Dataplane.process dp ~now st.flows.(j) ~pkt_len:a.covert_pkt_len);
-            st.entries.(j) <- Dataplane.last_megaflow dp ~shard:s
+            let _, o =
+              Dataplane.process dp ~now st.flows.(j) ~pkt_len:a.covert_pkt_len
+            in
+            (* A deferred miss has no megaflow yet: keep an entry only
+               when one served or was installed for this packet. *)
+            st.entries.(j) <-
+              (if o.Cost_model.emc_hit || o.Cost_model.mf_hit || o.Cost_model.upcall
+               then Dataplane.last_megaflow dp ~shard:s
+               else None)
           end
         done;
         let spent = Dataplane.cycles_used dp -. c0 in

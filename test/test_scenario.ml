@@ -205,6 +205,38 @@ let test_deterministic () =
         Alcotest.failf "samples diverge at t=%.1f" x.Scenario.time)
     a.Scenario.samples b.Scenario.samples
 
+(* A pmd backend whose forced EMC insert checks that the scenario pairs
+   each covert flow with a megaflow that matches it. *)
+let checked_pmd config : Pi_ovs.Dataplane.backend =
+  let (module B) = Pi_ovs.Dataplane.pmd ~config () in
+  (module struct
+    include B
+
+    let emc_insert_forced d flow (e : Pi_ovs.Megaflow.entry) =
+      if not (Pi_classifier.Mask.matches e.Pi_ovs.Megaflow.mask
+                ~key:e.Pi_ovs.Megaflow.key flow)
+      then Alcotest.fail "virtual EMC insert pairs a flow with a foreign megaflow";
+      B.emc_insert_forced d flow e
+  end)
+
+let test_deferred_covert_entries () =
+  (* Deferred upcalls: a covert miss is dropped and queued, so it has no
+     megaflow yet and must not inherit the previous packet's. *)
+  let p = small_params ~attack:(small_attack Variant.Src_dport) () in
+  let dp =
+    { p.Scenario.datapath_config with
+      Pi_ovs.Datapath.upcall_queue = Pi_ovs.Upcall_queue.bounded 64 }
+  in
+  let backend =
+    checked_pmd { Pi_ovs.Pmd.default_config with Pi_ovs.Pmd.dp = dp }
+  in
+  let r =
+    Scenario.run
+      { p with Scenario.datapath_config = dp; backend = Some backend }
+  in
+  Alcotest.(check bool) "upcalls were deferred and dropped" true
+    (r.Scenario.final_stats.Pi_ovs.Dataplane.upcall_drops > 0)
+
 let suite =
   [ Alcotest.test_case "no-attack baseline" `Slow test_no_attack_baseline;
     Alcotest.test_case "src+dport raises victim cost" `Slow test_src_dport_attack;
@@ -214,4 +246,6 @@ let suite =
     Alcotest.test_case "attribution names the attacker" `Slow
       test_attribution_names_the_attacker;
     Alcotest.test_case "provenance on/off parity" `Slow test_provenance_parity;
-    Alcotest.test_case "deterministic given the seed" `Slow test_deterministic ]
+    Alcotest.test_case "deterministic given the seed" `Slow test_deterministic;
+    Alcotest.test_case "deferred covert entries match" `Slow
+      test_deferred_covert_entries ]
