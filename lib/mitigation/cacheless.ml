@@ -120,7 +120,8 @@ let dataplane ?engine ?config ?cost () : Pi_ovs.Dataplane.backend =
     let process d ~now:_ flow ~pkt_len = process d.cl flow ~pkt_len
 
     (* No cache hierarchy to vectorise: the batch entry is the scalar
-       classifier applied per slot, writing the columns in place. *)
+       classifier applied per slot, writing the columns in place. No
+       megaflow serves a packet, so its [mf] slot is [None]. *)
     let process_batch d (b : Pi_ovs.Batch.t) ~now =
       for i = 0 to b.Pi_ovs.Batch.n - 1 do
         let action, o =
@@ -131,7 +132,8 @@ let dataplane ?engine ?config ?cost () : Pi_ovs.Dataplane.backend =
           ~mf_probes:o.Pi_ovs.Cost_model.mf_probes
           ~mf_hit:o.Pi_ovs.Cost_model.mf_hit
           ~upcall:o.Pi_ovs.Cost_model.upcall
-          ~slow_probes:o.Pi_ovs.Cost_model.slow_probes
+          ~slow_probes:o.Pi_ovs.Cost_model.slow_probes;
+        b.Pi_ovs.Batch.mf.(i) <- None
       done
 
     let process_burst d ~now pkts =

@@ -13,6 +13,10 @@ type t = {
   mf_hit : bool array;
   upcall : bool array;
   slow_probes : int array;
+  mf : Megaflow.entry option array;
+      (* the megaflow entry that served or was installed for each packet;
+         written by the datapath beside the other results, not by
+         [set_result] *)
   (* walk scratch, owned by [Datapath.process_batch]: the EMC-miss set
      (positions into the batch), the pure EMC probe answers, and the
      precomputed megaflow walk results for each miss-set slot. *)
@@ -35,6 +39,7 @@ let create ~capacity =
     mf_hit = Array.make capacity false;
     upcall = Array.make capacity false;
     slow_probes = Array.make capacity 0;
+    mf = Array.make capacity None;
     sc_miss = Array.make capacity 0;
     sc_emc = Array.make capacity None;
     sc_entry = Array.make capacity None;
@@ -81,7 +86,8 @@ let blit_result src m dst i =
   dst.mf_probes.(i) <- src.mf_probes.(m);
   dst.mf_hit.(i) <- src.mf_hit.(m);
   dst.upcall.(i) <- src.upcall.(m);
-  dst.slow_probes.(i) <- src.slow_probes.(m)
+  dst.slow_probes.(i) <- src.slow_probes.(m);
+  dst.mf.(i) <- src.mf.(m)
 
 (* Compat shims for the tuple-returning burst API: these materialise the
    [Cost_model.outcome] record, so they belong in [process_burst]-style

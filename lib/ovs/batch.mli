@@ -25,6 +25,13 @@ type t = {
   mf_hit : bool array;
   upcall : bool array;
   slow_probes : int array;
+  mf : Megaflow.entry option array;
+      (** Per packet: the megaflow entry that served it (an EMC or a
+          megaflow hit) or that its synchronous upcall installed; [None]
+          for a deferred-mode miss (the pending drop) and on a backend
+          with no megaflow cache. The dataplane writes it beside the
+          other result columns; {!set_result} leaves it alone, so a
+          backend that has no entry must write [None] itself. *)
   sc_miss : int array;
   sc_emc : Megaflow.entry option array;
   sc_entry : Megaflow.entry option array;
@@ -56,11 +63,12 @@ val action : t -> int -> Action.t
 val set_result :
   t -> int -> Action.t -> emc_hit:bool -> mf_probes:int -> mf_hit:bool ->
   upcall:bool -> slow_probes:int -> unit
-(** Write slot [i]'s result columns. Allocation-free. *)
+(** Write slot [i]'s result columns, all but [mf]. Allocation-free. *)
 
 val blit_result : t -> int -> t -> int -> unit
-(** [blit_result src m dst i] copies slot [m]'s results of [src] into
-    slot [i] of [dst] — the PMD scatter step. Allocation-free. *)
+(** [blit_result src m dst i] copies slot [m]'s results of [src], [mf]
+    included, into slot [i] of [dst] — the PMD scatter step.
+    Allocation-free. *)
 
 val outcome : t -> int -> Cost_model.outcome
 (** Materialise slot [i]'s outcome record (allocates — compat shims

@@ -66,7 +66,9 @@ type t = {
   mutable n_processed : int;
   mutable n_upcalls : int;
   mutable n_upcall_drops : int;
-  mutable last_mf : Megaflow.entry option;
+  mutable last_b : Batch.t;
+      (* the batch {!process_batch} ran last; {!last_megaflow} reads its
+         last [mf] slot *)
   (* Optional attribution: per-port accounting and mask provenance.
      [None] (the default) leaves every path bit-for-bit as before. *)
   prov : Provenance.store option;
@@ -111,6 +113,7 @@ let create ?(config = default_config) ?tss_config ?telemetry ?provenance rng
     Option.map (fun m -> Pi_telemetry.Metrics.histogram m name) metrics
   in
   let sync = Upcall_queue.synchronous config.upcall_queue in
+  let one = Batch.create ~capacity:1 in
   { cfg = config;
     emc =
       (* [valid] makes a cached-but-dead megaflow reference count (and
@@ -128,7 +131,7 @@ let create ?(config = default_config) ?tss_config ?telemetry ?provenance rng
     sync_upcalls = sync;
     cy = Array.make 2 0.;
     mf_stats = Megaflow.lookup_stats ();
-    one = Batch.create ~capacity:1;
+    one;
     su_flows = Array.make service_chunk Pi_classifier.Flow.zero;
     su_lens = Array.make service_chunk 0;
     su_idx = Array.init service_chunk (fun i -> i);
@@ -136,7 +139,7 @@ let create ?(config = default_config) ?tss_config ?telemetry ?provenance rng
     n_processed = 0;
     n_upcalls = 0;
     n_upcall_drops = 0;
-    last_mf = None;
+    last_b = one;
     prov = Option.map (fun reg -> Provenance.store ?metrics reg) provenance;
     ctx;
     tracer;
@@ -173,7 +176,8 @@ let trace t ~now kind =
 (* Slow-path verdict → cached state: apply the mitigation hooks
    (narrowing transform, mask cap), install the megaflow, trace mask
    growth and refresh the EMC. Shared by the synchronous upcall path and
-   the deferred handler. *)
+   the deferred handler. Returns the installed entry as the [Some] the
+   EMC stores. *)
 let install_verdict t ~now flow (v : Slowpath.verdict) =
   let upcall_cycles =
     t.cfg.cost.Cost_model.upcall
@@ -220,9 +224,9 @@ let install_verdict t ~now flow (v : Slowpath.verdict) =
      Provenance.note_install p o ~mask ~new_mask:(n_masks > masks_before)
        ~upcall_cycles
    | _ -> ());
-  t.last_mf <- Some e;
-  if t.cfg.emc_enabled then Emc.insert t.emc flow e;
-  e
+  let r = Some e in
+  if t.cfg.emc_enabled then Emc.insert_stored t.emc flow r;
+  r
 
 (* --- Packet processing -----------------------------------------------
 
@@ -292,7 +296,7 @@ let finish_b t (b : Batch.t) i action ~emc_hit ~mf_probes ~mf_hit ~upcall
 let commit_emc_hit t (b : Batch.t) ~now i r =
   match r with
   | Some e ->
-    t.last_mf <- r;
+    b.Batch.mf.(i) <- r;
     e.Megaflow.last_used <- now;
     e.Megaflow.n_packets <- e.Megaflow.n_packets + 1;
     e.Megaflow.n_bytes <- e.Megaflow.n_bytes + b.Batch.pkt_lens.(i);
@@ -323,7 +327,7 @@ let complete_miss t (b : Batch.t) (w : Batch.t) ~now i j =
   let probes = t.mf_stats.Megaflow.s_probes in
   match entry with
   | Some e ->
-    t.last_mf <- entry;
+    b.Batch.mf.(i) <- entry;
     if t.cfg.emc_enabled then Emc.insert_stored t.emc flow entry;
     (* explicit match, not [observe]: the eagerly evaluated
        [float_of_int] argument would be boxed even with no histogram *)
@@ -346,7 +350,7 @@ let complete_miss t (b : Batch.t) (w : Batch.t) ~now i j =
       (* Synchronous model: classify inline. *)
       t.n_upcalls <- t.n_upcalls + 1;
       let v = Slowpath.upcall t.slow flow in
-      ignore (install_verdict t ~now flow v);
+      b.Batch.mf.(i) <- install_verdict t ~now flow v;
       finish_b t b i v.Slowpath.action ~emc_hit:false ~mf_probes:probes
         ~mf_hit:false ~upcall:true ~slow_probes:v.Slowpath.probes;
       2
@@ -373,6 +377,7 @@ let complete_miss t (b : Batch.t) (w : Batch.t) ~now i j =
            (Pi_telemetry.Tracer.Upcall_dropped
               { queued = Upcall_queue.length t.uq })
        end);
+      b.Batch.mf.(i) <- None;
       finish_b t b i Action.Drop ~emc_hit:false ~mf_probes:probes
         ~mf_hit:false ~upcall:false ~slow_probes:0;
       0
@@ -441,6 +446,7 @@ and next_packet t b ~now i n j k emc_clean d =
 let process_batch t (b : Batch.t) ~now =
   let n = b.Batch.n in
   if n > 0 then begin
+    t.last_b <- b;
     let k =
       if t.cfg.emc_enabled then
         Emc.lookup_batch t.emc b.Batch.flows ~n ~out:b.Batch.sc_emc
@@ -562,7 +568,9 @@ let revalidate t ~now =
           (Megaflow.n_masks t.mf));
   evicted
 
-let last_megaflow t = t.last_mf
+let last_megaflow t =
+  let b = t.last_b in
+  if b.Batch.n = 0 then None else b.Batch.mf.(b.Batch.n - 1)
 
 let provenance t = t.prov
 let telemetry t = t.ctx

@@ -144,10 +144,13 @@ val service_upcalls : t -> now:float -> int
     the default synchronous configuration. *)
 
 val last_megaflow : t -> Megaflow.entry option
-(** The megaflow entry the most recent packet hit or installed
-    ([None] before the first packet) — an instrumentation hook for
-    simulations that need per-flow entry handles without extra
-    lookups. *)
+(** The {!Batch.t.mf} slot of the last packet of the last batch
+    {!process_batch} ran (a {!process} call is a batch of one): the
+    entry that served or was installed for that packet, [None] for a
+    deferred miss or before the first packet. Reads the caller's batch
+    as it is now, so it is only meaningful until that batch is refilled.
+    No library code calls it; hold a {!Batch.t} and read [mf] for every
+    packet instead. *)
 
 val revalidate : t -> now:float -> int
 (** Run the revalidator: evict idle and stale-revision megaflows, drop

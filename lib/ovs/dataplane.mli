@@ -65,11 +65,12 @@ module type S = sig
 
   val process_batch : t -> Batch.t -> now:float -> unit
   (** One rx round over a {!Batch}: classify packets [0 .. length - 1],
-      writing each packet's action and outcome columns back into the
-      batch in place. Backends with batch accounting charge their
-      per-burst overhead here; cache-hierarchy backends run their
-      vectorised subtable-major walk. Results are bit-for-bit those of
-      [length] {!process} calls. *)
+      writing each packet's action and outcome columns, and its
+      megaflow entry ({!Batch.t.mf}), back into the batch in place.
+      Backends with batch accounting charge their per-burst overhead
+      here; cache-hierarchy backends run their vectorised
+      subtable-major walk. Results are bit-for-bit those of [length]
+      {!process} calls. *)
 
   val process_burst :
     t -> now:float -> (Pi_classifier.Flow.t * int) array ->
@@ -121,8 +122,10 @@ module type S = sig
       out of range. *)
 
   val last_megaflow : t -> shard:int -> Megaflow.entry option
-  (** The megaflow entry shard [shard] most recently hit or installed;
-      [None] for backends without a megaflow cache. *)
+  (** Shard [shard]'s {!Datapath.last_megaflow}: the {!Batch.t.mf} slot of
+      the last packet of the last burst that shard ran; [None] for
+      backends without a megaflow cache. No library code calls it —
+      per-packet entries are in {!Batch.t.mf} after {!process_batch}. *)
 
   val emc_insert_forced : t -> Pi_classifier.Flow.t -> Megaflow.entry -> unit
   (** Unconditionally insert into the owning shard's EMC (bypassing

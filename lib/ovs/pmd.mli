@@ -42,8 +42,11 @@ type config = {
   parallel : bool;
       (** deterministic mode only: run shards on domains when
           [n_shards > 1]; results are identical either way, only
-          wall-clock differs. Ignored by {!Pipeline} (always
-          concurrent). *)
+          wall-clock differs. Every multi-shard {!process_batch} call
+          then spawns and joins one domain per busy shard, which costs
+          more than a small burst's work: callers that send many small
+          bursts ({!Pi_sim.Scenario}) set it [false]. Ignored by
+          {!Pipeline} (always concurrent). *)
   batch_cycles : float;
       (** fixed model cost charged once per rx burst, amortised over up
           to [batch_size] packets; 0 disables batch accounting *)
@@ -159,8 +162,8 @@ val process_batch : t -> Batch.t -> now:float -> unit
     bursts of [batch_size], and each burst — including a short final
     one — is charged [batch_cycles] once and classified with the
     shard's vectorised subtable-major walk
-    ({!Datapath.process_batch}). Result columns are written back at
-    each packet's batch position. An empty batch is a no-op; the walk
+    ({!Datapath.process_batch}). Result columns, {!Batch.t.mf} included,
+    are written back at each packet's batch position. An empty batch is a no-op; the walk
     and scatter allocate nothing on the minor heap.
 
     Deterministic mode runs shards inline (on fresh domains when

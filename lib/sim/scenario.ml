@@ -68,7 +68,8 @@ type params = {
          datapath_config — the historical scenario, bit for bit. Some b:
          run b instead; the fields above are then ignored except for
          [datapath_config.cost.cpu_hz], which still sets the per-core
-         budget. *)
+         budget, [datapath_config.megaflow.max_entries], which still
+         caps covert bursts, and [batch_size], which still sizes them. *)
   datapath_config : Datapath.config;
   tss_config : Tss.config option;
   revalidate_period : float;
@@ -171,7 +172,10 @@ let run p =
           { Pmd.default_config with
             Pmd.n_shards = p.n_shards;
             batch_size = p.batch_size;
-            parallel = true;
+            (* The covert round sends many small bursts: spawning a
+               domain per shard per burst would cost more than the
+               burst. Results are identical either way. *)
+            parallel = false;
             batch_cycles = p.batch_cycles;
             mode = (if p.pipeline then Pmd.Pipeline else Pmd.Deterministic);
             dp = p.datapath_config }
@@ -333,12 +337,34 @@ let run p =
       Some s
   in
   let victim_b = Batch.create ~capacity:(max 1 p.victim_samples_per_tick) in
+  (* Covert packets simulated exactly go out in rx bursts of
+     [batch_size]; [covert_j] holds each slot's covert flow index. *)
+  let covert_b = Batch.create ~capacity:(max 1 p.batch_size) in
+  let covert_j = Array.make (Batch.capacity covert_b) 0 in
+  let max_entries =
+    p.datapath_config.Datapath.megaflow.Megaflow.max_entries
+  in
+  let flush_covert st ~now =
+    if Batch.length covert_b > 0 then begin
+      Dataplane.process_batch dp covert_b ~now;
+      for m = 0 to Batch.length covert_b - 1 do
+        st.entries.(covert_j.(m)) <- covert_b.Batch.mf.(m)
+      done;
+      Batch.clear covert_b
+    end
+  in
+  (* Per-tick buffers, reset where a tick does not overwrite them. *)
+  let attacker_shard_cycles = Array.make n_sh 0. in
+  let exact_sh = Array.make n_sh 0 in
+  let extrap_sh = Array.make n_sh 0 in
+  let victim_share = Array.make n_sh 0 in
+  let shard_contrib = Array.make n_sh 1. in
   let n_ticks = int_of_float (ceil (p.duration /. p.tick)) in
   let next_revalidate = ref p.revalidate_period in
   for i = 0 to n_ticks - 1 do
     let now = float_of_int i *. p.tick in
     (* --- attacker --- *)
-    let attacker_shard_cycles = Array.make n_sh 0. in
+    Array.fill attacker_shard_cycles 0 n_sh 0.;
     let attacker_cycles =
       match attack_active now with
       | None -> 0.
@@ -359,18 +385,29 @@ let run p =
            refresh its entry's last-used stamp, extrapolating the cost
            from the exactly-simulated sample. Pacing through the cursor
            means a refresh period longer than the idle timeout really
-           lets megaflows expire between rounds. *)
+           lets megaflows expire between rounds.
+
+           Exact packets are sent in bursts, and each flow's entry is
+           read from the burst's [mf] column. A pending packet can
+           change a later flow's [touchable] only by an LRU eviction at
+           the flow limit, so a burst holds at most as many packets as
+           the cache has free entries, and one at the limit. A burst
+           never spans a wrap of the cursor, so it never holds a flow
+           twice, and a flow's earlier packet is flushed before its
+           next decision. *)
         let exact_budget =
           ref (if due = n_flows then n_flows else a.attacker_exact_per_tick)
         in
         let exact_count = ref 0 in
         let extrapolated = ref 0 in
-        let exact_sh = Array.make n_sh 0 in
-        let extrap_sh = Array.make n_sh 0 in
+        Array.fill exact_sh 0 n_sh 0;
+        Array.fill extrap_sh 0 n_sh 0;
+        let burst_cap = ref 1 in
         let c0 = Dataplane.cycles_used dp in
         let c0_sh = Dataplane.shard_cycles dp in
         for _ = 1 to due do
           let j = st.cursor in
+          if j = 0 then flush_covert st ~now;
           st.cursor <- (st.cursor + 1) mod n_flows;
           let s = Dataplane.shard_of dp st.flows.(j) in
           let touchable =
@@ -389,17 +426,17 @@ let run p =
             decr exact_budget;
             incr exact_count;
             exact_sh.(s) <- exact_sh.(s) + 1;
-            let _, o =
-              Dataplane.process dp ~now st.flows.(j) ~pkt_len:a.covert_pkt_len
-            in
-            (* A deferred miss has no megaflow yet: keep an entry only
-               when one served or was installed for this packet. *)
-            st.entries.(j) <-
-              (if o.Cost_model.emc_hit || o.Cost_model.mf_hit || o.Cost_model.upcall
-               then Dataplane.last_megaflow dp ~shard:s
-               else None)
+            if Batch.length covert_b = 0 then
+              burst_cap :=
+                max 1
+                  (min (Batch.capacity covert_b)
+                     (max_entries - (Dataplane.stats dp).Dataplane.megaflows));
+            covert_j.(Batch.length covert_b) <- j;
+            Batch.push covert_b st.flows.(j) ~pkt_len:a.covert_pkt_len;
+            if Batch.length covert_b >= !burst_cap then flush_covert st ~now
           end
         done;
+        flush_covert st ~now;
         let spent = Dataplane.cycles_used dp -. c0 in
         let per_pkt = spent /. float_of_int (max 1 !exact_count) in
         let spent_sh = Dataplane.shard_cycles dp in
@@ -437,7 +474,7 @@ let run p =
     let emc_h0 = st0.Dataplane.emc_hits and emc_m0 = st0.Dataplane.emc_misses in
     let c0 = Dataplane.cycles_used dp in
     let c0_sh = Dataplane.shard_cycles dp in
-    let victim_share = Array.make n_sh 0 in
+    Array.fill victim_share 0 n_sh 0;
     Batch.clear victim_b;
     for _ = 1 to p.victim_samples_per_tick do
       let spec = Traffic.Flow_pool.sample pool traffic_rng in
@@ -458,8 +495,8 @@ let run p =
       if emc_dh + emc_dm = 0 then 0.
       else float_of_int emc_dh /. float_of_int (emc_dh + emc_dm)
     in
-    (* --- CPU budget sharing and TCP response --- *)
-    let shard_contrib = Array.make n_sh 1. in
+    (* --- CPU budget sharing and TCP response: both branches write
+       every [shard_contrib] slot --- *)
     let frac, loss =
       if n_sh = 1 then begin
         (* Single PMD: the exact formulas of the unsharded model. *)
@@ -522,12 +559,13 @@ let run p =
     (match scrape with
      | Some s -> Pi_telemetry.Scrape.tick s ~now
      | None -> ());
+    let st = Dataplane.stats dp in
     let sample =
       { time = now;
         victim_gbps;
         offered_gbps = p.victim_offered_gbps;
-        n_masks = (Dataplane.stats dp).Dataplane.masks;
-        n_megaflows = (Dataplane.stats dp).Dataplane.megaflows;
+        n_masks = st.Dataplane.masks;
+        n_megaflows = st.Dataplane.megaflows;
         shard_masks = Dataplane.shard_masks dp;
         shard_gbps;
         emc_hit_rate;

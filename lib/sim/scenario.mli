@@ -16,10 +16,13 @@
     of both the covert stream and the victim workload, run through the
     {e real} datapath (EMC, TSS megaflow cache, slow path); per-packet
     CPU costs come from {!Pi_ovs.Cost_model} applied to the observed
-    cache behaviour. Victim goodput is then the offered load scaled by
-    the CPU share left by the attacker — per shard when sharded, victim
-    traffic weighted by its steering shares — passed through a
-    Mathis-style TCP loss response. *)
+    cache behaviour. The covert packets simulated exactly go through the
+    dataplane in rx bursts of [batch_size], each packet's megaflow read
+    from {!Pi_ovs.Batch.t.mf}; a burst is cut short near the flow limit
+    so that results do not depend on the burst size. Victim goodput is
+    then the offered load scaled by the CPU share left by the attacker —
+    per shard when sharded, victim traffic weighted by its steering
+    shares — passed through a Mathis-style TCP loss response. *)
 
 type attack = {
   variant : Policy_injection.Variant.t;
@@ -74,7 +77,10 @@ type params = {
           of megaflows (default 8) *)
   attack : attack option;
   n_shards : int;               (** PMD threads, one core each (default 1) *)
-  batch_size : int;             (** rx burst size (default 32) *)
+  batch_size : int;
+      (** rx burst size (default 32); also the size of the scenario's
+          covert bursts, whatever the backend. Results do not depend on
+          it *)
   batch_cycles : float;
       (** fixed cycles charged once per rx burst (default 0) *)
   pipeline : bool;
@@ -89,8 +95,10 @@ type params = {
           backend built from the four fields above — the historical
           scenario, bit for bit. [Some b]: run [b] instead; those fields
           are then ignored, though [datapath_config.cost.cpu_hz] still
-          sets the per-core cycle budget, so keep the backend's cost
-          model consistent with it *)
+          sets the per-core cycle budget and
+          [datapath_config.megaflow.max_entries] still caps covert
+          bursts near the flow limit, so keep the backend's cost model
+          and flow limit consistent with them *)
   datapath_config : Pi_ovs.Datapath.config;
   tss_config : Pi_classifier.Tss.config option;
   revalidate_period : float;

@@ -10,7 +10,10 @@
    through the same code, so the two sides are also held to an oracle
    independent of that code: every packet's action must be the first
    matching rule of a linear scan ([Linear]), except that in deferred
-   mode a packet may instead get the pending drop.
+   mode a packet may instead get the pending drop. Each packet's
+   [Batch.mf] slot must hold a megaflow that matches the packet and
+   carries its action, and be [None] exactly for the pending drop (and
+   always on a backend without a megaflow cache).
 
    The generated traffic mixes the whitelisted flow, the covert stream
    (fresh masks, hence mid-batch upcalls — synchronous backends patch
@@ -36,19 +39,33 @@ let rules =
 
 let spec = Linear.of_rules rules
 
-(* Every packet gets the first matching rule's action; with [deferred]
-   upcalls a packet may instead get the pending drop: [Drop], with no
-   EMC hit, no megaflow hit and no upcall. *)
-let agrees_with_spec ~deferred (flow, _)
-    ((action, o) : Action.t * Cost_model.outcome) =
+type mode = Synchronous | Deferred | No_megaflow_cache
+
+(* With deferred upcalls a packet may get the pending drop: [Drop], with
+   no EMC hit, no megaflow hit and no upcall. *)
+let pending_drop mode ((action, o) : Action.t * Cost_model.outcome) =
+  mode = Deferred && Action.equal action Action.Drop
+  && not (o.Cost_model.emc_hit || o.Cost_model.mf_hit || o.Cost_model.upcall)
+
+(* Every packet gets the first matching rule's action, or the pending
+   drop. *)
+let agrees_with_spec mode (flow, _) ((action, _) as r) =
   let want =
     match Linear.lookup spec flow with
     | Some r -> r.Rule.action
     | None -> Action.Drop
   in
-  Action.equal action want
-  || deferred && Action.equal action Action.Drop
-     && not (o.Cost_model.emc_hit || o.Cost_model.mf_hit || o.Cost_model.upcall)
+  Action.equal action want || pending_drop mode r
+
+(* The megaflow that served (or was installed for) a packet matches it
+   and carries its action; a pending drop has none. *)
+let mf_agrees mode (flow, _) (((action, _) as r), mf) =
+  match mf with
+  | Some (e : Megaflow.entry) ->
+    mode <> No_megaflow_cache && not (pending_drop mode r)
+    && Mask.matches e.Megaflow.mask ~key:e.Megaflow.key flow
+    && Action.equal e.Megaflow.action action
+  | None -> mode = No_megaflow_cache || pending_drop mode r
 
 let trusted = Flow.make ~ip_src:(ip "10.0.0.10") ()
 
@@ -101,7 +118,7 @@ let drive_batch dp bs pkts =
     done;
     Dataplane.process_batch dp b ~now:(now_of bs !i);
     for j = 0 to k - 1 do
-      res := Batch.result b j :: !res
+      res := (Batch.result b j, b.Batch.mf.(j)) :: !res
     done;
     i := !i + k
   done;
@@ -112,12 +129,14 @@ let mk backend =
   Dataplane.install_rules dp rules;
   dp
 
-let differential ~deferred backend (pkts, bs) =
+let differential mode backend (pkts, bs) =
   let a = mk backend and b = mk backend in
   let ra = drive_scalar a bs pkts in
-  let rb = drive_batch b bs pkts in
+  let rb_mf = drive_batch b bs pkts in
+  let rb = List.map fst rb_mf in
   let same_results = ra = rb in
-  let per_spec = List.for_all2 (agrees_with_spec ~deferred) pkts rb in
+  let per_spec = List.for_all2 (agrees_with_spec mode) pkts rb in
+  let mf_per_spec = List.for_all2 (mf_agrees mode) pkts rb_mf in
   let same_stats = Dataplane.stats a = Dataplane.stats b in
   let same_masks = Dataplane.shard_masks a = Dataplane.shard_masks b in
   (* Deferred backends: the queues must drain identically... *)
@@ -128,18 +147,24 @@ let differential ~deferred backend (pkts, bs) =
   (* ...and the PRNG streams must still be in lockstep. *)
   let tail = List.map (fun f -> (f, 100)) tail in
   let ta = drive_scalar a 1 tail in
-  let tb = drive_scalar b 1 tail in
+  (* Batches of one: after the service, deferred backends serve some
+     tail packets from the cache, so their [mf] slots are checked too. *)
+  let tb_mf = drive_batch b 1 tail in
+  let tb = List.map fst tb_mf in
   let same_tail = ta = tb && Dataplane.stats a = Dataplane.stats b in
-  let tail_per_spec = List.for_all2 (agrees_with_spec ~deferred) tail tb in
-  same_results && per_spec && same_stats && same_masks && same_service
+  let tail_per_spec =
+    List.for_all2 (agrees_with_spec mode) tail tb
+    && List.for_all2 (mf_agrees mode) tail tb_mf
+  in
+  same_results && per_spec && mf_per_spec && same_stats && same_masks && same_service
   && same_tail && tail_per_spec
 
-(* (label, count, deferred, backend) *)
+(* (label, count, mode, backend) *)
 let backend_cases =
-  [ ("datapath", 150, false, fun () -> Dataplane.datapath ());
+  [ ("datapath", 150, Synchronous, fun () -> Dataplane.datapath ());
     ( "datapath-deferred",
       150,
-      true,
+      Deferred,
       fun () ->
         (* depth 8 so overflow drops happen mid-sequence and their
            order/count must match too *)
@@ -149,7 +174,7 @@ let backend_cases =
           () );
     ( "datapath-kernel",
       150,
-      false,
+      Synchronous,
       fun () ->
         Dataplane.datapath
           ~config:{ Datapath.default_config with
@@ -158,7 +183,7 @@ let backend_cases =
           () );
     ( "datapath-flow-limit",
       150,
-      false,
+      Synchronous,
       fun () ->
         (* a flow limit this small evicts on most installs, so the walk
            results are re-walked mid-batch, with and without the
@@ -170,7 +195,7 @@ let backend_cases =
           () );
     ( "datapath-mask-limit",
       150,
-      false,
+      Synchronous,
       fun () ->
         (* past 4 masks, installs fall back to exact-match megaflows *)
         Dataplane.datapath
@@ -178,7 +203,7 @@ let backend_cases =
           () );
     ( "datapath-tiny-emc",
       150,
-      false,
+      Synchronous,
       fun () ->
         (* four slots, every flow inserted: in-batch inserts overwrite
            the slots of phase-P hits, whose packets are then walked
@@ -190,7 +215,7 @@ let backend_cases =
           () );
     ( "datapath-tiny-emc-deferred",
       150,
-      true,
+      Deferred,
       fun () ->
         Dataplane.datapath
           ~config:{ Datapath.default_config with
@@ -200,17 +225,20 @@ let backend_cases =
           () );
     ( "pmd-4",
       80,
-      false,
+      Synchronous,
       fun () ->
         Dataplane.pmd
           ~config:{ Pmd.default_config with Pmd.n_shards = 4; parallel = false }
           () );
-    ("cacheless", 100, false, fun () -> Pi_mitigation.Cacheless.dataplane ()) ]
+    ( "cacheless",
+      100,
+      No_megaflow_cache,
+      fun () -> Pi_mitigation.Cacheless.dataplane () ) ]
 
 let suite =
   List.map
-    (fun (label, count, deferred, backend) ->
+    (fun (label, count, mode, backend) ->
       qtest ~count
         (Printf.sprintf "%s: process_batch ≡ per-packet fold" label)
-        gen_case (differential ~deferred backend))
+        gen_case (differential mode backend))
     backend_cases

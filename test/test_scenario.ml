@@ -237,6 +237,81 @@ let test_deferred_covert_entries () =
   Alcotest.(check bool) "upcalls were deferred and dropped" true
     (r.Scenario.final_stats.Pi_ovs.Dataplane.upcall_drops > 0)
 
+(* The covert packets a tick simulates exactly go out in bursts of
+   [batch_size]. Bursting must not move a result: every configuration
+   gives the same samples, final stats and attribution at burst sizes 1
+   and 32. The flow-limit cases sit just above the first round's
+   megaflow count, where an unbounded burst would evict entries that
+   later flows of the same burst were judged by. *)
+let covert_burst_params =
+  let p = small_params ~attack:(small_attack Variant.Src_sport_dport) () in
+  let dc = p.Scenario.datapath_config in
+  let flow_limit n =
+    { Scenario.default_params with
+      Scenario.duration = 30.;
+      attack = Some { Scenario.default_attack with Scenario.start = 5. };
+      datapath_config =
+        { dc with
+          Pi_ovs.Datapath.megaflow =
+            { dc.Pi_ovs.Datapath.megaflow with
+              Pi_ovs.Megaflow.max_entries = n } } }
+  in
+  [ ("defaults", p);
+    ("3 shards", { p with Scenario.n_shards = 3 });
+    ("pipeline", { p with Scenario.pipeline = true; n_shards = 2 });
+    ( "upcall queue",
+      { p with
+        Scenario.datapath_config =
+          { dc with
+            Pi_ovs.Datapath.upcall_queue = Pi_ovs.Upcall_queue.bounded 64 } } );
+    ( "mask limit",
+      { p with
+        Scenario.datapath_config =
+          { dc with Pi_ovs.Datapath.mask_limit = Some 100 } } );
+    ( "transform",
+      { p with
+        Scenario.datapath_config =
+          { dc with
+            Pi_ovs.Datapath.megaflow_transform =
+              Some (Pi_mitigation.Heuristics.round_up_prefix ~granularity:8) } } );
+    ( "cacheless",
+      { p with Scenario.backend = Some (Pi_mitigation.Cacheless.dataplane ()) } );
+    ("provenance", { p with Scenario.provenance = true });
+    ("flow limit 8200", flow_limit 8200);
+    ("flow limit 8220", flow_limit 8220);
+    ("flow limit 8240", flow_limit 8240) ]
+
+(* Rule ids come from a process-wide counter, so two runs' attributions
+   agree only up to them. *)
+let attribution_sans_rule_ids (r : Scenario.report) =
+  Option.map
+    (fun (s : Pi_ovs.Provenance.summary) ->
+      ( List.map
+          (fun (row : Pi_ovs.Provenance.row) ->
+            { row with
+              Pi_ovs.Provenance.t_rules =
+                List.map
+                  (fun (rs : Pi_ovs.Provenance.rule_share) ->
+                    { rs with Pi_ovs.Provenance.r_rule = 0 })
+                  row.Pi_ovs.Provenance.t_rules })
+          s.Pi_ovs.Provenance.rows,
+        s.Pi_ovs.Provenance.ports ))
+    r.Scenario.attribution
+
+let test_covert_bursts p () =
+  let run bs = Scenario.run { p with Scenario.batch_size = bs } in
+  let a = run 1 and b = run 32 in
+  List.iter2
+    (fun (x : Scenario.sample) (y : Scenario.sample) ->
+      if x <> y then Alcotest.failf "samples differ at t=%.1f" x.Scenario.time)
+    a.Scenario.samples b.Scenario.samples;
+  Alcotest.(check int) "same sample count"
+    (List.length a.Scenario.samples) (List.length b.Scenario.samples);
+  Alcotest.(check bool) "same final stats" true
+    (a.Scenario.final_stats = b.Scenario.final_stats);
+  Alcotest.(check bool) "same attribution" true
+    (attribution_sans_rule_ids a = attribution_sans_rule_ids b)
+
 let suite =
   [ Alcotest.test_case "no-attack baseline" `Slow test_no_attack_baseline;
     Alcotest.test_case "src+dport raises victim cost" `Slow test_src_dport_attack;
@@ -249,3 +324,8 @@ let suite =
     Alcotest.test_case "deterministic given the seed" `Slow test_deterministic;
     Alcotest.test_case "deferred covert entries match" `Slow
       test_deferred_covert_entries ]
+  @ List.map
+      (fun (name, p) ->
+        Alcotest.test_case ("covert bursts: " ^ name) `Slow
+          (test_covert_bursts p))
+      covert_burst_params
