@@ -42,38 +42,43 @@ let base_flow t =
 
 let allow_flow t = base_flow t
 
+(* One flow per depth tuple of the targeted fields — the cartesian
+   product of [1..width f] per field, in decreasing lexicographic order,
+   the first field outermost. Each flow draws one random tail per field,
+   in field order, and is built with one array copy of the base flow. *)
 let flows ?(seed = 0xC0FFEEL) t =
   let rng = Pi_pkt.Prng.create seed in
-  let fields = Variant.fields t.spec.Policy_gen.variant in
-  (* Depth tuples: the cartesian product of [1..width f] per field. *)
-  let rec enumerate acc = function
-    | [] -> List.rev_map List.rev acc
-    | f :: rest ->
-      let w = Field.width f in
-      let acc' =
-        List.concat_map
-          (fun partial ->
-            List.init w (fun d -> (f, d + 1) :: partial))
-          acc
-      in
-      enumerate acc' rest
+  let fields = Array.of_list (Variant.fields t.spec.Policy_gen.variant) in
+  let n = Array.length fields in
+  let widths = Array.map Field.width fields in
+  let allowed = Array.map (allowed_value t.spec) fields in
+  let base = Flow.unsafe_fields (base_flow t) in
+  let depth = Array.make n 0 in
+  let out = ref [] in
+  let rec enumerate k =
+    if k = n then begin
+      let a = Array.copy base in
+      for i = 0 to n - 1 do
+        let v =
+          (* [Int64.to_int] keeps the low 62 bits and only the low
+             [width − depth] bits are used, so the randomised tails are
+             bit-identical to the previous int64 implementation. *)
+          divergent_value ~width:widths.(i) ~allowed:allowed.(i)
+            ~depth:depth.(i)
+            ~rand:(Int64.to_int (Pi_pkt.Prng.int64 rng) land max_int)
+        in
+        a.(Field.index fields.(i)) <- v land ((1 lsl widths.(i)) - 1)
+      done;
+      out := Flow.unsafe_of_fields a :: !out
+    end
+    else
+      for d = widths.(k) downto 1 do
+        depth.(k) <- d;
+        enumerate (k + 1)
+      done
   in
-  let tuples = enumerate [ [] ] fields in
-  List.map
-    (fun tuple ->
-      List.fold_left
-        (fun flow (f, depth) ->
-          let v =
-            (* [Int64.to_int] keeps the low 62 bits and only the low
-               [width − depth] bits are used, so the randomised tails are
-               bit-identical to the previous int64 implementation. *)
-            divergent_value ~width:(Field.width f)
-              ~allowed:(allowed_value t.spec f) ~depth
-              ~rand:(Int64.to_int (Pi_pkt.Prng.int64 rng) land max_int)
-          in
-          Flow.with_field flow f v)
-        (base_flow t) tuple)
-    tuples
+  enumerate 0;
+  List.rev !out
 
 let packet_of_flow t flow =
   let payload = max 0 (t.pkt_len - Pi_pkt.Ethernet.size - Pi_pkt.Ipv4.size) in

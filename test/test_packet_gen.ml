@@ -63,6 +63,49 @@ let test_flows_deterministic () =
   Alcotest.(check bool) "same seed, same flows" true
     (List.for_all2 Flow.equal a b)
 
+(* The covert sequence spelled out: every depth tuple (first field
+   outermost, deepest first), each flow folding one divergent value per
+   field into the base flow, one random draw per field in field order. *)
+let reference_flows ~seed variant =
+  let rng = Pi_pkt.Prng.create seed in
+  let s = spec variant in
+  let allowed = function
+    | Field.Ip_src -> Int32.to_int s.Policy_gen.allow_src land 0xFFFFFFFF
+    | Field.Tp_src -> s.Policy_gen.allow_sport
+    | Field.Tp_dst -> s.Policy_gen.allow_dport
+    | _ -> assert false
+  in
+  let tuples =
+    List.fold_left
+      (fun acc f ->
+        List.concat_map
+          (fun partial ->
+            List.init (Field.width f) (fun d -> partial @ [ (f, Field.width f - d) ]))
+          acc)
+      [ [] ] (Variant.fields variant)
+  in
+  List.map
+    (fun tuple ->
+      List.fold_left
+        (fun flow (f, depth) ->
+          let rand = Int64.to_int (Pi_pkt.Prng.int64 rng) land max_int in
+          Flow.with_field flow f
+            (Packet_gen.divergent_value ~width:(Field.width f)
+               ~allowed:(allowed f) ~depth ~rand))
+        (Packet_gen.allow_flow (gen variant)) tuple)
+    tuples
+
+let test_flows_reference () =
+  List.iter
+    (fun v ->
+      List.iter
+        (fun seed ->
+          Alcotest.(check bool) (Variant.name v) true
+            (List.equal Flow.equal (reference_flows ~seed v)
+               (Packet_gen.flows ~seed (gen v))))
+        [ 1L; 0xC0FFEEL ])
+    Variant.all
+
 let test_flows_all_denied () =
   let acl = Policy_gen.acl (spec Variant.Src_dport) in
   List.iter
@@ -153,6 +196,7 @@ let suite =
     prop_divergent_never_allowed;
     Alcotest.test_case "flow counts = prediction" `Quick test_flow_counts;
     Alcotest.test_case "deterministic flows" `Quick test_flows_deterministic;
+    Alcotest.test_case "flows = reference sequence" `Quick test_flows_reference;
     Alcotest.test_case "all covert flows denied" `Quick test_flows_all_denied;
     Alcotest.test_case "allow flow allowed" `Quick test_allow_flow_allowed;
     Alcotest.test_case "datapath masks: src-only = 32" `Quick test_masks_src_only;
