@@ -301,12 +301,12 @@ let attribution_sans_rule_ids (r : Scenario.report) =
 let test_covert_bursts p () =
   let run bs = Scenario.run { p with Scenario.batch_size = bs } in
   let a = run 1 and b = run 32 in
+  Alcotest.(check int) "same sample count"
+    (List.length a.Scenario.samples) (List.length b.Scenario.samples);
   List.iter2
     (fun (x : Scenario.sample) (y : Scenario.sample) ->
       if x <> y then Alcotest.failf "samples differ at t=%.1f" x.Scenario.time)
     a.Scenario.samples b.Scenario.samples;
-  Alcotest.(check int) "same sample count"
-    (List.length a.Scenario.samples) (List.length b.Scenario.samples);
   Alcotest.(check bool) "same final stats" true
     (a.Scenario.final_stats = b.Scenario.final_stats);
   Alcotest.(check bool) "same attribution" true
