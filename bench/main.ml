@@ -708,7 +708,12 @@ let micro_tests () =
     Test.make_indexed ~name:"classify-tss" ~args:engine_args (fun n ->
         let cls = Pi_classifier.Tss.create () in
         List.iter (Pi_classifier.Tss.insert cls) (engine_rules n);
-        Staged.stage (fun () -> ignore (Pi_classifier.Tss.find cls engine_probe)))
+        (* a one-slot lookup: the classifier's only walk, un-wildcarding
+           included *)
+        let bs = Pi_classifier.Tss.batch ~capacity:1 in
+        let flows = [| engine_probe |] and idx = [| 0 |] in
+        Staged.stage (fun () ->
+            Pi_classifier.Tss.find_wc_batch cls bs flows ~idx ~n:1))
   in
   let cls_dtree =
     Test.make_indexed ~name:"classify-dtree" ~args:engine_args (fun n ->

@@ -175,7 +175,12 @@ module Builder = struct
 
   let create () = Array.make Field.count 0
 
-  let reset t = Array.fill t 0 Field.count 0
+  (* A loop, not [Array.fill]: that is a C call, which costs more than
+     these few stores on a slow-path lookup. *)
+  let reset t =
+    for i = 0 to Field.count - 1 do
+      Array.unsafe_set t i 0
+    done
 
   let add_mask t (m : int array) =
     for i = 0 to Field.count - 1 do

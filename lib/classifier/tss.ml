@@ -40,23 +40,11 @@ type 'a subtable = {
   mutable n : int;
 }
 
-(* Caller-owned probe reporting (the classifier keeps one as scratch for
-   the lookups whose result record already carries the count). Replaces
-   the old [last_probes] field on [t], which was a single-slot
-   side-channel only valid until the next lookup. *)
-type lookup_stats = { mutable lp_probes : int }
-
-let lookup_stats () = { lp_probes = 0 }
-
 type 'a t = {
   cfg : config;
   subtables : 'a subtable Mask_tbl.t;
   tries : Trie.t array;            (* per field index; unused entries stay empty *)
   trie_on : bool array;            (* field index participates in trie checks *)
-  scratch_trie : Trie.lookup_result array;  (* per field, reused across lookups *)
-  scratch_trie_ok : bool array;    (* scratch entry valid for current lookup *)
-  find_scratch : Mask.Builder.t;   (* un-wildcarding sink for plain finds *)
-  stats : lookup_stats;            (* probe-count scratch for own lookups *)
   mutable sorted : 'a subtable array;  (* dense, decreasing max_prio *)
   mutable dirty : bool;
   mutable n_rules : int;
@@ -69,11 +57,6 @@ let create ?(config = default_config) () =
     subtables = Mask_tbl.create 16;
     tries = Array.init Field.count (fun i -> Trie.create ~width:(Field.width (Field.of_index i)));
     trie_on;
-    scratch_trie =
-      Array.init Field.count (fun _ -> Trie.result ());
-    scratch_trie_ok = Array.make Field.count false;
-    find_scratch = Mask.Builder.create ();
-    stats = lookup_stats ();
     sorted = [||];
     dirty = false;
     n_rules = 0 }
@@ -283,23 +266,16 @@ let refresh_sorted t =
     t.dirty <- false
   end
 
-type 'a result = {
-  rule : 'a Rule.t option;
-  megaflow : Mask.t;
-  probes : int;
-}
+(* The lookup below runs once per upcall: every helper is a top-level
+   recursive function with explicit arguments (an inner [let rec] would
+   allocate a closure per call) and every "is it there?" answer is an
+   int sentinel, not an option. The only allocation in steady state is
+   the [Some rule] built when a probe actually improves a packet's best
+   match, and the frozen megaflow masks.
 
-(* The lookup below is the per-packet slow path: every helper is a
-   top-level recursive function with explicit arguments (an inner
-   [let rec] would allocate a closure per call) and every "is it
-   there?" answer is an int sentinel, not an option. The only
-   allocation in steady state is the [Some rule] built when a probe
-   actually improves the best match. *)
-
-(* Per-field trie lookups are lazy and shared across subtables; the
-   results live in caller-supplied scratch rows ([tr]/[ok]) invalidated
-   per lookup — the classifier's own row for scalar lookups, a per-slot
-   row for each packet of a batch. *)
+   Per-field trie lookups are lazy and shared across subtables; the
+   results live in a per-slot scratch row ([tr]/[ok]) invalidated per
+   lookup. *)
 let trie_res t flow tr ok i =
   if not ok.(i) then begin
     Trie.lookup_into t.tries.(i) (Flow.get flow (Field.of_index i)) tr.(i);
@@ -373,67 +349,20 @@ let examine t st flow b tr ok best =
     end
   end
 
-let rec walk t flow b s best i =
-  let arr = t.sorted in
-  if i >= Array.length arr then best
-  else begin
-    let st = Array.unsafe_get arr i in
-    (* Strictly-lower subtables cannot beat [best]; equal-max-priority
-       subtables must still be examined because ties go to the rule
-       added first. *)
-    let stop =
-      match best with
-      | Some b -> b.Rule.priority > st.max_prio
-      | None -> false
-    in
-    if stop then best
-    else begin
-      s.lp_probes <- s.lp_probes + 1;
-      let best = examine t st flow b t.scratch_trie t.scratch_trie_ok best in
-      walk t flow b s best (i + 1)
-    end
-  end
-
-(* The core lookup. [b] is the un-wildcarding accumulator; plain finds
-   pass the classifier's own scratch builder (its contents are simply
-   never read). [s] receives the probe count. *)
-let lookup_impl t flow b s =
-  refresh_sorted t;
-  s.lp_probes <- 0;
-  Array.fill t.scratch_trie_ok 0 Field.count false;
-  walk t flow b s None 0
-
-let find t flow = lookup_impl t flow t.find_scratch t.stats
-
-(* [find] with caller-owned probe reporting and no result-record or
-   megaflow-mask allocation — the cheapest probe-counted lookup (the
-   cacheless dataplane's per-packet path). *)
-let find_counted t s flow = lookup_impl t flow t.find_scratch s
-
-(* [find_wc_with] reuses the caller's scratch builder, so a steady
-   stream of upcalls allocates no accumulator per packet ([freeze] still
-   copies: the megaflow mask is retained by the caller). *)
-let find_wc_with t b flow =
-  Mask.Builder.reset b;
-  let rule = lookup_impl t flow b t.stats in
-  { rule; megaflow = Mask.Builder.freeze b; probes = t.stats.lp_probes }
-
-let find_wc t flow = find_wc_with t (Mask.Builder.create ()) flow
-
-(* --- Subtable-major batch lookup ----------------------------------- *)
+(* --- Subtable-major lookup ----------------------------------------- *)
 
 (* Reused per-batch scratch: one un-wildcarding builder, one trie-memo
    row and one result slot per packet position. Created once, reused for
-   every batch — the walk itself allocates only what the scalar walk
-   would ([Some rule] when a probe improves a packet's best match, and
-   the frozen megaflow masks, which the caller retains). *)
+   every batch — the walk itself allocates only [Some rule] when a probe
+   improves a packet's best match. A slot's megaflow mask is frozen when
+   the caller reads it, so a caller that does not need it (the cacheless
+   engine) pays for no copy. *)
 type 'a batch = {
   bs_cap : int;
   bs_builders : Mask.Builder.t array;
   bs_trie : Trie.lookup_result array array;   (* slot × field *)
   bs_trie_ok : bool array array;
   bs_rule : 'a Rule.t option array;
-  bs_megaflow : Mask.t array;
   bs_probes : int array;
   bs_done : bool array;                       (* early-stop latch *)
 }
@@ -447,51 +376,54 @@ let batch ~capacity =
           Array.init Field.count (fun _ -> Trie.result ()));
     bs_trie_ok = Array.init capacity (fun _ -> Array.make Field.count false);
     bs_rule = Array.make capacity None;
-    bs_megaflow = Array.make capacity Mask.empty;
     bs_probes = Array.make capacity 0;
     bs_done = Array.make capacity false }
 
 let batch_capacity bs = bs.bs_cap
 let batch_rule bs j = bs.bs_rule.(j)
-let batch_megaflow bs j = bs.bs_megaflow.(j)
+let batch_megaflow bs j = Mask.Builder.freeze bs.bs_builders.(j)
 let batch_probes bs j = bs.bs_probes.(j)
 
 (* One subtable over every still-active packet; returns the updated
    count of active packets. The per-packet early stop is re-evaluated
-   against this subtable's [max_prio]: [sorted] is decreasing in
-   [max_prio], so once a packet stops it stays stopped — the probe
-   counts come out exactly as in the scalar walk. *)
-let rec batch_examine t bs flows idx n st j remaining =
-  if j >= n then remaining
-  else begin
-    let remaining =
-      if bs.bs_done.(j) then remaining
-      else begin
-        let stop =
-          match bs.bs_rule.(j) with
-          | Some r -> r.Rule.priority > st.max_prio
-          | None -> false
-        in
-        if stop then begin
-          bs.bs_done.(j) <- true;
-          remaining - 1
-        end
-        else begin
-          bs.bs_probes.(j) <- bs.bs_probes.(j) + 1;
-          bs.bs_rule.(j) <-
-            examine t st flows.(idx.(j)) bs.bs_builders.(j) bs.bs_trie.(j)
-              bs.bs_trie_ok.(j) bs.bs_rule.(j);
-          remaining
-        end
+   against this subtable's [max_prio]: strictly-lower subtables cannot
+   beat the packet's best rule, while equal-max-priority subtables must
+   still be examined because ties go to the rule added first. [sorted]
+   is decreasing in [max_prio], so once a packet stops it stays stopped
+   — a packet's probe count is the number of subtables a lone walk
+   would examine. *)
+let batch_examine t bs flows idx n st remaining =
+  let remaining = ref remaining in
+  for j = 0 to n - 1 do
+    if not bs.bs_done.(j) then begin
+      let best = bs.bs_rule.(j) in
+      let stop =
+        match best with
+        | Some r -> r.Rule.priority > st.max_prio
+        | None -> false
+      in
+      if stop then begin
+        bs.bs_done.(j) <- true;
+        decr remaining
       end
-    in
-    batch_examine t bs flows idx n st (j + 1) remaining
-  end
+      else begin
+        bs.bs_probes.(j) <- bs.bs_probes.(j) + 1;
+        let r =
+          examine t st flows.(idx.(j)) bs.bs_builders.(j) bs.bs_trie.(j)
+            bs.bs_trie_ok.(j) best
+        in
+        (* Store only an improvement: most probes find nothing better,
+           and skipping the store skips its write barrier. *)
+        if r != best then bs.bs_rule.(j) <- r
+      end
+    end
+  done;
+  !remaining
 
 let rec batch_walk t bs flows idx n ti remaining =
   if remaining > 0 && ti < Array.length t.sorted then begin
     let remaining =
-      batch_examine t bs flows idx n (Array.unsafe_get t.sorted ti) 0 remaining
+      batch_examine t bs flows idx n (Array.unsafe_get t.sorted ti) remaining
     in
     batch_walk t bs flows idx n (ti + 1) remaining
   end
@@ -500,25 +432,27 @@ let rec batch_walk t bs flows idx n ti remaining =
    [flows.(idx.(0)) .. flows.(idx.(n-1))]: for each subtable (in probe
    order), examine every still-active packet, then move to the next —
    each subtable's mask, stage sets and entry table are loaded once per
-   batch instead of once per packet. Per-packet results land in the
-   scratch ({!batch_rule} / {!batch_megaflow} / {!batch_probes}) and are
-   bit-for-bit those of [n] scalar {!find_wc_with} calls: the classifier
-   is read-only during the walk and every per-packet accumulator (best
-   rule, builder, trie memo, early-stop) is private to its slot. *)
+   batch instead of once per packet. This is the classifier's only
+   lookup: a single flow is a batch of one. Per-packet results land in
+   the scratch ({!batch_rule} / {!batch_megaflow} / {!batch_probes}) and
+   do not depend on the rest of the batch: the classifier is read-only
+   during the walk and every per-packet accumulator (best rule, builder,
+   trie memo, early-stop) is private to its slot. *)
 let find_wc_batch t bs flows ~idx ~n =
   if n > bs.bs_cap then invalid_arg "Tss.find_wc_batch: batch overflow";
   refresh_sorted t;
   for j = 0 to n - 1 do
     Mask.Builder.reset bs.bs_builders.(j);
-    Array.fill bs.bs_trie_ok.(j) 0 Field.count false;
+    let ok = bs.bs_trie_ok.(j) in
+    (* a loop, not [Array.fill], as in [Mask.Builder.reset] *)
+    for i = 0 to Field.count - 1 do
+      ok.(i) <- false
+    done;
     bs.bs_rule.(j) <- None;
     bs.bs_probes.(j) <- 0;
     bs.bs_done.(j) <- false
   done;
-  batch_walk t bs flows idx n 0 n;
-  for j = 0 to n - 1 do
-    bs.bs_megaflow.(j) <- Mask.Builder.freeze bs.bs_builders.(j)
-  done
+  batch_walk t bs flows idx n 0 n
 
 let n_rules t = t.n_rules
 

@@ -4,7 +4,7 @@
     Rules are grouped into {e subtables} by their wildcard mask; a
     lookup probes subtables in decreasing max-priority order, one hash
     probe each — the linear-in-#masks behaviour the paper attacks. A
-    {!find_wc} lookup additionally accumulates the bits it examined,
+    lookup ({!find_wc_batch}) also accumulates the bits it examined,
     yielding the megaflow [(key & mask, mask)] the OVS slow path would
     install: as broad as provably safe ("wildcard as many bits as
     possible"), which is exactly the property the policy-injection
@@ -47,42 +47,13 @@ val insert : 'a t -> 'a Rule.t -> unit
 val remove : 'a t -> ('a Rule.t -> bool) -> int
 (** Remove every rule satisfying the predicate; returns how many. *)
 
-val find : 'a t -> Flow.t -> 'a Rule.t option
-(** Highest-precedence matching rule. *)
+(** {2 Lookup (subtable-major)}
 
-type lookup_stats = { mutable lp_probes : int }
-(** Caller-owned probe reporting: a counted lookup writes the number of
-    subtables it examined into the record the caller passed, instead of
-    a classifier-global "valid until the next lookup" slot. *)
-
-val lookup_stats : unit -> lookup_stats
-
-val find_counted : 'a t -> lookup_stats -> Flow.t -> 'a Rule.t option
-(** {!find} with probe reporting and no result-record or megaflow-mask
-    allocation — the cheapest probe-counted lookup. *)
-
-type 'a result = {
-  rule : 'a Rule.t option;
-  megaflow : Mask.t;
-      (** The un-wildcarding result: any flow agreeing with the looked-up
-          flow on these bits is guaranteed the same verdict. *)
-  probes : int;
-      (** Subtables examined (trie skips included) — the lookup cost. *)
-}
-
-val find_wc : 'a t -> Flow.t -> 'a result
-
-val find_wc_with : 'a t -> Mask.Builder.t -> Flow.t -> 'a result
-(** [find_wc] with a caller-owned scratch builder: the builder is reset,
-    used as the un-wildcarding accumulator, and left reusable — no
-    accumulator allocation per lookup. *)
-
-(** {2 Batch (subtable-major) lookup}
-
-    For each subtable, in probe order, examine every still-active packet
-    of the batch before moving to the next subtable — each subtable's
-    mask, stage sets and entry table are loaded once per batch instead
-    of once per packet. *)
+    The classifier's only lookup. For each subtable, in probe order,
+    examine every still-active packet of the batch before moving to the
+    next subtable — each subtable's mask, stage sets and entry table are
+    loaded once per batch instead of once per packet. A single flow is a
+    batch of one. *)
 
 type 'a batch
 (** Reused per-batch scratch: one un-wildcarding builder, one trie-memo
@@ -95,18 +66,25 @@ val batch_capacity : 'a batch -> int
 val find_wc_batch : 'a t -> 'a batch -> Flow.t array -> idx:int array -> n:int -> unit
 (** Wildcard-lookup the [n] packets [flows.(idx.(0)) ..
     flows.(idx.(n-1))] subtable-major. Results are read back with
-    {!batch_rule} / {!batch_megaflow} / {!batch_probes} and are
-    bit-for-bit those of [n] scalar {!find_wc_with} calls (the
-    classifier is read-only during the walk; every per-packet
-    accumulator is private to its slot).
+    {!batch_rule} / {!batch_megaflow} / {!batch_probes}. Slot [j]'s
+    result depends only on its own flow: it equals a one-slot call on
+    [flows.(idx.(j))] (the classifier is read-only during the walk;
+    every per-packet accumulator is private to its slot).
 
     @raise Invalid_argument if [n] exceeds the scratch capacity. *)
 
 val batch_rule : 'a batch -> int -> 'a Rule.t option
-(** Slot [j]'s best rule (the stored option — no allocation). *)
+(** Slot [j]'s highest-precedence matching rule (the stored option — no
+    allocation). *)
 
 val batch_megaflow : 'a batch -> int -> Mask.t
+(** Slot [j]'s un-wildcarding result: any flow agreeing with the
+    looked-up flow on these bits is guaranteed the same verdict. Each
+    call returns a fresh mask, copied from the slot's accumulator. *)
+
 val batch_probes : 'a batch -> int -> int
+(** Subtables slot [j] examined (trie skips included) — the lookup
+    cost. *)
 
 val n_rules : 'a t -> int
 val n_subtables : 'a t -> int

@@ -18,9 +18,10 @@ type t = {
   engine : engine;
   backend : backend;
   cost : Pi_ovs.Cost_model.t;
-  tss_stats : Tss.lookup_stats;
-      (* caller-owned probe counter for the Tss engine — the classifier
-         itself keeps no lookup side-channel *)
+  tss_batch : Pi_ovs.Action.t Tss.batch;
+  tss_flow : Flow.t array;
+      (* one-slot lookup scratch for the Tss engine: each packet is a
+         classifier batch of one *)
   mutable cycles : float;
   mutable n_processed : int;
 }
@@ -39,8 +40,8 @@ let create ?(engine = Tss_engine) ?config ?(cost = Pi_ovs.Cost_model.default)
     | Dtree_engine leaf_size ->
       Dtree { leaf_size; rules = []; tree = Dtree.build ~leaf_size [] }
   in
-  { engine; backend; cost; tss_stats = Tss.lookup_stats ();
-    cycles = 0.; n_processed = 0 }
+  { engine; backend; cost; tss_batch = Tss.batch ~capacity:1;
+    tss_flow = [| Flow.make () |]; cycles = 0.; n_processed = 0 }
 
 let engine t = t.engine
 
@@ -62,15 +63,17 @@ let remove_rules t pred =
     recompile d;
     List.length drop
 
+let one_idx = [| 0 |]
+
 let process t flow ~pkt_len =
   t.n_processed <- t.n_processed + 1;
   let rule, work =
     match t.backend with
     | Tss cls ->
-      (* plain counted lookup: no wildcard tracking, no megaflow mask —
-         nothing here caches, so none of that machinery is needed *)
-      let r = Tss.find_counted cls t.tss_stats flow in
-      (r, t.tss_stats.Tss.lp_probes)
+      (* nothing here caches, so the slot's megaflow mask goes unread *)
+      t.tss_flow.(0) <- flow;
+      Tss.find_wc_batch cls t.tss_batch t.tss_flow ~idx:one_idx ~n:1;
+      (Tss.batch_rule t.tss_batch 0, Tss.batch_probes t.tss_batch 0)
     | Dtree d -> Dtree.lookup_counting d.tree flow
   in
   let action =

@@ -2,12 +2,11 @@ open Pi_classifier
 
 type t = {
   cls : Action.t Tss.t;
-  scratch : Mask.Builder.t;
-      (* Reusable un-wildcarding accumulator: one builder per slow path
-         instead of one allocation per upcall. *)
   mutable bs : Action.t Tss.batch;
       (* Reusable subtable-major batch scratch for {!upcall_batch};
          grown geometrically on demand. *)
+  one_flow : Flow.t array;
+      (* One-slot flow scratch: {!upcall} is a batch of one. *)
   mutable revision : int;
   c_upcall : Pi_telemetry.Metrics.counter option;
   c_probes : Pi_telemetry.Metrics.counter option;
@@ -20,7 +19,7 @@ let create ?config ?metrics () =
     | None -> Tss.create ()
   in
   let c name = Option.map (fun m -> Pi_telemetry.Metrics.counter m name) metrics in
-  { cls; scratch = Mask.Builder.create (); bs = Tss.batch ~capacity:8;
+  { cls; bs = Tss.batch ~capacity:8; one_flow = [| Flow.make () |];
     revision = 0; c_upcall = c "upcall"; c_probes = c "slow_probes" }
 
 let config t = Tss.config t.cls
@@ -44,36 +43,37 @@ type verdict = {
   rule_seq : int;
 }
 
-let upcall t flow =
-  let r = Tss.find_wc_with t.cls t.scratch flow in
-  (match t.c_upcall with
-   | Some c -> Pi_telemetry.Metrics.incr c
-   | None -> ());
-  (match t.c_probes with
-   | Some c -> Pi_telemetry.Metrics.incr ~by:r.Tss.probes c
-   | None -> ());
-  match r.Tss.rule with
-  | Some rule ->
-    { action = rule.Rule.action;
-      megaflow = r.Tss.megaflow;
-      probes = r.Tss.probes;
-      rule_found = true;
-      rule_seq = rule.Rule.seq }
-  | None ->
-    { action = Action.Drop;
-      megaflow = r.Tss.megaflow;
-      probes = r.Tss.probes;
-      rule_found = false;
-      rule_seq = Provenance.no_rule }
-
 let no_verdict =
   { action = Action.Drop; megaflow = Mask.empty; probes = 0;
     rule_found = false; rule_seq = Provenance.no_rule }
 
-(* Batched upcalls: classify the whole miss set subtable-major
-   ({!Tss.find_wc_batch}), then build the verdicts in packet order. The
-   classifier is read-only during the walk and verdicts only depend on
-   it, so the results are bit-for-bit those of [n] sequential {!upcall}
+(* Slot [j]'s verdict from the last classifier walk, counted. *)
+let verdict t j =
+  let probes = Tss.batch_probes t.bs j in
+  (match t.c_upcall with
+   | Some c -> Pi_telemetry.Metrics.incr c
+   | None -> ());
+  (match t.c_probes with
+   | Some c -> Pi_telemetry.Metrics.incr ~by:probes c
+   | None -> ());
+  match Tss.batch_rule t.bs j with
+  | Some rule ->
+    { action = rule.Rule.action;
+      megaflow = Tss.batch_megaflow t.bs j;
+      probes;
+      rule_found = true;
+      rule_seq = rule.Rule.seq }
+  | None ->
+    { action = Action.Drop;
+      megaflow = Tss.batch_megaflow t.bs j;
+      probes;
+      rule_found = false;
+      rule_seq = Provenance.no_rule }
+
+(* Classify the whole miss set subtable-major ({!Tss.find_wc_batch}),
+   then build the verdicts in packet order. The classifier is read-only
+   during the walk and each slot's result depends only on its own flow,
+   so the results are bit-for-bit those of [n] sequential {!upcall}
    calls — only the counter-bumping order changes, and counters are
    order-independent totals. *)
 let upcall_batch t flows ~idx ~n ~out =
@@ -81,27 +81,16 @@ let upcall_batch t flows ~idx ~n ~out =
     t.bs <- Tss.batch ~capacity:(max n (2 * Tss.batch_capacity t.bs));
   Tss.find_wc_batch t.cls t.bs flows ~idx ~n;
   for j = 0 to n - 1 do
-    (match t.c_upcall with
-     | Some c -> Pi_telemetry.Metrics.incr c
-     | None -> ());
-    (match t.c_probes with
-     | Some c -> Pi_telemetry.Metrics.incr ~by:(Tss.batch_probes t.bs j) c
-     | None -> ());
-    out.(j) <-
-      (match Tss.batch_rule t.bs j with
-       | Some rule ->
-         { action = rule.Rule.action;
-           megaflow = Tss.batch_megaflow t.bs j;
-           probes = Tss.batch_probes t.bs j;
-           rule_found = true;
-           rule_seq = rule.Rule.seq }
-       | None ->
-         { action = Action.Drop;
-           megaflow = Tss.batch_megaflow t.bs j;
-           probes = Tss.batch_probes t.bs j;
-           rule_found = false;
-           rule_seq = Provenance.no_rule })
+    out.(j) <- verdict t j
   done
+
+let one_idx = [| 0 |]
+
+(* A batch of one: the scratch always holds at least one slot. *)
+let upcall t flow =
+  t.one_flow.(0) <- flow;
+  Tss.find_wc_batch t.cls t.bs t.one_flow ~idx:one_idx ~n:1;
+  verdict t 0
 
 let revision t = t.revision
 let n_rules t = Tss.n_rules t.cls

@@ -1,8 +1,9 @@
 (** The slow path (ofproto): the full flow-table classifier consulted on
     flow-cache misses, and the component that generates megaflows.
 
-    Every upcall runs a wildcard-tracking lookup ({!Pi_classifier.Tss.find_wc})
-    and returns the verdict together with the broadest mask that is
+    Every upcall runs a wildcard-tracking lookup
+    ({!Pi_classifier.Tss.find_wc_batch}; a single upcall is a batch of
+    one) and returns the verdict together with the broadest mask that is
     provably safe to cache — OVS's maximal-wildcarding strategy, the
     behaviour Fig. 2b of the paper illustrates and the attack exploits.
 

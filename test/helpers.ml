@@ -101,6 +101,21 @@ module Astring_like = struct
     nn = 0 || go 0
 end
 
+(* A one-packet classifier lookup: {!Pi_classifier.Tss.find_wc_batch}
+   over a batch of one, read back as the slot's best rule, megaflow mask
+   and probe count. *)
+type 'a tss_result = {
+  rule : 'a Rule.t option;
+  megaflow : Mask.t;
+  probes : int;
+}
+
+let tss_lookup cls flow =
+  let bs = Tss.batch ~capacity:1 in
+  Tss.find_wc_batch cls bs [| flow |] ~idx:[| 0 |] ~n:1;
+  { rule = Tss.batch_rule bs 0; megaflow = Tss.batch_megaflow bs 0;
+    probes = Tss.batch_probes bs 0 }
+
 (* A one-packet megaflow lookup: {!Pi_ovs.Megaflow.walk_batch} over a
    burst of one, then its commit — hinted through [cache] when given.
    The probes charged land in [stats]. *)

@@ -172,7 +172,7 @@ let prop_compile_oracle =
             | Acl.Allow -> Pi_ovs.Action.Output 1
             | Acl.Deny -> Pi_ovs.Action.Drop
           in
-          match Tss.find cls f with
+          match (tss_lookup cls f).rule with
           | Some r -> Pi_ovs.Action.equal r.Rule.action expected
           | None -> false)
         flows)

@@ -54,9 +54,54 @@ let test_counts () =
   Slowpath.clear sp;
   Alcotest.(check int) "cleared" 0 (Slowpath.n_rules sp)
 
+(* [slowpath.mli]'s claim for {!Slowpath.upcall_batch}: over k flows it
+   gives the verdicts, and the [upcall]/[slow_probes] counter totals, of
+   k sequential {!Slowpath.upcall} calls. *)
+let prop_batch_equals_upcalls =
+  let verdict_equal (a : Slowpath.verdict) (b : Slowpath.verdict) =
+    Action.equal a.Slowpath.action b.Slowpath.action
+    && Mask.equal a.Slowpath.megaflow b.Slowpath.megaflow
+    && a.Slowpath.probes = b.Slowpath.probes
+    && a.Slowpath.rule_found = b.Slowpath.rule_found
+    && a.Slowpath.rule_seq = b.Slowpath.rule_seq
+  in
+  let to_action = function
+    | "a" -> Action.Output 1
+    | "b" -> Action.Output 2
+    | _ -> Action.Drop
+  in
+  qtest ~count:200 "upcall_batch ≡ k upcalls (verdicts, counters)"
+    QCheck2.Gen.(pair gen_rules (list_size (int_range 1 40) gen_small_flow))
+    (fun (rules, flows) ->
+      let rules =
+        List.map
+          (fun (r : string Rule.t) ->
+            Rule.make ~priority:r.Rule.priority ~pattern:r.Rule.pattern
+              ~action:(to_action r.Rule.action) ())
+          rules
+      in
+      let make () =
+        let m = Pi_telemetry.Metrics.create () in
+        let sp = Slowpath.create ~metrics:m () in
+        Slowpath.install sp rules;
+        (sp, m)
+      in
+      let flows = Array.of_list flows in
+      let k = Array.length flows in
+      let sp1, m1 = make () and spk, mk = make () in
+      let singles = Array.map (Slowpath.upcall sp1) flows in
+      let out = Array.make k Slowpath.no_verdict in
+      Slowpath.upcall_batch spk flows ~idx:(Array.init k Fun.id) ~n:k ~out;
+      let counter m name = Pi_telemetry.Metrics.find_counter m name in
+      Array.for_all2 verdict_equal singles out
+      && counter m1 "upcall" = Some k
+      && counter mk "upcall" = Some k
+      && counter m1 "slow_probes" = counter mk "slow_probes")
+
 let suite =
   [ Alcotest.test_case "upcall allow" `Quick test_upcall_allow;
     Alcotest.test_case "upcall deny megaflow" `Quick test_upcall_deny_megaflow;
     Alcotest.test_case "table miss drops" `Quick test_table_miss_default_drop;
     Alcotest.test_case "revision bumps" `Quick test_revision_bumps;
-    Alcotest.test_case "counts" `Quick test_counts ]
+    Alcotest.test_case "counts" `Quick test_counts;
+    prop_batch_equals_upcalls ]

@@ -1,6 +1,8 @@
 open Pi_classifier
 open Helpers
 
+let find_rule t flow = (tss_lookup t flow).rule
+
 let whitelist_src () =
   let t = Tss.create () in
   let allow = Pattern.with_ip_src Pattern.any (pfx "10.0.0.10/32") in
@@ -10,10 +12,10 @@ let whitelist_src () =
 
 let test_basic_find () =
   let t = whitelist_src () in
-  (match Tss.find t (Flow.make ~ip_src:(ip "10.0.0.10") ()) with
+  (match find_rule t (Flow.make ~ip_src:(ip "10.0.0.10") ()) with
    | Some r -> Alcotest.(check string) "allow" "allow" r.Rule.action
    | None -> Alcotest.fail "no match");
-  match Tss.find t (Flow.make ~ip_src:(ip "10.0.0.11") ()) with
+  match find_rule t (Flow.make ~ip_src:(ip "10.0.0.11") ()) with
   | Some r -> Alcotest.(check string) "deny" "deny" r.Rule.action
   | None -> Alcotest.fail "no match"
 
@@ -30,23 +32,23 @@ let test_fig2b_masks () =
   let base = ip "10.0.0.10" in
   for k = 0 to 31 do
     let src = Int32.logxor base (Int32.shift_left 1l (31 - k)) in
-    let r = Tss.find_wc t (Flow.make ~ip_src:src ()) in
-    (match r.Tss.rule with
+    let r = tss_lookup t (Flow.make ~ip_src:src ()) in
+    (match r.rule with
      | Some ru -> Alcotest.(check string) "deny" "deny" ru.Rule.action
      | None -> Alcotest.fail "no rule");
     Alcotest.(check (option int))
       (Printf.sprintf "prefix length at bit %d" k)
       (Some (k + 1))
-      (Mask.prefix_len r.Tss.megaflow Field.Ip_src);
-    Hashtbl.replace masks (Format.asprintf "%a" Mask.pp r.Tss.megaflow) ()
+      (Mask.prefix_len r.megaflow Field.Ip_src);
+    Hashtbl.replace masks (Format.asprintf "%a" Mask.pp r.megaflow) ()
   done;
   Alcotest.(check int) "32 distinct masks" 32 (Hashtbl.length masks)
 
 let test_allow_side_exact () =
   let t = whitelist_src () in
-  let r = Tss.find_wc t (Flow.make ~ip_src:(ip "10.0.0.10") ()) in
+  let r = tss_lookup t (Flow.make ~ip_src:(ip "10.0.0.10") ()) in
   Alcotest.(check (option int)) "allow megaflow pins the field" (Some 32)
-    (Mask.prefix_len r.Tss.megaflow Field.Ip_src)
+    (Mask.prefix_len r.megaflow Field.Ip_src)
 
 let count_masks config fields =
   let t = Tss.create ~config () in
@@ -85,8 +87,8 @@ let count_masks config fields =
           (Flow.make ~ip_src:base ~tp_src:53 ~tp_dst:80 ())
           acc
       in
-      let r = Tss.find_wc t flow in
-      Hashtbl.replace masks (Mask.hash r.Tss.megaflow, r.Tss.megaflow) ()
+      let r = tss_lookup t flow in
+      Hashtbl.replace masks (Mask.hash r.megaflow, r.megaflow) ()
     | f :: rest ->
       for d = 1 to depths f do
         enumerate ((f, d) :: acc) rest
@@ -126,7 +128,7 @@ let prop_oracle_equivalence =
         rules;
       List.for_all
         (fun f ->
-          let a = Tss.find tss f in
+          let a = find_rule tss f in
           let b = Linear.lookup lin f in
           match (a, b) with
           | None, None -> true
@@ -139,7 +141,7 @@ let prop_oracle_equivalence =
    round. This is the property that pins the flat-store migration: a
    backward-shift deletion bug, a stale stage-set count, a leaked trie
    reference or a mis-compacted arena all surface as a verdict
-   divergence under churn. A final round compares [find_wc] megaflow
+   divergence under churn. A final round compares lookup megaflow
    masks against a classifier freshly rebuilt from the survivors — the
    churned structures must leave no residue that narrows or widens
    un-wildcarding. *)
@@ -159,7 +161,7 @@ let prop_churn_equivalence =
       let agree () =
         List.for_all
           (fun f ->
-            match (Tss.find tss f, Linear.lookup lin f) with
+            match (find_rule tss f, Linear.lookup lin f) with
             | None, None -> true
             | Some x, Some y -> x.Rule.seq = y.Rule.seq
             | Some _, None | None, Some _ -> false)
@@ -192,11 +194,11 @@ let prop_churn_equivalence =
       List.iter (fun r -> Tss.insert fresh r) (Tss.rules tss);
       List.for_all
         (fun f ->
-          let a = Tss.find_wc tss f in
-          let b = Tss.find_wc fresh f in
-          Mask.equal a.Tss.megaflow b.Tss.megaflow
+          let a = tss_lookup tss f in
+          let b = tss_lookup fresh f in
+          Mask.equal a.megaflow b.megaflow
           &&
-          match (a.Tss.rule, b.Tss.rule) with
+          match (a.rule, b.rule) with
           | None, None -> true
           | Some x, Some y -> x.Rule.seq = y.Rule.seq
           | Some _, None | None, Some _ -> false)
@@ -217,7 +219,7 @@ let prop_megaflow_soundness =
           Tss.insert tss r;
           Linear.insert lin r)
         rules;
-      let r = Tss.find_wc tss probe in
+      let r = tss_lookup tss probe in
       let verdict f =
         match Linear.lookup lin f with
         | Some x -> Some x.Rule.seq
@@ -230,7 +232,7 @@ let prop_megaflow_soundness =
           let patched =
             List.fold_left
               (fun acc field ->
-                let m = Mask.get r.Tss.megaflow field in
+                let m = Mask.get r.megaflow field in
                 let v =
                   Flow.get probe field land m
                   lor (Flow.get other field land lnot m)
@@ -241,6 +243,49 @@ let prop_megaflow_soundness =
           verdict patched = expected)
         others)
 
+(* Slot independence: a slot's result depends only on its own flow, so
+   a batch at any size, in any slot order and with repeated flows gives
+   every slot exactly what a batch of one gives that flow. The batch
+   scratch is reused across sizes, as the slow path reuses its own. *)
+let batch_configs =
+  [ Tss.default_config;
+    { Tss.default_config with Tss.staged_lookup = false };
+    Tss.ovs_default_config ]
+
+let prop_batch_slot_independence =
+  qtest ~count:200 "find_wc_batch slots ≡ one-slot lookups"
+    QCheck2.Gen.(
+      triple gen_rules (list_size (return 16) gen_small_flow)
+        (oneofl batch_configs))
+    (fun (rules, flows, config) ->
+      let tss = Tss.create ~config () in
+      List.iter (Tss.insert tss) rules;
+      let distinct = Array.of_list flows in
+      let bs = Tss.batch ~capacity:32 in
+      List.for_all
+        (fun n ->
+          (* Reversed slot order over flows that each appear twice. *)
+          let flows = Array.init n (fun k -> distinct.(k / 2)) in
+          let idx = Array.init n (fun j -> n - 1 - j) in
+          Tss.find_wc_batch tss bs flows ~idx ~n;
+          let ok = ref true in
+          for j = 0 to n - 1 do
+            let one = tss_lookup tss flows.(idx.(j)) in
+            ok :=
+              !ok
+              && Option.map (fun r -> r.Rule.seq) (Tss.batch_rule bs j)
+                 = Option.map (fun r -> r.Rule.seq) one.rule
+              && Mask.equal (Tss.batch_megaflow bs j) one.megaflow
+              && Tss.batch_probes bs j = one.probes
+          done;
+          !ok)
+        [ 1; 7; 32 ])
+
+let batch_overflow () =
+  let flows = Array.make 5 (Flow.make ()) in
+  Tss.find_wc_batch (whitelist_src ()) (Tss.batch ~capacity:4) flows
+    ~idx:[| 0; 1; 2; 3; 4 |] ~n:5
+
 let test_remove_updates_structures () =
   let t = whitelist_src () in
   let n = Tss.remove t (fun r -> r.Rule.action = "allow") in
@@ -248,21 +293,21 @@ let test_remove_updates_structures () =
   Alcotest.(check int) "one subtable left" 1 (Tss.n_subtables t);
   (* With the allow rule gone, a matching packet now hits the deny
      catch-all and the trie no longer narrows anything. *)
-  match Tss.find t (Flow.make ~ip_src:(ip "10.0.0.10") ()) with
+  match find_rule t (Flow.make ~ip_src:(ip "10.0.0.10") ()) with
   | Some r -> Alcotest.(check string) "deny now" "deny" r.Rule.action
   | None -> Alcotest.fail "no match"
 
 let test_remove_then_masks_reset () =
   let t = whitelist_src () in
   ignore (Tss.remove t (fun r -> r.Rule.action = "allow"));
-  let r = Tss.find_wc t (Flow.make ~ip_src:(ip "10.0.0.11") ()) in
+  let r = tss_lookup t (Flow.make ~ip_src:(ip "10.0.0.11") ()) in
   Alcotest.(check (option int)) "no src bits needed" (Some 0)
-    (Mask.prefix_len r.Tss.megaflow Field.Ip_src)
+    (Mask.prefix_len r.megaflow Field.Ip_src)
 
 let test_probes_counted () =
   let t = whitelist_src () in
-  let r = Tss.find_wc t (Flow.make ~ip_src:(ip "10.0.0.11") ()) in
-  Alcotest.(check int) "both subtables examined" 2 r.Tss.probes
+  let r = tss_lookup t (Flow.make ~ip_src:(ip "10.0.0.11") ()) in
+  Alcotest.(check int) "both subtables examined" 2 r.probes
 
 let test_priority_cutoff () =
   (* Once a high-priority rule matched, lower-max-priority subtables are
@@ -273,9 +318,9 @@ let test_priority_cutoff () =
        ~pattern:(Pattern.with_ip_src Pattern.any (pfx "10.0.0.0/8"))
        ~action:"hi" ());
   Tss.insert t (Rule.make ~priority:1 ~pattern:Pattern.any ~action:"lo" ());
-  let r = Tss.find_wc t (Flow.make ~ip_src:(ip "10.1.1.1") ()) in
-  Alcotest.(check int) "only first subtable probed" 1 r.Tss.probes;
-  match r.Tss.rule with
+  let r = tss_lookup t (Flow.make ~ip_src:(ip "10.1.1.1") ()) in
+  Alcotest.(check int) "only first subtable probed" 1 r.probes;
+  match r.rule with
   | Some ru -> Alcotest.(check string) "hi wins" "hi" ru.Rule.action
   | None -> Alcotest.fail "no match"
 
@@ -283,7 +328,7 @@ let test_insertion_order_tiebreak () =
   let t = Tss.create () in
   Tss.insert t (Rule.make ~priority:5 ~pattern:Pattern.any ~action:"first" ());
   Tss.insert t (Rule.make ~priority:5 ~pattern:Pattern.any ~action:"second" ());
-  match Tss.find t (Flow.make ()) with
+  match find_rule t (Flow.make ()) with
   | Some r -> Alcotest.(check string) "first added wins" "first" r.Rule.action
   | None -> Alcotest.fail "no match"
 
@@ -303,6 +348,8 @@ let suite =
     prop_oracle_equivalence;
     prop_churn_equivalence;
     prop_megaflow_soundness;
+    prop_batch_slot_independence;
+    check_raises_invalid "batch overflow raises" batch_overflow;
     Alcotest.test_case "remove updates structures" `Quick test_remove_updates_structures;
     Alcotest.test_case "remove resets trie narrowing" `Quick test_remove_then_masks_reset;
     Alcotest.test_case "probes counted" `Quick test_probes_counted;
