@@ -428,6 +428,36 @@ let rec batch_walk t bs flows idx n ti remaining =
     batch_walk t bs flows idx n (ti + 1) remaining
   end
 
+(* A batch of one, walked packet-major: the same stop rule and probes
+   as [batch_examine] gives a lone slot, with the best rule and probe
+   count carried as arguments instead of loaded from and stored to the
+   slot arrays (and their write barriers) at every subtable. *)
+let rec walk_one t bs flow b tr ok best probes i =
+  let arr = t.sorted in
+  if
+    i < Array.length arr
+    &&
+    match best with
+    | Some r -> r.Rule.priority <= (Array.unsafe_get arr i).max_prio
+    | None -> true
+  then
+    walk_one t bs flow b tr ok
+      (examine t (Array.unsafe_get arr i) flow b tr ok best)
+      (probes + 1) (i + 1)
+  else begin
+    bs.bs_rule.(0) <- best;
+    bs.bs_probes.(0) <- probes
+  end
+
+(* Clear slot [j]'s un-wildcarding builder and trie memo. A loop, not
+   [Array.fill], as in [Mask.Builder.reset]. *)
+let reset_slot bs j =
+  Mask.Builder.reset bs.bs_builders.(j);
+  let ok = bs.bs_trie_ok.(j) in
+  for i = 0 to Field.count - 1 do
+    ok.(i) <- false
+  done
+
 (* Subtable-major wildcard lookup over the [n] packets
    [flows.(idx.(0)) .. flows.(idx.(n-1))]: for each subtable (in probe
    order), examine every still-active packet, then move to the next —
@@ -437,22 +467,26 @@ let rec batch_walk t bs flows idx n ti remaining =
    the scratch ({!batch_rule} / {!batch_megaflow} / {!batch_probes}) and
    do not depend on the rest of the batch: the classifier is read-only
    during the walk and every per-packet accumulator (best rule, builder,
-   trie memo, early-stop) is private to its slot. *)
+   trie memo, early-stop) is private to its slot. One packet has no
+   subtable loads to share, so it takes [walk_one]: a choice on input
+   size, with the same results either way. *)
 let find_wc_batch t bs flows ~idx ~n =
   if n > bs.bs_cap then invalid_arg "Tss.find_wc_batch: batch overflow";
   refresh_sorted t;
-  for j = 0 to n - 1 do
-    Mask.Builder.reset bs.bs_builders.(j);
-    let ok = bs.bs_trie_ok.(j) in
-    (* a loop, not [Array.fill], as in [Mask.Builder.reset] *)
-    for i = 0 to Field.count - 1 do
-      ok.(i) <- false
+  if n = 1 then begin
+    reset_slot bs 0;
+    walk_one t bs flows.(idx.(0)) bs.bs_builders.(0) bs.bs_trie.(0)
+      bs.bs_trie_ok.(0) None 0 0
+  end
+  else begin
+    for j = 0 to n - 1 do
+      reset_slot bs j;
+      bs.bs_rule.(j) <- None;
+      bs.bs_probes.(j) <- 0;
+      bs.bs_done.(j) <- false
     done;
-    bs.bs_rule.(j) <- None;
-    bs.bs_probes.(j) <- 0;
-    bs.bs_done.(j) <- false
-  done;
-  batch_walk t bs flows idx n 0 n
+    batch_walk t bs flows idx n 0 n
+  end
 
 let n_rules t = t.n_rules
 

@@ -53,7 +53,7 @@ val remove : 'a t -> ('a Rule.t -> bool) -> int
     examine every still-active packet of the batch before moving to the
     next subtable — each subtable's mask, stage sets and entry table are
     loaded once per batch instead of once per packet. A single flow is a
-    batch of one. *)
+    batch of one, walked packet-major: it has no loads to share. *)
 
 type 'a batch
 (** Reused per-batch scratch: one un-wildcarding builder, one trie-memo
