@@ -54,7 +54,7 @@ let () =
         let (_ : (float * Pi_classifier.Flow.t) Seq.t) =
           Attack.feed t cloud ~upto:5. (Campaign.events t.Attack.campaign)
         in
-        let dp = Pi_ovs.Switch.dataplane (Pi_cms.Cloud.switch_exn cloud server) in
+        let dp = Pi_cms.Cloud.dataplane_exn cloud server in
         Printf.printf "  %s: %d megaflow masks (expected %d)\n" server
           (Pi_ovs.Dataplane.stats dp).Pi_ovs.Dataplane.masks
           (Attack.expected_masks t)

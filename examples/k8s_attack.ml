@@ -50,7 +50,7 @@ let () =
       let f = Pi_classifier.Flow.with_field f Pi_classifier.Field.In_port 1 in
       ignore (Pi_cms.Cloud.process cloud ~now:0. ~server:"server-1" f ~pkt_len:100))
     flows;
-  let dp = Pi_ovs.Switch.dataplane (Pi_cms.Cloud.switch_exn cloud "server-1") in
+  let dp = Pi_cms.Cloud.dataplane_exn cloud "server-1" in
   Printf.printf "measured megaflow masks:  %d\n\n"
     (Pi_ovs.Dataplane.stats dp).Pi_ovs.Dataplane.masks;
 

@@ -52,7 +52,7 @@ let () =
       let f = Pi_classifier.Flow.with_field f Pi_classifier.Field.In_port 1 in
       ignore (Pi_cms.Cloud.process cloud ~now:0. ~server:"server-1" f ~pkt_len:100))
     (Packet_gen.flows gen);
-  let dp = Pi_ovs.Switch.dataplane (Pi_cms.Cloud.switch_exn cloud "server-1") in
+  let dp = Pi_cms.Cloud.dataplane_exn cloud "server-1" in
   Printf.printf "megaflow masks after one covert round: %d (predicted %d)\n"
     (Pi_ovs.Dataplane.stats dp).Pi_ovs.Dataplane.masks
     (Predict.variant_masks Variant.Src_dport);

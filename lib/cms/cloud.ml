@@ -12,19 +12,28 @@ type pod = {
   tenant : string;
   ip : Pi_pkt.Ipv4_addr.t;
   server : string;
-  port : Pi_ovs.Switch.port;
+  port : int;
   mutable labels : string list;
+}
+
+(* One hypervisor: the dataplane every local port feeds, and the id its
+   next port gets. *)
+type server = {
+  dp : Pi_ovs.Dataplane.t;
+  mutable next_port : int;
 }
 
 type t = {
   flavour : flavour;
-  switches : (string, Pi_ovs.Switch.t) Hashtbl.t;
+  hosts : (string, server) Hashtbl.t;
   server_names : string list;
   pods_tbl : (string, pod) Hashtbl.t;
-  mutable pod_order : string list;
+  mutable pods_rev : string list;  (* newest first: O(1) insert *)
 }
 
 exception Unknown_server of string
+
+let uplink = 1
 
 let () =
   Printexc.register_printer (function
@@ -35,52 +44,54 @@ let create ?(flavour = Kubernetes) ?backend ?switch_config ?tss_config ~seed
     ~n_servers () =
   if n_servers < 1 then invalid_arg "Cloud.create";
   let rng = Pi_pkt.Prng.create seed in
-  let switches = Hashtbl.create 8 in
+  let backend =
+    match backend with
+    | Some b -> b
+    | None -> Pi_ovs.Dataplane.datapath ?config:switch_config ?tss_config ()
+  in
+  let hosts = Hashtbl.create 8 in
   let server_names =
     List.init n_servers (fun i -> Printf.sprintf "server-%d" (i + 1))
   in
   List.iter
     (fun name ->
-      let sw =
-        Pi_ovs.Switch.create ?backend ?config:switch_config ?tss_config ~name
-          (Pi_pkt.Prng.split rng) ()
-      in
+      let dp = Pi_ovs.Dataplane.create backend (Pi_pkt.Prng.split rng) in
       (* Port 1 of every server is the fabric uplink; traffic that no
          local pod policy claims is forwarded there (lowest priority,
          below even the per-pod default-deny catch-alls). *)
-      let uplink = Pi_ovs.Switch.add_port sw ~name:"uplink" in
-      Pi_ovs.Switch.install_rules sw
+      Pi_ovs.Dataplane.install_rules dp
         [ Pi_classifier.Rule.make ~priority:0
             ~pattern:Pi_classifier.Pattern.any
-            ~action:(Pi_ovs.Action.Output uplink.Pi_ovs.Switch.id) () ];
-      Hashtbl.replace switches name sw)
+            ~action:(Pi_ovs.Action.Output uplink) () ];
+      Hashtbl.replace hosts name { dp; next_port = uplink + 1 })
     server_names;
-  { flavour; switches; server_names; pods_tbl = Hashtbl.create 64; pod_order = [] }
+  { flavour; hosts; server_names; pods_tbl = Hashtbl.create 64; pods_rev = [] }
 
 let flavour t = t.flavour
 
 let servers t = t.server_names
 
-let switch_opt t name = Hashtbl.find_opt t.switches name
-
-let switch_exn t name =
-  match Hashtbl.find_opt t.switches name with
-  | Some sw -> sw
+let host_exn t name =
+  match Hashtbl.find_opt t.hosts name with
+  | Some h -> h
   | None -> raise (Unknown_server name)
+
+let dataplane_exn t name = (host_exn t name).dp
 
 let deploy_pod t ~tenant ~name ?(labels = []) ~server ~ip () =
   if Hashtbl.mem t.pods_tbl name then
     invalid_arg (Printf.sprintf "Cloud.deploy_pod: pod %s exists" name);
-  let sw = switch_exn t server in
-  let port = Pi_ovs.Switch.add_port sw ~name in
+  let h = host_exn t server in
+  let port = h.next_port in
+  h.next_port <- port + 1;
   let p = { pod_name = name; tenant; ip; server; port; labels } in
   Hashtbl.replace t.pods_tbl name p;
-  t.pod_order <- t.pod_order @ [ name ];
+  t.pods_rev <- name :: t.pods_rev;
   p
 
 let pod t name = Hashtbl.find_opt t.pods_tbl name
 
-let pods t = List.filter_map (Hashtbl.find_opt t.pods_tbl) t.pod_order
+let pods t = List.rev_map (Hashtbl.find t.pods_tbl) t.pods_rev
 
 let pods_by_label t label =
   List.filter (fun p -> List.mem label p.labels) (pods t)
@@ -94,12 +105,12 @@ let apply_acl t ~pod ~tenant acl =
   if not (String.equal pod.tenant tenant) then
     Error (Printf.sprintf "tenant %s does not own pod %s" tenant pod.pod_name)
   else begin
-    let sw = switch_exn t pod.server in
+    let dp = dataplane_exn t pod.server in
     let pod_ip = Int32.to_int pod.ip land 0xFFFFFFFF in
     (* Replace the pod's previous ingress policy: its rules are the ones
        pinned to the pod's address. *)
     ignore
-      (Pi_ovs.Switch.remove_rules sw
+      (Pi_ovs.Dataplane.remove_rules dp
          (fun r ->
            let p = r.Pi_classifier.Rule.pattern in
            Pi_classifier.Flow.get p.Pi_classifier.Pattern.key
@@ -111,9 +122,9 @@ let apply_acl t ~pod ~tenant acl =
     let rules =
       Compile.compile
         ~dst:(Pi_pkt.Ipv4_addr.Prefix.make pod.ip 32)
-        ~allow:(Pi_ovs.Action.Output pod.port.Pi_ovs.Switch.id) acl
+        ~allow:(Pi_ovs.Action.Output pod.port) acl
     in
-    Pi_ovs.Switch.install_rules sw rules;
+    Pi_ovs.Dataplane.install_rules dp rules;
     Log.info (fun m ->
         m "tenant %s: installed %d flow rules at pod %s (%a)" tenant
           (List.length rules) pod.pod_name Pi_pkt.Ipv4_addr.pp pod.ip);
@@ -166,7 +177,7 @@ let apply_calico_policy t ~tenant (pol : Calico_policy.t) =
   | Openstack -> Error "Calico policy is not available on an OpenStack cloud"
 
 let process t ~now ~server flow ~pkt_len =
-  Pi_ovs.Switch.process_flow (switch_exn t server) ~now flow ~pkt_len
+  Pi_ovs.Dataplane.process (dataplane_exn t server) ~now flow ~pkt_len
 
 type hop = {
   hop_server : string;
@@ -180,12 +191,12 @@ let deliver t ~now ~src_pod flow ~pkt_len =
   in
   let hop server in_port =
     let action, outcome =
-      Pi_ovs.Switch.process_flow (switch_exn t server) ~now (flow_at in_port)
+      Pi_ovs.Dataplane.process (dataplane_exn t server) ~now (flow_at in_port)
         ~pkt_len
     in
     { hop_server = server; hop_action = action; hop_outcome = outcome }
   in
-  let first = hop src_pod.server src_pod.port.Pi_ovs.Switch.id in
+  let first = hop src_pod.server src_pod.port in
   match first.hop_action with
   | Pi_ovs.Action.Drop | Pi_ovs.Action.Controller -> [ first ]
   | Pi_ovs.Action.Output _ -> begin
@@ -196,11 +207,11 @@ let deliver t ~now ~src_pod flow ~pkt_len =
     match dst_pod with
     | Some d when not (String.equal d.server src_pod.server) ->
       (* Cross the fabric; in at the destination server's uplink. *)
-      [ first; hop d.server 1 ]
+      [ first; hop d.server uplink ]
     | Some _ | None -> [ first ]
   end
 
 let revalidate_all t ~now =
   Hashtbl.fold
-    (fun _ sw acc -> acc + Pi_ovs.Switch.revalidate sw ~now)
-    t.switches 0
+    (fun _ h acc -> acc + Pi_ovs.Dataplane.revalidate h.dp ~now)
+    t.hosts 0

@@ -1,7 +1,12 @@
-(** The cloud: servers running hypervisor switches, tenant pods attached
-    to virtual ports, and the management API through which tenants
-    deploy pods and inject network policies — the paper's Fig. 1
+(** The cloud: servers running hypervisor dataplanes, tenant pods
+    attached to virtual ports, and the management API through which
+    tenants deploy pods and inject network policies — the paper's Fig. 1
     test setup.
+
+    Each server has one {!Pi_ovs.Dataplane.t} that every local port
+    feeds, so its flow cache (and thus the attack surface) is shared by
+    all tenants on the host: a tenant's malicious ACL degrades every
+    other tenant on the same server.
 
     The management plane performs the CMS's (limited) validation: a
     tenant may only attach policies to its own pods, and only policy
@@ -19,39 +24,46 @@ type pod = {
   tenant : string;
   ip : Pi_pkt.Ipv4_addr.t;
   server : string;
-  port : Pi_ovs.Switch.port;
+  port : int;
+      (** The pod's port on its server. Port ids are dense per server:
+          1 is the fabric uplink, pods get 2, 3, ... in deploy order. *)
   mutable labels : string list;
 }
 
 type t
 
 exception Unknown_server of string
-(** Raised by {!switch_exn} for a server name not in {!servers}. *)
+(** Raised by {!dataplane_exn} for a server name not in {!servers}. *)
 
 val create :
   ?flavour:flavour -> ?backend:Pi_ovs.Dataplane.backend ->
   ?switch_config:Pi_ovs.Datapath.config ->
   ?tss_config:Pi_classifier.Tss.config ->
   seed:int64 -> n_servers:int -> unit -> t
-(** Every server runs the same switch backend; [backend] defaults to the
-    plain datapath (see {!Pi_ovs.Switch.create}, which also explains why
-    [switch_config]/[tss_config] are ignored when [backend] is given). *)
+(** Every server runs its own instance of the same dataplane backend.
+    [backend] defaults to {!Pi_ovs.Dataplane.datapath}
+    [?config:switch_config ?tss_config ()]; [switch_config]/[tss_config]
+    are ignored when an explicit [backend] is given (its constructor
+    already closed over its configuration). *)
 
 val flavour : t -> flavour
 
 val servers : t -> string list
 
-val switch_opt : t -> string -> Pi_ovs.Switch.t option
-
-val switch_exn : t -> string -> Pi_ovs.Switch.t
-(** Raises {!Unknown_server} for an unknown server name. *)
+val dataplane_exn : t -> string -> Pi_ovs.Dataplane.t
+(** The server's dataplane — use {!Pi_ovs.Dataplane.stats} and friends
+    for its cache state. Raises {!Unknown_server} for an unknown server
+    name. *)
 
 val deploy_pod :
   t -> tenant:string -> name:string -> ?labels:string list ->
   server:string -> ip:Pi_pkt.Ipv4_addr.t -> unit -> pod
 
 val pod : t -> string -> pod option
+
 val pods : t -> pod list
+(** In deploy order. *)
+
 val pods_by_label : t -> string -> pod list
 
 val resolve_selector : t -> string -> Pi_pkt.Ipv4_addr.Prefix.t list
@@ -59,7 +71,7 @@ val resolve_selector : t -> string -> Pi_pkt.Ipv4_addr.Prefix.t list
 
 val apply_acl : t -> pod:pod -> tenant:string -> Acl.t -> (unit, string) result
 (** Install the whitelist ACL as the pod's ingress policy (compiled and
-    pushed into the pod's server switch). Fails if [tenant] does not own
+    pushed into the pod's server dataplane). Fails if [tenant] does not own
     the pod. Replaces any previous policy of the pod. *)
 
 val apply_k8s_policy :
@@ -78,7 +90,7 @@ val apply_calico_policy :
 val process :
   t -> now:float -> server:string -> Pi_classifier.Flow.t -> pkt_len:int ->
   Pi_ovs.Action.t * Pi_ovs.Cost_model.outcome
-(** Push one packet (as a flow key) through a server's switch. *)
+(** Push one packet (as a flow key) through a server's dataplane. *)
 
 type hop = {
   hop_server : string;

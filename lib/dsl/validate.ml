@@ -72,7 +72,7 @@ type t = {
   runs : run_cfg list;
 }
 
-(* Engine pins (see Scenario.run): port 1 is the uplink, the victim pod
+(* Port layout pinned by Scenario.run: port 1 is the uplink, the victim pod
    sits on port 2, the attacker pod on port 3, background services on
    4+i. The DSL lets programs name these, and validation holds the
    names to the layout. *)

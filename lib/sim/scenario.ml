@@ -195,7 +195,7 @@ let run p =
      when a tick raises. *)
   Fun.protect ~finally:(fun () -> Dataplane.close dp) @@ fun () ->
   let n_sh = Dataplane.n_shards dp in
-  (* Port numbering (same layout the Switch-based scenario used):
+  (* Port numbering (dense from the uplink, as [Pi_cms.Cloud] assigns):
      uplink=1, victim-pod=2, attacker-pod=3, svc-i=4+i. Tenants are
      identified by their pod port. *)
   let uplink_port = 1 and victim_port = 2 and attacker_port = 3 in

@@ -67,7 +67,7 @@ let test_feed_materialises_masks () =
     let events = Campaign.events t.Attack.campaign in
     (* Feed the first round... *)
     let rest = Attack.feed t cloud ~upto:1. events in
-    let dp = Pi_ovs.Switch.dataplane (Pi_cms.Cloud.switch_exn cloud "server-1") in
+    let dp = Pi_cms.Cloud.dataplane_exn cloud "server-1" in
     Alcotest.(check int) "32 masks after round one" 32
       (Pi_ovs.Dataplane.stats dp).Pi_ovs.Dataplane.masks;
     (* ...and the remainder resumes where we stopped. *)
@@ -119,7 +119,7 @@ let test_multi_server_blast_radius () =
     pods;
   List.iter
     (fun server ->
-      let dp = Pi_ovs.Switch.dataplane (Pi_cms.Cloud.switch_exn cloud server) in
+      let dp = Pi_cms.Cloud.dataplane_exn cloud server in
       Alcotest.(check int)
         (Printf.sprintf "%s infected" server)
         32 (Pi_ovs.Dataplane.stats dp).Pi_ovs.Dataplane.masks)

@@ -26,8 +26,22 @@ let test_topology () =
   Alcotest.(check (list string)) "servers" [ "server-1"; "server-2" ]
     (Cloud.servers cloud);
   Alcotest.(check int) "two pods" 2 (List.length (Cloud.pods cloud));
-  Alcotest.(check bool) "ports distinct" true
-    (victim.Cloud.port.Pi_ovs.Switch.id <> attacker.Cloud.port.Pi_ovs.Switch.id)
+  Alcotest.(check (list int)) "dense port ids after uplink 1" [ 2; 3 ]
+    [ victim.Cloud.port; attacker.Cloud.port ]
+
+let test_deploy_order () =
+  let cloud = Cloud.create ~seed:11L ~n_servers:2 () in
+  let deploy name server addr =
+    Cloud.deploy_pod cloud ~tenant:"acme" ~name ~server ~ip:(ip addr) ()
+  in
+  let a = deploy "a" "server-1" "10.1.0.2" in
+  let b = deploy "b" "server-2" "10.2.0.2" in
+  let c = deploy "c" "server-1" "10.1.0.3" in
+  Alcotest.(check (list string)) "pods in creation order" [ "a"; "b"; "c" ]
+    (List.map (fun p -> p.Cloud.pod_name) (Cloud.pods cloud));
+  Alcotest.(check (list int)) "server-1 ports" [ 2; 3 ]
+    [ a.Cloud.port; c.Cloud.port ];
+  Alcotest.(check int) "server-2 port" 2 b.Cloud.port
 
 let test_duplicate_pod_rejected () =
   let cloud, _, _ = mk () in
@@ -82,7 +96,7 @@ let test_policy_enforced_end_to_end () =
   let a1, _ = Cloud.process cloud ~now:0. ~server:"server-1" allowed ~pkt_len:100 in
   let a2, _ = Cloud.process cloud ~now:0. ~server:"server-1" denied ~pkt_len:100 in
   Alcotest.(check action_t) "allowed forwarded"
-    (Pi_ovs.Action.Output victim.Cloud.port.Pi_ovs.Switch.id) a1;
+    (Pi_ovs.Action.Output victim.Cloud.port) a1;
   Alcotest.(check action_t) "denied dropped" Pi_ovs.Action.Drop a2
 
 let test_policy_replacement () =
@@ -104,9 +118,7 @@ let test_policy_replacement () =
 
 let test_unknown_server () =
   let cloud, _, _ = mk () in
-  Alcotest.(check bool) "opt is None" true
-    (Cloud.switch_opt cloud "server-99" = None);
-  match Cloud.switch_exn cloud "server-99" with
+  match Cloud.dataplane_exn cloud "server-99" with
   | exception Cloud.Unknown_server "server-99" -> ()
   | _ -> Alcotest.fail "unknown server should raise"
 
@@ -159,7 +171,7 @@ let test_deliver_cross_server () =
        h1.Cloud.hop_action;
      Alcotest.(check string) "second hop at destination" "server-2" h2.Cloud.hop_server;
      Alcotest.(check action_t) "delivered to the pod"
-       (Pi_ovs.Action.Output db.Cloud.port.Pi_ovs.Switch.id) h2.Cloud.hop_action
+       (Pi_ovs.Action.Output db.Cloud.port) h2.Cloud.hop_action
    | _ -> Alcotest.fail "unexpected hop shape");
   (* A stranger source is dropped at the destination hypervisor. *)
   let hops' =
@@ -186,7 +198,7 @@ let test_deliver_same_server () =
   match hops with
   | [ h ] ->
     Alcotest.(check action_t) "delivered locally"
-      (Pi_ovs.Action.Output api.Cloud.port.Pi_ovs.Switch.id) h.Cloud.hop_action
+      (Pi_ovs.Action.Output api.Cloud.port) h.Cloud.hop_action
   | _ -> Alcotest.fail "unexpected"
 
 let test_deliver_unknown_dst_takes_uplink () =
@@ -200,6 +212,7 @@ let test_deliver_unknown_dst_takes_uplink () =
 
 let suite =
   [ Alcotest.test_case "topology" `Quick test_topology;
+    Alcotest.test_case "deploy order and port ids" `Quick test_deploy_order;
     Alcotest.test_case "duplicate pod rejected" `Quick test_duplicate_pod_rejected;
     Alcotest.test_case "resolve selector" `Quick test_resolve_selector;
     Alcotest.test_case "ownership enforced" `Quick test_ownership_enforced;

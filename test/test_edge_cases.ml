@@ -150,19 +150,6 @@ let prop_block_prefixes_cover =
           in_cover = not in_except)
         probes)
 
-(* --- Switch: forwarding to an unknown port still accounts rx --- *)
-
-let test_switch_output_unknown_port () =
-  let sw = Pi_ovs.Switch.create ~name:"s" (Pi_pkt.Prng.create 2L) () in
-  let p1 = Pi_ovs.Switch.add_port sw ~name:"in" in
-  Pi_ovs.Switch.install_rules sw
-    [ Rule.make ~pattern:Pattern.any ~action:(Pi_ovs.Action.Output 99) () ];
-  let f = Flow.make ~in_port:p1.Pi_ovs.Switch.id () in
-  let action, _ = Pi_ovs.Switch.process_flow sw ~now:0. f ~pkt_len:50 in
-  Alcotest.(check action_t) "action preserved" (Pi_ovs.Action.Output 99) action;
-  Alcotest.(check int) "rx accounted" 1
-    (Pi_ovs.Switch.port_stats_exn sw p1.Pi_ovs.Switch.id).Pi_ovs.Switch.rx_packets
-
 (* --- Campaign pacing gap --- *)
 
 let test_campaign_even_pacing () =
@@ -200,5 +187,4 @@ let suite =
     Alcotest.test_case "compile: priorities descend" `Quick test_compile_priorities_descend;
     Alcotest.test_case "flow pool host net" `Quick test_flow_pool_host_net;
     prop_block_prefixes_cover;
-    Alcotest.test_case "switch output to unknown port" `Quick test_switch_output_unknown_port;
     Alcotest.test_case "campaign even pacing" `Quick test_campaign_even_pacing ]

@@ -94,22 +94,21 @@ let test_tracer_counts_by_kind () =
     [ ("emc_hit", 2); ("mask_created", 1); ("upcall", 1) ]
     (Tracer.counts_by_kind tr)
 
-(* --- Scrape under the sim engine --- *)
+(* --- Scrape on a fixed tick --- *)
 
-let test_scrape_schedule_every () =
+let test_scrape_fixed_tick () =
   let s = Scrape.create () in
   let v = ref 0.0 in
   Scrape.register s ~name:"v" (fun () -> !v);
-  let e = Pi_sim.Engine.create () in
-  Pi_sim.Engine.schedule_every e ~start:0. ~period:1. ~until:5. (fun e ->
-      v := !v +. 1.0;
-      Scrape.tick s ~now:(Pi_sim.Engine.now e));
-  Pi_sim.Engine.run e;
+  for i = 0 to 4 do
+    v := !v +. 1.0;
+    Scrape.tick s ~now:(float_of_int i)
+  done;
   match Scrape.series s "v" with
   | None -> Alcotest.fail "series missing"
   | Some ts ->
     Alcotest.(check (list (pair (float 1e-9) (float 1e-9))))
-      "one sample per engine tick"
+      "one sample per tick"
       [ (0., 1.); (1., 2.); (2., 3.); (3., 4.); (4., 5.) ]
       (Pi_telemetry.Timeseries.to_list ts)
 
@@ -285,7 +284,7 @@ let suite =
     Alcotest.test_case "histogram invalid args" `Quick test_hist_invalid;
     Alcotest.test_case "tracer wraparound" `Quick test_tracer_wraparound;
     Alcotest.test_case "tracer counts by kind" `Quick test_tracer_counts_by_kind;
-    Alcotest.test_case "scrape under schedule_every" `Quick test_scrape_schedule_every;
+    Alcotest.test_case "scrape on a fixed tick" `Quick test_scrape_fixed_tick;
     Alcotest.test_case "scrape duplicate rejected" `Quick test_scrape_duplicate_rejected;
     Alcotest.test_case "metrics get-or-create" `Quick test_metrics_get_or_create;
     Alcotest.test_case "metrics type mismatch" `Quick test_metrics_type_mismatch;
