@@ -492,10 +492,6 @@ let n_rules t = t.n_rules
 
 let n_subtables t = Mask_tbl.length t.subtables
 
-let subtable_masks t =
-  refresh_sorted t;
-  Array.to_list (Array.map (fun st -> st.mask) t.sorted)
-
 let rules t =
   let acc = ref [] in
   Mask_tbl.iter

@@ -88,8 +88,6 @@ val batch_probes : 'a batch -> int -> int
 
 val n_rules : 'a t -> int
 val n_subtables : 'a t -> int
-val subtable_masks : 'a t -> Mask.t list
-(** One mask per subtable, in current probe order. *)
 
 val rules : 'a t -> 'a Rule.t list
 (** All rules, in precedence order. *)

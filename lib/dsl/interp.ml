@@ -125,28 +125,13 @@ let passed oc = List.for_all run_passed oc.oc_runs
 
 (* --- JSON ----------------------------------------------------------- *)
 
-(* Same conventions as Pi_telemetry.Export: %.9g, non-finite -> null. *)
-let float_str v =
-  if not (Float.is_finite v) then "null" else Printf.sprintf "%.9g" v
-
-let buf_add_json_string b s =
-  Buffer.add_char b '"';
-  String.iter
-    (fun c ->
-      match c with
-      | '"' -> Buffer.add_string b "\\\""
-      | '\\' -> Buffer.add_string b "\\\\"
-      | '\n' -> Buffer.add_string b "\\n"
-      | c when Char.code c < 0x20 ->
-        Buffer.add_string b (Printf.sprintf "\\u%04x" (Char.code c))
-      | c -> Buffer.add_char b c)
-    s;
-  Buffer.add_char b '"'
+(* Same conventions as Pi_telemetry.Export. *)
+let float_str = Pi_telemetry.Json.float
 
 let json oc =
   let b = Buffer.create 1024 in
   let pf fmt = Printf.ksprintf (Buffer.add_string b) fmt in
-  let str s = buf_add_json_string b s in
+  let str s = Pi_telemetry.Json.add_string b s in
   pf "{\n";
   pf "  \"scenario\": ";
   str oc.oc_scenario;

@@ -114,5 +114,3 @@ let to_string (p : program) =
       | Run r -> add_run b r.v)
     p.blocks;
   Buffer.contents b
-
-let pp_program ppf p = Format.pp_print_string ppf (to_string p)

@@ -11,6 +11,4 @@ val float_str : float -> string
 (** Shortest decimal form that reads back as the same double (["40"],
     ["0.05"], ["1e+11"]); finite values only. *)
 
-val pp_program : Format.formatter -> Ast.program -> unit
-
 val to_string : Ast.program -> string

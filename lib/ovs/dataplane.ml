@@ -12,15 +12,6 @@ type stats = {
   emc_occupancy : int;
 }
 
-let pp_stats ppf s =
-  Format.fprintf ppf
-    "@[<v>packets        %d@,upcalls        %d@,upcall-drops   %d@,\
-     pending        %d@,masks          %d@,megaflows      %d@,\
-     cycles         %.0f@,handler-cycles %.0f@,\
-     emc hit/miss   %d/%d@,emc occupancy  %d@]"
-    s.packets s.upcalls s.upcall_drops s.pending_upcalls s.masks s.megaflows
-    s.cycles s.handler_cycles s.emc_hits s.emc_misses s.emc_occupancy
-
 module type S = sig
   type t
 
@@ -65,8 +56,6 @@ end
 type backend = (module S)
 
 type t = Packed : (module S with type t = 'a) * 'a -> t
-
-let pack (type a) (m : (module S with type t = a)) (d : a) = Packed (m, d)
 
 let create ?telemetry ?provenance (module B : S) rng =
   Packed ((module B), B.create ?telemetry ?provenance rng ())

@@ -33,8 +33,6 @@ type stats = {
   emc_occupancy : int;
 }
 
-val pp_stats : Format.formatter -> stats -> unit
-
 (** The dataplane interface proper. *)
 module type S = sig
   type t
@@ -157,8 +155,6 @@ type backend = (module S)
 
 (** An instantiated dataplane packed with its module. *)
 type t = Packed : (module S with type t = 'a) * 'a -> t
-
-val pack : (module S with type t = 'a) -> 'a -> t
 
 val create :
   ?telemetry:Pi_telemetry.Ctx.t -> ?provenance:Provenance.registry ->

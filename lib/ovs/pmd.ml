@@ -403,7 +403,6 @@ let config t = t.cfg
 let n_shards t = Array.length t.shards
 let shard t i = t.shards.(i).dp
 let shard_metrics t i = t.shards.(i).metrics
-let shard_provenance t i = Datapath.provenance t.shards.(i).dp
 
 let provenance t =
   Array.fold_right

@@ -86,7 +86,7 @@ val create :
 
     [provenance] hands every shard the same (read-during-processing)
     rule registry; each shard's datapath builds its own private
-    {!Provenance.store} (see {!shard_provenance}), so attribution is
+    {!Provenance.store} (see {!provenance}), so attribution is
     domain-safe exactly like the metrics registries.
 
     Under [mode = Pipeline] this also spawns the persistent worker
@@ -121,10 +121,6 @@ val shard_perf : t -> int -> Pi_telemetry.Perf.t option
     {!shard_metrics}) with this Pmd's [batch_cycles] coefficient
     installed — merge with {!Pi_telemetry.Perf.merge} for the
     whole-dataplane view. Same quiescence caveat as {!shard}. *)
-
-val shard_provenance : t -> int -> Provenance.store option
-(** Shard [i]'s private attribution store ([None] when provenance is
-    off). Raises [Invalid_argument] out of range. *)
 
 val provenance : t -> Provenance.store list
 (** All shard stores, in shard order (empty when provenance is off) —

@@ -54,13 +54,6 @@ let bind reg ~tenant ?acl_rule rules =
         { b_tenant = tenant; b_acl_rule = idx r })
     rules
 
-let n_bindings reg = Hashtbl.length reg.bindings
-
-let tenant_of reg ~rule_seq =
-  match Hashtbl.find_opt reg.bindings rule_seq with
-  | Some b -> Some b.b_tenant
-  | None -> None
-
 (* --- per-port fast-path accounting --- *)
 
 type port_stat = {
@@ -118,8 +111,6 @@ let store ?metrics reg =
     ports = Array.make 8 None;
     mask_origins = Tables.Mask_tbl.create 64;
     tenants = Hashtbl.create 16 }
-
-let registry_of s = s.reg
 
 let port_stat s port =
   if port < 0 || port > 0xffff then invalid_arg "Provenance.port_stat";
@@ -490,9 +481,8 @@ let pp_ports ppf s =
   Format.fprintf ppf "@]"
 
 (* Byte-stable JSON fragment, same conventions as {!Pi_telemetry.Export}
-   (sorted-by-rank arrays, [%.9g] floats, no whitespace). *)
-let float_str v =
-  if not (Float.is_finite v) then "null" else Printf.sprintf "%.9g" v
+   (sorted-by-rank arrays, {!Pi_telemetry.Json} floats, no whitespace). *)
+let float_str = Pi_telemetry.Json.float
 
 let summary_json s =
   let b = Buffer.create 1024 in

@@ -53,9 +53,6 @@ val bind :
     rule replaces its binding. Must not race processing: call between
     bursts, as with rule installs. *)
 
-val n_bindings : registry -> int
-val tenant_of : registry -> rule_seq:int -> int option
-
 (** {1 Per-shard store} *)
 
 type store
@@ -66,8 +63,6 @@ val store : ?metrics:Pi_telemetry.Metrics.t -> registry -> store
     [port<i>/mf_hit], [port<i>/mf_probes], [port<i>/upcall] counters and
     a [port<i>/cycles] histogram — beside the plain datapath-wide
     names. Use the owning shard's registry, never a shared one. *)
-
-val registry_of : store -> registry
 
 val account :
   store -> port:int -> outcome:Cost_model.outcome -> cycles:float -> unit

@@ -172,11 +172,9 @@ let frame t dp s = Format.asprintf "%a" pp_frame (t, dp, s)
 
 (* ---------- byte-stable JSON snapshot ---------- *)
 
-(* Same conventions as Pi_telemetry.Export: sorted keys, %.9g floats,
-   non-finite floats become null. *)
-let add_float b v =
-  Buffer.add_string b
-    (if Float.is_finite v then Printf.sprintf "%.9g" v else "null")
+(* Same conventions as Pi_telemetry.Export: sorted keys,
+   Pi_telemetry.Json scalars. *)
+let add_float = Pi_telemetry.Json.add_float
 
 let add_int b v = Buffer.add_string b (string_of_int v)
 

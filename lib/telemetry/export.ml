@@ -2,33 +2,12 @@
    the snapshot must be byte-stable (sorted keys, fixed float format)
    so successive runs diff cleanly. *)
 
-let add_escaped b s =
-  Buffer.add_char b '"';
-  String.iter
-    (fun c ->
-      match c with
-      | '"' -> Buffer.add_string b "\\\""
-      | '\\' -> Buffer.add_string b "\\\\"
-      | '\n' -> Buffer.add_string b "\\n"
-      | '\r' -> Buffer.add_string b "\\r"
-      | '\t' -> Buffer.add_string b "\\t"
-      | c when Char.code c < 0x20 ->
-        Buffer.add_string b (Printf.sprintf "\\u%04x" (Char.code c))
-      | c -> Buffer.add_char b c)
-    s;
-  Buffer.add_char b '"'
-
-let float_str v =
-  if not (Float.is_finite v) then "null" else Printf.sprintf "%.9g" v
-
-let add_float b v = Buffer.add_string b (float_str v)
-
 let add_fields b fields =
   Buffer.add_char b '{';
   List.iteri
     (fun i (k, add_v) ->
       if i > 0 then Buffer.add_char b ',';
-      add_escaped b k;
+      Json.add_string b k;
       Buffer.add_char b ':';
       add_v b)
     fields;
@@ -37,11 +16,11 @@ let add_fields b fields =
 let add_summary b (s : Histogram.summary) =
   add_fields b
     [ ("count", fun b -> Buffer.add_string b (string_of_int s.Histogram.s_count));
-      ("mean", fun b -> add_float b s.Histogram.s_mean);
-      ("min", fun b -> add_float b s.Histogram.s_min);
-      ("max", fun b -> add_float b s.Histogram.s_max);
-      ("p50", fun b -> add_float b s.Histogram.s_p50);
-      ("p99", fun b -> add_float b s.Histogram.s_p99) ]
+      ("mean", fun b -> Json.add_float b s.Histogram.s_mean);
+      ("min", fun b -> Json.add_float b s.Histogram.s_min);
+      ("max", fun b -> Json.add_float b s.Histogram.s_max);
+      ("p50", fun b -> Json.add_float b s.Histogram.s_p50);
+      ("p99", fun b -> Json.add_float b s.Histogram.s_p99) ]
 
 let add_series b ts =
   Buffer.add_char b '[';
@@ -49,9 +28,9 @@ let add_series b ts =
     (fun i (time, v) ->
       if i > 0 then Buffer.add_char b ',';
       Buffer.add_char b '[';
-      add_float b time;
+      Json.add_float b time;
       Buffer.add_char b ',';
-      add_float b v;
+      Json.add_float b v;
       Buffer.add_char b ']')
     (Timeseries.to_list ts);
   Buffer.add_char b ']'
@@ -86,7 +65,7 @@ let json_snapshot ?scrape ?tracer ?(extra = []) metrics =
         fun b ->
           add_fields b
             (List.map
-               (fun (name, v) -> (name, fun b -> add_float b v))
+               (fun (name, v) -> (name, fun b -> Json.add_float b v))
                (Metrics.gauges metrics)) );
       ( "histograms",
         fun b ->
@@ -132,7 +111,7 @@ let add_delta_floats b values =
   Array.iteri
     (fun i v ->
       if i > 0 then Buffer.add_char b ',';
-      if i = 0 then add_float b v else add_float b (v -. !prev);
+      if i = 0 then Json.add_float b v else Json.add_float b (v -. !prev);
       prev := v)
     values;
   Buffer.add_char b ']'

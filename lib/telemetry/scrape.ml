@@ -62,13 +62,6 @@ let register t ~name fn =
 
 let attach_log t log = t.log <- Some log
 
-(* Minimal local JSON rendering for the JSONL log ({!Export} depends on
-   this module, so it cannot be used from here). Same stable conventions:
-   [%.9g] floats, non-finite becomes [null], keys sorted. *)
-let add_float b v =
-  if Float.is_finite v then Buffer.add_string b (Printf.sprintf "%.9g" v)
-  else Buffer.add_string b "null"
-
 let log_tick t ~now log =
   let b = t.logbuf in
   Buffer.clear b;
@@ -77,12 +70,12 @@ let log_tick t ~now log =
     (fun k i ->
       let s = t.srcs.(i) in
       if k > 0 then Buffer.add_char b ',';
-      Buffer.add_string b (Printf.sprintf "%S" s.s_name);
+      Json.add_string b s.s_name;
       Buffer.add_char b ':';
-      add_float b s.s_data.(t.len - 1 - s.s_start))
+      Json.add_float b s.s_data.(t.len - 1 - s.s_start))
     t.sorted;
   Buffer.add_string b "},\"t\":";
-  add_float b now;
+  Json.add_float b now;
   Buffer.add_char b '}';
   Sample_log.record log (Buffer.contents b)
 

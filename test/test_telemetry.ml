@@ -119,6 +119,16 @@ let test_scrape_duplicate_rejected () =
   | exception Invalid_argument _ -> ()
   | _ -> Alcotest.fail "duplicate source accepted"
 
+let test_scrape_log_escapes_names () =
+  let s = Scrape.create () in
+  Scrape.register s ~name:"a\001b" (fun () -> 1.);
+  let log = Sample_log.create () in
+  Scrape.attach_log s log;
+  Scrape.tick s ~now:0.;
+  Alcotest.(check (list string)) "control byte as a JSON escape"
+    [ {|{"samples":{"a\u0001b":1},"t":0}|} ]
+    (Sample_log.lines log)
+
 (* --- Metrics registry --- *)
 
 let test_metrics_get_or_create () =
@@ -286,6 +296,7 @@ let suite =
     Alcotest.test_case "tracer counts by kind" `Quick test_tracer_counts_by_kind;
     Alcotest.test_case "scrape on a fixed tick" `Quick test_scrape_fixed_tick;
     Alcotest.test_case "scrape duplicate rejected" `Quick test_scrape_duplicate_rejected;
+    Alcotest.test_case "scrape log escapes names" `Quick test_scrape_log_escapes_names;
     Alcotest.test_case "metrics get-or-create" `Quick test_metrics_get_or_create;
     Alcotest.test_case "metrics type mismatch" `Quick test_metrics_type_mismatch;
     Alcotest.test_case "json stable across insertion order" `Quick
