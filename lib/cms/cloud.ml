@@ -18,14 +18,14 @@ type pod = {
 
 (* One hypervisor: the dataplane every local port feeds, and the id its
    next port gets. *)
-type server = {
+type host = {
   dp : Pi_ovs.Dataplane.t;
   mutable next_port : int;
 }
 
 type t = {
   flavour : flavour;
-  hosts : (string, server) Hashtbl.t;
+  hosts : (string, host) Hashtbl.t;
   server_names : string list;
   pods_tbl : (string, pod) Hashtbl.t;
   mutable pods_rev : string list;  (* newest first: O(1) insert *)

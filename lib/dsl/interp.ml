@@ -126,18 +126,18 @@ let passed oc = List.for_all run_passed oc.oc_runs
 (* --- JSON ----------------------------------------------------------- *)
 
 (* Same conventions as Pi_telemetry.Export. *)
-let float_str = Pi_telemetry.Json.float
+module Json = Pi_telemetry.Json
 
 let json oc =
   let b = Buffer.create 1024 in
   let pf fmt = Printf.ksprintf (Buffer.add_string b) fmt in
-  let str s = Pi_telemetry.Json.add_string b s in
+  let str s = Json.add_string b s in
   pf "{\n";
   pf "  \"scenario\": ";
   str oc.oc_scenario;
   pf ",\n";
   pf "  \"seed\": %Ld,\n" oc.oc_seed;
-  pf "  \"duration\": %s,\n" (float_str oc.oc_duration);
+  pf "  \"duration\": %s,\n" (Json.float oc.oc_duration);
   pf "  \"ok\": %b,\n" (passed oc);
   pf "  \"runs\": [";
   List.iteri
@@ -153,9 +153,9 @@ let json oc =
       str (Ast.backend_name rr.rr_backend);
       pf ",\n";
       pf "      \"pre_gbps\": %s,\n"
-        (float_str r.Scenario.pre_attack_mean_gbps);
+        (Json.float r.Scenario.pre_attack_mean_gbps);
       pf "      \"post_gbps\": %s,\n"
-        (float_str r.Scenario.post_attack_mean_gbps);
+        (Json.float r.Scenario.post_attack_mean_gbps);
       pf "      \"peak_masks\": %d,\n" r.Scenario.peak_masks;
       pf "      \"final_masks\": %d,\n" st.Pi_ovs.Dataplane.masks;
       pf "      \"final_megaflows\": %d,\n" st.Pi_ovs.Dataplane.megaflows;
@@ -173,8 +173,8 @@ let json oc =
           pf ", \"cmp\": ";
           str (Ast.cmp_name c.check.Validate.c_cmp);
           pf ", \"value\": %s, \"actual\": %s, \"ok\": %b }"
-            (float_str c.check.Validate.c_value)
-            (float_str c.actual) c.ok)
+            (Json.float c.check.Validate.c_value)
+            (Json.float c.actual) c.ok)
         rr.rr_checks;
       if rr.rr_checks <> [] then pf "\n      ";
       pf "],\n";
@@ -189,7 +189,7 @@ let json oc =
 
 let pp_text ppf oc =
   Format.fprintf ppf "scenario %s (seed %Ld, duration %s s)@." oc.oc_scenario
-    oc.oc_seed (float_str oc.oc_duration);
+    oc.oc_seed (Json.float oc.oc_duration);
   List.iter
     (fun rr ->
       let r = rr.rr_report in
@@ -197,8 +197,8 @@ let pp_text ppf oc =
       Format.fprintf ppf "@.run %s [%s]@." rr.rr_name
         (Ast.backend_name rr.rr_backend);
       Format.fprintf ppf "  victim   pre %s Gbps   post %s Gbps@."
-        (float_str r.Scenario.pre_attack_mean_gbps)
-        (float_str r.Scenario.post_attack_mean_gbps);
+        (Json.float r.Scenario.pre_attack_mean_gbps)
+        (Json.float r.Scenario.post_attack_mean_gbps);
       Format.fprintf ppf
         "  cache    peak %d masks   final %d masks / %d megaflows@."
         r.Scenario.peak_masks st.Pi_ovs.Dataplane.masks
@@ -212,9 +212,9 @@ let pp_text ppf oc =
           Format.fprintf ppf "  assert   %s %s %s  %s (actual %s)@."
             (Validate.metric_name c.check.Validate.c_metric)
             (Ast.cmp_name c.check.Validate.c_cmp)
-            (float_str c.check.Validate.c_value)
+            (Json.float c.check.Validate.c_value)
             (if c.ok then "ok" else "FAILED")
-            (float_str c.actual))
+            (Json.float c.actual))
         rr.rr_checks;
       Format.fprintf ppf "  %s@."
         (if run_passed rr then "PASS" else "FAIL"))

@@ -49,10 +49,6 @@ val passed : outcome -> bool
 
 val run_passed : run_result -> bool
 
-val float_str : float -> string
-(** The report's float convention: [%.9g], non-finite as ["null"]
-    (matching {!Pi_telemetry.Export}). *)
-
 val json : outcome -> string
 (** The stable JSON report (ends with a newline). *)
 

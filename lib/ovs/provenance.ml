@@ -482,7 +482,7 @@ let pp_ports ppf s =
 
 (* Byte-stable JSON fragment, same conventions as {!Pi_telemetry.Export}
    (sorted-by-rank arrays, {!Pi_telemetry.Json} floats, no whitespace). *)
-let float_str = Pi_telemetry.Json.float
+module Json = Pi_telemetry.Json
 
 let summary_json s =
   let b = Buffer.create 1024 in
@@ -494,7 +494,7 @@ let summary_json s =
         "{\"tenant\":%d,\"masks\":%d,\"megaflows\":%d,\"upcalls\":%d,\
          \"upcall_cycles\":%s,\"ports\":[%s],\"rules\":["
         r.t_tenant r.t_masks r.t_megaflows r.t_upcalls
-        (float_str r.t_upcall_cycles)
+        (Json.float r.t_upcall_cycles)
         (String.concat "," (List.map string_of_int r.t_ports));
       List.iteri
         (fun j ru ->
@@ -514,8 +514,8 @@ let summary_json s =
          \"mf_probes\":%d,\"upcalls\":%d,\"slow_probes\":%d,\
          \"masks_induced\":%d,\"cycles\":%s,\"handler_cycles\":%s}"
         p.p_port p.p_packets p.p_emc_hits p.p_mf_hits p.p_mf_probes
-        p.p_upcalls p.p_slow_probes p.p_masks_induced (float_str p.p_cycles)
-        (float_str p.p_handler_cycles))
+        p.p_upcalls p.p_slow_probes p.p_masks_induced (Json.float p.p_cycles)
+        (Json.float p.p_handler_cycles))
     s.ports;
   Buffer.add_string b "]}";
   Buffer.contents b

@@ -172,9 +172,9 @@ let frame t dp s = Format.asprintf "%a" pp_frame (t, dp, s)
 
 (* ---------- byte-stable JSON snapshot ---------- *)
 
-(* Same conventions as Pi_telemetry.Export: sorted keys,
-   Pi_telemetry.Json scalars. *)
-let add_float = Pi_telemetry.Json.add_float
+(* Same conventions as Pi_telemetry.Export: sorted keys, shared scalar
+   writers. *)
+module Json = Pi_telemetry.Json
 
 let add_int b v = Buffer.add_string b (string_of_int v)
 
@@ -192,23 +192,23 @@ let json t dp (s : Scenario.sample) =
   field false "cycles" (fun () ->
       Buffer.add_char b '{';
       field false "tick_avg" (fun () ->
-          add_float b s.Scenario.victim_cycles_per_pkt);
+          Json.add_float b s.Scenario.victim_cycles_per_pkt);
       field false "win_count" (fun () -> add_int b (win_count t));
-      field false "win_p50" (fun () -> add_float b (win_percentile t 50.));
-      field true "win_p99" (fun () -> add_float b (win_percentile t 99.));
+      field false "win_p50" (fun () -> Json.add_float b (win_percentile t 50.));
+      field true "win_p99" (fun () -> Json.add_float b (win_percentile t 99.));
       Buffer.add_char b '}');
-  field false "emc_hit_rate" (fun () -> add_float b s.Scenario.emc_hit_rate);
-  field false "loss" (fun () -> add_float b s.Scenario.loss);
+  field false "emc_hit_rate" (fun () -> Json.add_float b s.Scenario.emc_hit_rate);
+  field false "loss" (fun () -> Json.add_float b s.Scenario.loss);
   field false "masks" (fun () -> add_int b s.Scenario.n_masks);
   field false "megaflows" (fun () -> add_int b s.Scenario.n_megaflows);
-  field false "offered_gbps" (fun () -> add_float b s.Scenario.offered_gbps);
+  field false "offered_gbps" (fun () -> Json.add_float b s.Scenario.offered_gbps);
   field false "shards" (fun () ->
       Buffer.add_char b '[';
       Array.iteri
         (fun i m ->
           if i > 0 then Buffer.add_char b ',';
           Buffer.add_char b '{';
-          field false "gbps" (fun () -> add_float b s.Scenario.shard_gbps.(i));
+          field false "gbps" (fun () -> Json.add_float b s.Scenario.shard_gbps.(i));
           field true "masks" (fun () -> add_int b m);
           Buffer.add_char b '}')
         s.Scenario.shard_masks;
@@ -229,7 +229,7 @@ let json t dp (s : Scenario.sample) =
             field
               (i = List.length names - 1)
               name
-              (fun () -> add_float b c))
+              (fun () -> Json.add_float b c))
           names;
         Buffer.add_char b '}'
       end);
@@ -250,16 +250,16 @@ let json t dp (s : Scenario.sample) =
         field false "tenant" (fun () -> add_int b r.Provenance.t_tenant);
         field true "upcalls" (fun () -> add_int b r.Provenance.t_upcalls);
         Buffer.add_char b '}');
-  field false "time" (fun () -> add_float b s.Scenario.time);
+  field false "time" (fun () -> Json.add_float b s.Scenario.time);
   field false "upcalls" (fun () ->
       Buffer.add_char b '{';
       field false "drops" (fun () -> add_int b st.Dataplane.upcall_drops);
       field false "pending" (fun () -> add_int b st.Dataplane.pending_upcalls);
       field false "rate" (fun () ->
-          add_float b (Pi_telemetry.Window.Ewma.rate t.upcall_rate));
+          Json.add_float b (Pi_telemetry.Window.Ewma.rate t.upcall_rate));
       field true "total" (fun () -> add_int b st.Dataplane.upcalls);
       Buffer.add_char b '}');
-  field true "victim_gbps" (fun () -> add_float b s.Scenario.victim_gbps);
+  field true "victim_gbps" (fun () -> Json.add_float b s.Scenario.victim_gbps);
   Buffer.add_char b '}';
   Buffer.add_char b '\n';
   Buffer.contents b

@@ -440,10 +440,10 @@ let test_fig3_report_matches_golden () =
     (Printf.sprintf "\"upcalls\": %d," st.Pi_ovs.Dataplane.upcalls);
   expect_line "pre gbps"
     (Printf.sprintf "\"pre_gbps\": %s,"
-       (Interp.float_str r.Scenario.pre_attack_mean_gbps));
+       (Pi_telemetry.Json.float r.Scenario.pre_attack_mean_gbps));
   expect_line "post gbps"
     (Printf.sprintf "\"post_gbps\": %s,"
-       (Interp.float_str r.Scenario.post_attack_mean_gbps))
+       (Pi_telemetry.Json.float r.Scenario.post_attack_mean_gbps))
 
 (* --- interpreter surface ------------------------------------------- *)
 
