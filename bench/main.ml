@@ -611,6 +611,32 @@ let admit_megaflow n =
   Pi_ovs.Megaflow.reset_stats mf;
   mf
 
+(* The attack-walk shape for the group summaries: [populated_megaflow n]
+   plus a second entry in the 32-bit-source subtable of three blocks far
+   apart (blocks 40, 130 and 220 of 32 subtables). The new key keeps the
+   source's last bit but clears its first and every port bit, so it
+   agrees with the block's other keys on no bit that every mask of the
+   block constrains: those blocks, and the groups holding them, pin
+   nothing and admit every probe, while every other block and group pins
+   a set first source bit and rejects [probe_flow]. No key matches a
+   probe with a source below 2^31 - 1, so the walk still misses. *)
+let grouped_megaflow n =
+  let open Pi_classifier in
+  let mf = populated_megaflow n in
+  List.iter
+    (fun b ->
+      ignore
+        (Pi_ovs.Megaflow.insert mf
+           ~key:(Flow.make ~ip_src:0x7FFFFFFFl ~tp_src:0 ~tp_dst:0 ())
+           ~mask:(attack_mask n ((32 * b) + 31))
+           ~action:Pi_ovs.Action.Drop ~revision:0 ~now:0. ()))
+    [ 40; 130; 220 ];
+  (match lookup1 mf probe_flow with
+   | None -> ()
+   | Some _ -> failwith "grouped_megaflow: the probe must miss");
+  Pi_ovs.Megaflow.reset_stats mf;
+  mf
+
 let micro_tests () =
   let open Bechamel in
   let mf_miss =
@@ -1127,6 +1153,13 @@ let run_hotpath () =
           Array.init burst (fun i ->
               Flow.with_field probe_flow Field.Ip_dst i) ))
   in
+  (* The attack-walk shape: 8192 masks where a few blocks admit the
+     probes (see [grouped_megaflow]), so a packet is rejected by most
+     group summaries and walks only the admitting blocks. *)
+  let tss_walk_grouped_batch =
+    batch_vs_scalar ~counts:[ 8192 ] "tss-walk-grouped" (fun n ->
+        (grouped_megaflow n, miss_flows))
+  in
   (* The same walk ending in a hit: an exact-mask subtable appended
      AFTER the n attack masks, so both variants pay the full scan and
      then the hit bookkeeping. *)
@@ -1286,6 +1319,7 @@ let run_hotpath () =
       ("tss_walk", indexed tss_walk);
       ("tss_walk_admit_batch", indexed2 tss_walk_admit_batch);
       ("tss_walk_batch", indexed2 tss_walk_batch);
+      ("tss_walk_grouped_batch", indexed2 tss_walk_grouped_batch);
       ("tss_walk_hashed_batch", indexed2 tss_walk_hashed_batch);
       ("upcall", indexed upcall) ];
   let path = "BENCH_hotpath.json" in
@@ -1343,6 +1377,12 @@ let run_hotpath () =
        tss_walk_admit_batch;
      List.iter
        (fun (n, (b, s)) ->
+         demand_zero "tss-walk-grouped-batch" (Some n) b.hr_minor_words_per_pkt;
+         demand_zero "tss-walk-grouped-scalar" (Some n)
+           s.hr_minor_words_per_pkt)
+       tss_walk_grouped_batch;
+     List.iter
+       (fun (n, (b, s)) ->
          demand_zero "mf-hit-batch" (Some n) b.hr_minor_words_per_pkt;
          demand_zero "mf-hit-scalar" (Some n) s.hr_minor_words_per_pkt)
        mf_hit_batch;
@@ -1358,7 +1398,8 @@ let run_hotpath () =
        Printf.printf
          "  zero-alloc assertion (emc-hit, mf-hit-hinted, tss-walk,\n\
          \  pmd-batch, tss-walk-batch, tss-walk-hashed-batch,\n\
-         \  tss-walk-admit-batch, mf-hit-batch, profiler on/off): OK\n");
+         \  tss-walk-admit-batch, tss-walk-grouped-batch, mf-hit-batch,\n\
+         \  profiler on/off): OK\n");
   (match Sys.getenv_opt "PI_BENCH_ASSERT_OBS_OVERHEAD" with
    | None | Some ("" | "0") -> ()
    | Some _ ->

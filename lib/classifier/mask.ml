@@ -187,6 +187,13 @@ module Builder = struct
       t.(i) <- t.(i) lor m.(i)
     done
 
+  (* [add_mask] over [s = support m]: the words outside it are 0. *)
+  let add_mask_on t s (m : int array) =
+    for j = 0 to Array.length s - 1 do
+      let i = Array.unsafe_get s j in
+      Array.unsafe_set t i (Array.unsafe_get t i lor Array.unsafe_get m i)
+    done
+
   let add_prefix t f n =
     let i = Field.index f in
     t.(i) <- t.(i) lor prefix_mask f n

@@ -110,6 +110,12 @@ module Builder : sig
       across lookups without allocating. *)
 
   val add_mask : t -> mask -> unit
+
+  val add_mask_on : t -> int array -> mask -> unit
+  (** [add_mask_on b (support m) m] is [add_mask b m], touching only the
+      support fields: the others are 0 in [m]. Like the other [_on]
+      operations, it is exact only with [m]'s own support. *)
+
   val add_prefix : t -> Field.t -> int -> unit
   val add_exact : t -> Field.t -> unit
   val freeze : t -> mask

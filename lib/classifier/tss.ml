@@ -36,6 +36,7 @@ type 'a subtable = {
   mutable e_rules : 'a Rule.t list array;  (* arena: buckets, best-first *)
   mutable e_n : int;
   plen : int array;                (* per field index: trie prefix length, 0 = no trie *)
+  trie_idx : int array;            (* the field indices with [plen > 0], ascending *)
   mutable max_prio : int;
   mutable n : int;
 }
@@ -97,6 +98,7 @@ let plen_of t mask =
 
 let new_subtable t mask =
   let stage_masks, stage_used = stage_masks_of mask in
+  let plen = plen_of t mask in
   { mask;
     support = Mask.support mask;
     stage_masks;
@@ -107,7 +109,10 @@ let new_subtable t mask =
     e_keys = [||];
     e_rules = [||];
     e_n = 0;
-    plen = plen_of t mask;
+    plen;
+    trie_idx =
+      Array.of_list
+        (List.filter (fun i -> plen.(i) > 0) (List.init Field.count Fun.id));
     max_prio = min_int;
     n = 0 }
 
@@ -285,15 +290,17 @@ let trie_res t flow tr ok i =
 
 (* 1. Trie checks: can any rule of this subtable match at all? Returns
    [true] if the subtable is proven unmatchable; proof prefixes are
-   accumulated into [b] ("un-wildcard just enough leading bits"). *)
-let rec trie_check t st flow b tr ok i skipped =
-  if i >= Field.count then skipped
+   accumulated into [b] ("un-wildcard just enough leading bits"). Visits
+   only the subtable's trie fields ([trie_idx], ascending), which are the
+   fields with a prefix length. *)
+let rec trie_check t st flow b tr ok k skipped =
+  if k >= Array.length st.trie_idx then skipped
   else begin
-    let plen = st.plen.(i) in
+    let i = Array.unsafe_get st.trie_idx k in
     let skipped =
-      if plen > 0 && ((not skipped) || t.cfg.check_all_tries) then begin
+      if (not skipped) || t.cfg.check_all_tries then begin
         let r = trie_res t flow tr ok i in
-        if not (Trie.covers r plen) then begin
+        if not (Trie.covers r st.plen.(i)) then begin
           Mask.Builder.add_prefix b (Field.of_index i) r.Trie.checked;
           true
         end
@@ -301,7 +308,7 @@ let rec trie_check t st flow b tr ok i skipped =
       end
       else skipped
     in
-    trie_check t st flow b tr ok (i + 1) skipped
+    trie_check t st flow b tr ok (k + 1) skipped
   end
 
 (* 2. Staged hash lookup: first stage whose set proves absence, -1 if
@@ -339,11 +346,11 @@ let examine t st flow b tr ok best =
     let si = if t.cfg.staged_lookup then stage_check st flow 0 else -1 in
     if si >= 0 then begin
       (* Genuinely absent at stage [si]: only stages 0..si examined. *)
-      Mask.Builder.add_mask b st.stage_masks.(si);
+      Mask.Builder.add_mask_on b st.stage_support.(si) st.stage_masks.(si);
       best
     end
     else begin
-      Mask.Builder.add_mask b st.mask;
+      Mask.Builder.add_mask_on b st.support st.mask;
       let h = Mask.hash_masked_on st.support st.mask flow in
       entry_probe st flow h (Flat_tbl.find_first st.tbl h) best
     end

@@ -28,6 +28,9 @@ type t = {
   hosts : (string, host) Hashtbl.t;
   server_names : string list;
   pods_tbl : (string, pod) Hashtbl.t;
+  pods_by_ip : (Pi_pkt.Ipv4_addr.t, pod) Hashtbl.t;
+      (* the first-deployed pod of each address: [deploy_pod] does not
+         reject a duplicate IP, and [deliver] routes to the earliest *)
   mutable pods_rev : string list;  (* newest first: O(1) insert *)
 }
 
@@ -65,7 +68,8 @@ let create ?(flavour = Kubernetes) ?backend ?switch_config ?tss_config ~seed
             ~action:(Pi_ovs.Action.Output uplink) () ];
       Hashtbl.replace hosts name { dp; next_port = uplink + 1 })
     server_names;
-  { flavour; hosts; server_names; pods_tbl = Hashtbl.create 64; pods_rev = [] }
+  { flavour; hosts; server_names; pods_tbl = Hashtbl.create 64;
+    pods_by_ip = Hashtbl.create 64; pods_rev = [] }
 
 let flavour t = t.flavour
 
@@ -86,6 +90,7 @@ let deploy_pod t ~tenant ~name ?(labels = []) ~server ~ip () =
   h.next_port <- port + 1;
   let p = { pod_name = name; tenant; ip; server; port; labels } in
   Hashtbl.replace t.pods_tbl name p;
+  if not (Hashtbl.mem t.pods_by_ip ip) then Hashtbl.replace t.pods_by_ip ip p;
   t.pods_rev <- name :: t.pods_rev;
   p
 
@@ -200,11 +205,7 @@ let deliver t ~now ~src_pod flow ~pkt_len =
   match first.hop_action with
   | Pi_ovs.Action.Drop | Pi_ovs.Action.Controller -> [ first ]
   | Pi_ovs.Action.Output _ -> begin
-    let dst_ip = Pi_classifier.Flow.ip_dst flow in
-    let dst_pod =
-      List.find_opt (fun p -> Pi_pkt.Ipv4_addr.equal p.ip dst_ip) (pods t)
-    in
-    match dst_pod with
+    match Hashtbl.find_opt t.pods_by_ip (Pi_classifier.Flow.ip_dst flow) with
     | Some d when not (String.equal d.server src_pod.server) ->
       (* Cross the fabric; in at the destination server's uplink. *)
       [ first; hop d.server uplink ]

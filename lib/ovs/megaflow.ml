@@ -72,7 +72,10 @@ let default_config = { max_entries = 200_000; idle_timeout = 10.0 }
    bits every entry of the block constrains and on which all their
    masked keys agree. A packet that matches any entry of a block passes
    its summary, so a packet failing it skips the whole block; probe
-   counts are derived from positions, so nothing observable changes. *)
+   counts are derived from positions, so nothing observable changes.
+   Consecutive blocks form groups of [group_size] subtables, and
+   [groups.(g)] summarises group [g] the same way, so a packet failing
+   it skips the group's blocks without testing their summaries. *)
 type t = {
   cfg : config;
   by_mask : Flat_tbl.t;             (* mask hash -> position in [arr] *)
@@ -81,6 +84,8 @@ type t = {
   mutable blocks : int array array;
       (* slots [0, ceil (n_tables / block_size)) are live summaries;
          the rest hold [unmerged], ready for the next block *)
+  mutable groups : int array array;
+      (* the same for groups: slots [0, ceil (n_tables / group_size)) *)
   mutable generation : int;
   mutable n : int;
   mutable hits : int;
@@ -103,6 +108,11 @@ type t = {
       (* walk scratch: the selection — slots [0, w_k) hold the miss-set
          slot and the field words of each still-unresolved packet that
          passed the current block's summary. Grow like [w_fields]. *)
+  mutable w_gsel : int array;
+  mutable w_gk : int;
+      (* walk scratch: the group selection — slots [0, w_gk) hold the
+         miss-set slot of each packet that was unresolved when the
+         current group began and passed its summary. *)
   mutable ins_pos : int;
   mutable ins_evicted : bool;
       (* the last insert: its subtable's position, and whether it had to
@@ -126,6 +136,7 @@ let create ?(config = default_config) ?metrics () =
     arr = [||];
     n_tables = 0;
     blocks = [||];
+    groups = [||];
     generation = 0;
     n = 0;
     hits = 0;
@@ -137,6 +148,8 @@ let create ?(config = default_config) ?metrics () =
     w_sel = [||];
     w_sel_ff = [||];
     w_k = 0;
+    w_gsel = [||];
+    w_gk = 0;
     ins_pos = -1;
     ins_evicted = false;
     c_hit = c "mf_hit";
@@ -224,7 +237,7 @@ let mask_of_desc d =
 
 let mask_of st = mask_of_desc st.s_desc
 
-(* --- Block summaries -------------------------------------------------
+(* --- Block and group summaries --------------------------------------
 
    A summary is a descriptor in the [s_desc] triple format whose mask
    words are the bits every entry of the block constrains and on which
@@ -232,19 +245,24 @@ let mask_of st = mask_of_desc st.s_desc
    values. Soundness: a packet matching an entry agrees with that
    entry's masked key on every summary bit, hence with the summary — so
    a packet failing the summary matches no entry of the block, and the
-   block can be skipped without changing which entry wins.
+   block can be skipped without changing which entry wins. A group
+   summary is the same over a group of consecutive blocks.
 
    Summaries only narrow as entries are merged in; a removed entry's
    bits are left in place, since a summary over a superset of the live
    entries is still sound. [set_tables] — the only place positions
    change — rebuilds them from the live entries. *)
 
-let block_bits = 6
-let block_size = 1 lsl block_bits  (* fixed: not a tunable *)
+(* Fixed, not tunables: blocks of 32 subtables, groups of 8 blocks. *)
+let block_bits = 5
+let block_size = 1 lsl block_bits
+let group_bits = 3
+let group_shift = block_bits + group_bits
+let group_size = 1 lsl group_shift
 
-(* The summary of a block no entry has been merged into. [0 land _ = 1]
-   fails every packet, so the block is skipped; recognised by physical
-   identity when the first entry is merged. *)
+(* The summary of a block or group no entry has been merged into.
+   [0 land _ = 1] fails every packet, so it is skipped; recognised by
+   physical identity when the first entry is merged. *)
 let unmerged = [| 0; 0; 1 |]
 
 (* The mask word of descriptor [d] on field [f] (0 outside its support). *)
@@ -293,10 +311,13 @@ let merge_summary s d kf =
   end
 
 let merge_entry t st e =
-  let b = st.s_pos lsr block_bits in
-  t.blocks.(b) <- merge_summary t.blocks.(b) st.s_desc (Flow.unsafe_fields e.key)
+  let kf = Flow.unsafe_fields e.key in
+  let b = st.s_pos lsr block_bits and g = st.s_pos lsr group_shift in
+  t.blocks.(b) <- merge_summary t.blocks.(b) st.s_desc kf;
+  t.groups.(g) <- merge_summary t.groups.(g) st.s_desc kf
 
 let n_blocks t = (t.n_tables + block_size - 1) lsr block_bits
+let n_groups t = (t.n_tables + group_size - 1) lsr group_shift
 
 (* The filler of the subtable array's unused slots; never probed. *)
 let vacant =
@@ -346,6 +367,11 @@ let position t mask =
   let h = mask_hash w 0 0 in
   find_pos t w h (Flat_tbl.find_first t.by_mask h)
 
+let grow_summaries a =
+  let na = Array.make (max 4 (2 * Array.length a)) unmerged in
+  Array.blit a 0 na 0 (Array.length a);
+  na
+
 let push_subtable t st =
   let cap = Array.length t.arr in
   if t.n_tables = cap then begin
@@ -357,25 +383,24 @@ let push_subtable t st =
   t.arr.(i) <- st;
   st.s_pos <- i;
   t.n_tables <- i + 1;
-  let bcap = Array.length t.blocks in
-  if i lsr block_bits = bcap then begin
-    (* the first subtable of a block with no slot yet *)
-    let blocks = Array.make (max 4 (2 * bcap)) unmerged in
-    Array.blit t.blocks 0 blocks 0 bcap;
-    t.blocks <- blocks
-  end
+  (* the first subtable of a block or group with no slot yet *)
+  if i lsr block_bits = Array.length t.blocks then
+    t.blocks <- grow_summaries t.blocks;
+  if i lsr group_shift = Array.length t.groups then
+    t.groups <- grow_summaries t.groups
 
 (* Replace the live prefix with [l], some of the live subtables in a
    new order; any outstanding index is now stale, so the generation
-   advances. Positions move, so the mask index and every block summary
-   are rebuilt from the live subtables. [l] is no longer than the live
-   prefix, so both arrays are refilled in place and keep their
-   capacity. *)
+   advances. Positions move, so the mask index and every block and
+   group summary are rebuilt from the live subtables. [l] is no longer
+   than the live prefix, so the arrays are refilled in place and keep
+   their capacity. *)
 let set_tables t l =
   let n = List.length l in
   Array.fill t.arr n (t.n_tables - n) vacant;
   t.n_tables <- n;
   Array.fill t.blocks 0 (Array.length t.blocks) unmerged;
+  Array.fill t.groups 0 (Array.length t.groups) unmerged;
   Flat_tbl.clear t.by_mask;
   List.iteri
     (fun i st ->
@@ -465,11 +490,13 @@ let lookup_stats () = { s_probes = 0 }
    the position reached goes to [t.scan_pos] rather than into a result
    tuple.
 
-   Each block is entered only if the packet passes its summary; a block
-   it fails is jumped over whole. The probe count is not carried through
-   the loop: the scan's only loop variable is the subtable index, and a
-   hit at index [i] paid [i + 1] probes, a miss all of them. *)
+   Each group is entered only if the packet passes its summary, and
+   within it each block likewise; a group or block it fails is jumped
+   over whole. The probe count is not carried through the loop: the
+   scan's only loop variable is the subtable index, and a hit at index
+   [i] paid [i + 1] probes, a miss all of them. *)
 let[@inline] block_end t i = min t.n_tables (i + block_size)
+let[@inline] group_end t i = min t.n_tables (i + group_size)
 
 let rec scan t ff i =
   if i >= t.n_tables then begin
@@ -477,20 +504,29 @@ let rec scan t ff i =
     None
   end
   else begin
-    let hi = block_end t i in
-    if desc_match (Array.unsafe_get t.blocks (i lsr block_bits)) ff 0 then
-      scan_block t ff i hi
-    else scan t ff hi
+    let ghi = group_end t i in
+    if desc_match (Array.unsafe_get t.groups (i lsr group_shift)) ff 0 then
+      scan_group t ff i ghi
+    else scan t ff ghi
   end
 
-and scan_block t ff i hi =
-  if i >= hi then scan t ff i
+and scan_group t ff i ghi =
+  if i >= ghi then scan t ff i
+  else begin
+    let hi = block_end t i in
+    if desc_match (Array.unsafe_get t.blocks (i lsr block_bits)) ff 0 then
+      scan_block t ff i hi ghi
+    else scan_group t ff hi ghi
+  end
+
+and scan_block t ff i hi ghi =
+  if i >= hi then scan_group t ff i ghi
   else begin
     match find_fields t.arr.(i) ff with
     | Some _ as r ->
       t.scan_pos <- i + 1;
       r
-    | None -> scan_block t ff (i + 1) hi
+    | None -> scan_block t ff (i + 1) hi ghi
   end
 
 (* --- Subtable-major batch walk ------------------------------------- *)
@@ -570,12 +606,26 @@ let rec walk_block t out_entry out_probes out_tbl ti hi =
     walk_block t out_entry out_probes out_tbl (ti + 1) hi
   end
 
-(* Gather the unresolved packets of slots [lo, n) passing summary [s]
-   into the selection. *)
-let select t s fields lo n out_tbl =
-  let sel = t.w_sel and sel_ff = t.w_sel_ff in
+(* Gather the unresolved packets of slots [lo, n) passing group
+   summary [s] into the group selection. *)
+let select_group t s fields lo n out_tbl =
+  let gsel = t.w_gsel in
   let k = ref 0 in
   for j = lo to n - 1 do
+    if out_tbl.(j) < 0 && desc_match s fields.(j) 0 then begin
+      gsel.(!k) <- j;
+      incr k
+    end
+  done;
+  t.w_gk <- !k
+
+(* Gather the packets of the group selection that are still unresolved
+   and pass block summary [s] into the selection. *)
+let select_block t s fields out_tbl =
+  let gsel = t.w_gsel and sel = t.w_sel and sel_ff = t.w_sel_ff in
+  let k = ref 0 in
+  for jj = 0 to t.w_gk - 1 do
+    let j = gsel.(jj) in
     if out_tbl.(j) < 0 then begin
       let ff = fields.(j) in
       if desc_match s ff 0 then begin
@@ -587,14 +637,28 @@ let select t s fields lo n out_tbl =
   done;
   t.w_k <- !k
 
-(* Per block: select the packets its summary admits; if there are none,
-   move on without loading any of the block's subtables. *)
-let rec walk_tables t fields lo n out_entry out_probes out_tbl b =
-  if t.w_remaining > 0 && b < n_blocks t then begin
-    select t t.blocks.(b) fields lo n out_tbl;
+(* Per block of the current group: select the packets its summary
+   admits and walk its subtables over them. *)
+let rec walk_group t fields out_entry out_probes out_tbl b bhi =
+  if t.w_remaining > 0 && b < bhi then begin
+    select_block t t.blocks.(b) fields out_tbl;
     let first = b lsl block_bits in
     walk_block t out_entry out_probes out_tbl first (block_end t first);
-    walk_tables t fields lo n out_entry out_probes out_tbl (b + 1)
+    walk_group t fields out_entry out_probes out_tbl (b + 1) bhi
+  end
+
+(* Per group: select the packets its summary admits; if there are none,
+   move on without testing any of its block summaries or loading any of
+   its subtables. *)
+let rec walk_tables t fields lo n out_entry out_probes out_tbl g =
+  if t.w_remaining > 0 && g < n_groups t then begin
+    select_group t t.groups.(g) fields lo n out_tbl;
+    if t.w_gk > 0 then begin
+      let b = g lsl group_bits in
+      walk_group t fields out_entry out_probes out_tbl b
+        (min (n_blocks t) (b + (1 lsl group_bits)))
+    end;
+    walk_tables t fields lo n out_entry out_probes out_tbl (g + 1)
   end
 
 (* Pure walk of slots [lo, n): touches no statistics and mutates
@@ -610,7 +674,8 @@ let rec walk_tables t fields lo n out_entry out_probes out_tbl b =
    walk is subtable-major: for each mask, probe every unresolved packet,
    then move to the next mask — the dpcls amortisation (each subtable's
    descriptor and table are loaded once per batch, not once per packet),
-   with blocks whose summary no unresolved packet passes skipped whole. *)
+   with groups and blocks whose summary no unresolved packet passes
+   skipped whole. *)
 let walk_range t flows idx lo n out_entry out_probes out_tbl =
   if n - lo = 1 then begin
     let r = scan t (Flow.unsafe_fields flows.(idx.(lo))) 0 in
@@ -622,7 +687,8 @@ let walk_range t flows idx lo n out_entry out_probes out_tbl =
     if Array.length t.w_fields < n then begin
       t.w_fields <- Array.make n [||];
       t.w_sel <- Array.make n 0;
-      t.w_sel_ff <- Array.make n [||]
+      t.w_sel_ff <- Array.make n [||];
+      t.w_gsel <- Array.make n 0
     end;
     let fields = t.w_fields in
     for j = lo to n - 1 do
@@ -919,6 +985,20 @@ let flush t =
 
    The structural facts the probe paths rely on, checked explicitly so a
    model test can assert them after every operation. *)
+
+(* Every bit [summary] pins is pinned by the entry with descriptor [d]
+   and key fields [kf] too, to the same value — so every packet the
+   entry matches passes the summary. *)
+let pins_within summary d kf =
+  let ok = ref true in
+  for k = 0 to (Array.length summary / 3) - 1 do
+    let f = summary.(3 * k) and m = summary.((3 * k) + 1) in
+    if m land lnot (desc_mask_on d f 0) <> 0
+       || m land kf.(f) <> summary.((3 * k) + 2)
+    then ok := false
+  done;
+  !ok
+
 let check t =
   let exception Broken of string in
   let fail fmt = Printf.ksprintf (fun msg -> raise (Broken msg)) fmt in
@@ -932,7 +1012,6 @@ let check t =
         fail "subtable %d: by_mask finds its mask at %d" i
           (position t (mask_of st));
       count := !count + st.s_count;
-      let summary = t.blocks.(i lsr block_bits) in
       iter_entries
         (fun e ->
           let kf = Flow.unsafe_fields e.key in
@@ -942,17 +1021,12 @@ let check t =
               if st.s_desc.((3 * k) + 2) <> m land kf.(f) then
                 fail "subtable %d: singleton key word %d is stale" i k
             done;
-          (* every bit the summary pins must be pinned by the entry too,
-             to the same value — so every packet the entry matches
-             passes the summary *)
-          for k = 0 to (Array.length summary / 3) - 1 do
-            let f = summary.(3 * k) and m = summary.((3 * k) + 1) in
-            if m land lnot (desc_mask_on st.s_desc f 0) <> 0
-               || m land kf.(f) <> summary.((3 * k) + 2)
-            then
-              fail "subtable %d: an entry fails block %d's summary" i
-                (i lsr block_bits)
-          done)
+          if not (pins_within t.blocks.(i lsr block_bits) st.s_desc kf) then
+            fail "subtable %d: an entry fails block %d's summary" i
+              (i lsr block_bits);
+          if not (pins_within t.groups.(i lsr group_shift) st.s_desc kf) then
+            fail "subtable %d: an entry fails group %d's summary" i
+              (i lsr group_shift))
         st
     done;
     if Flat_tbl.length t.by_mask <> t.n_tables then

@@ -11,12 +11,14 @@
     and everything {!Cost_model} charges from them are those of a scan
     that probes every mask up to the hit. The implementation does not
     pay it in wall-clock time. The scan order is cut into fixed blocks
-    of 64 consecutive subtables, each summarised by the bits all of its
-    entries constrain and agree on; a packet that fails a block's
-    summary cannot match any entry in it, so the block is skipped and
-    its subtables are charged as probed without being touched. Masks
-    minted by one policy share most of their constrained bits, so under
-    attack most blocks are rejected by one compare.
+    of 32 consecutive subtables, and the blocks into fixed groups of 8
+    (256 subtables). Each block and each group is summarised by the bits
+    all of its entries constrain and agree on; a packet that fails a
+    summary cannot match any entry under it, so the group or block is
+    skipped and its subtables are charged as probed without being
+    touched. Masks minted by one policy share most of their constrained
+    bits, so under attack most groups are rejected by one compare each
+    and their block summaries are never tested.
 
     A subtable holding a single entry (the attack's steady state: one
     covert flow per injected mask) has no hash table; it is probed by a
@@ -88,9 +90,11 @@ val walk_batch :
   out_tbl:int array -> unit
 (** Pure walk over the [n] packets [flows.(idx.(0)) ..
     flows.(idx.(n-1))]. With [n = 1] it is the sequential scan. With
-    more it goes one block of subtables at a time: only the
-    still-unresolved packets that pass a block's summary probe its
-    subtables, and a block no such packet passes is not touched at all.
+    more it goes one group of blocks at a time: only the still-unresolved
+    packets that pass a group's summary are tested against its block
+    summaries, only those that also pass a block's summary probe its
+    subtables, and a group or block no such packet passes is not touched
+    at all.
     Skipped subtables still count as probed, so the results are those
     of a subtable-by-subtable walk. For each packet slot [j]:
     [out_entry.(j)] is the matching entry (the stored arena option —
@@ -225,5 +229,6 @@ val check : t -> (unit, string) result
     index and it holds at least one entry; the mask index and the scan
     order list the same subtables; a one-entry subtable's descriptor
     holds that entry's masked key; every live entry passes its block's
-    summary, on bits the entry itself constrains; and the entry count
+    and its group's summary, on bits the entry itself constrains; and
+    the entry count
     is the sum of the subtables' counts. O(entries); for tests. *)

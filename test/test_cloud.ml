@@ -201,14 +201,41 @@ let test_deliver_same_server () =
       (Pi_ovs.Action.Output api.Cloud.port) h.Cloud.hop_action
   | _ -> Alcotest.fail "unexpected"
 
+(* Addresses no pod owns, one of them next to the remote pod's: the
+   packet leaves through the uplink and no second hop is made. *)
 let test_deliver_unknown_dst_takes_uplink () =
   let cloud, web, _ = mk_two_servers () in
-  let hops = Cloud.deliver cloud ~now:0. ~src_pod:web (flow_to "8.8.8.8") ~pkt_len:200 in
-  match hops with
-  | [ h ] ->
-    Alcotest.(check action_t) "leaves via the uplink" (Pi_ovs.Action.Output 1)
-      h.Cloud.hop_action
-  | _ -> Alcotest.fail "expected a single hop"
+  List.iter
+    (fun dst ->
+      match Cloud.deliver cloud ~now:0. ~src_pod:web (flow_to dst) ~pkt_len:200 with
+      | [ h ] ->
+        Alcotest.(check action_t) (dst ^ " leaves via the uplink")
+          (Pi_ovs.Action.Output 1) h.Cloud.hop_action
+      | hops ->
+        Alcotest.failf "%s: expected a single hop, got %d" dst (List.length hops))
+    [ "8.8.8.8"; "10.2.0.3" ]
+
+(* [deploy_pod] accepts a second pod at an address already in use;
+   delivery goes to the first one deployed. Here that is [db] on
+   server-2, so the packet crosses the fabric even though the later pod
+   at the same address sits on the source's own server. *)
+let test_deliver_duplicate_ip_first_wins () =
+  let cloud, web, db = mk_two_servers () in
+  (match Cloud.apply_acl cloud ~pod:db ~tenant:"acme" Acl.allow_all with
+   | Ok () -> ()
+   | Error e -> Alcotest.fail e);
+  ignore
+    (Cloud.deploy_pod cloud ~tenant:"acme" ~name:"db-twin" ~server:"server-1"
+       ~ip:db.Cloud.ip ());
+  match Cloud.deliver cloud ~now:0. ~src_pod:web (flow_to "10.2.0.2") ~pkt_len:200 with
+  | [ h1; h2 ] ->
+    Alcotest.(check action_t) "takes the uplink" (Pi_ovs.Action.Output 1)
+      h1.Cloud.hop_action;
+    Alcotest.(check string) "to the first pod's server" "server-2"
+      h2.Cloud.hop_server;
+    Alcotest.(check action_t) "delivered to the first pod"
+      (Pi_ovs.Action.Output db.Cloud.port) h2.Cloud.hop_action
+  | hops -> Alcotest.failf "expected two hops, got %d" (List.length hops)
 
 let suite =
   [ Alcotest.test_case "topology" `Quick test_topology;
@@ -224,4 +251,6 @@ let suite =
     Alcotest.test_case "deliver across the fabric" `Quick test_deliver_cross_server;
     Alcotest.test_case "deliver on the same host" `Quick test_deliver_same_server;
     Alcotest.test_case "unknown destination takes uplink" `Quick
-      test_deliver_unknown_dst_takes_uplink ]
+      test_deliver_unknown_dst_takes_uplink;
+    Alcotest.test_case "deliver duplicate ip: first pod wins" `Quick
+      test_deliver_duplicate_ip_first_wins ]

@@ -4,9 +4,10 @@
    invariants after every command. The commands push subtables through
    0 -> 1 -> 2 -> 1 -> 0 entries, so a singleton (table-less) subtable is
    created, promoted to a hashed one, demoted again and dropped, with
-   lookups in between. Bulk mints grow the scan past several blocks of
-   64 subtables, so revalidation, LRU eviction and [resort_by_hits] move
-   subtables across block boundaries.
+   lookups in between. Bulk mints grow the scan past many blocks of 32
+   subtables and, in part of the cases, past two groups of 256, so
+   revalidation, LRU eviction and [resort_by_hits] move subtables across
+   block and group boundaries.
 
    The reference is the cache's specification:
    - masks are scanned in creation order; a mask disappears with its
@@ -80,16 +81,17 @@ let mask_pool =
            [ false; true ])
        [ 0; 8; 16; 24; 32 ])
 
-(* 561 masks for bulk mints: an exact ip_dst, as on every covert
-   megaflow, with an ip_src prefix of 0..32 and a tp_dst prefix of
-   0..16 bits. A mint pins one ip_dst for all its keys, so the blocks it
-   fills summarise to that ip_dst and a probe for another one skips
-   them. *)
+(* 1122 masks for bulk mints: an exact ip_dst, as on every covert
+   megaflow, with an ip_src prefix of 0..32, a tp_dst prefix of 0..16
+   bits and tp_src wildcarded or exact. A mint pins one ip_dst for all
+   its keys, so the blocks and groups it fills summarise to that ip_dst
+   and a probe for another one skips them. *)
 let mint_pool =
-  Array.init (33 * 17) (fun j ->
+  Array.init (33 * 17 * 2) (fun j ->
       let m = Mask.with_exact Mask.empty Field.Ip_dst in
       let m = Mask.with_prefix m Field.Ip_src (j mod 33) in
-      Mask.with_prefix m Field.Tp_dst (j / 33))
+      let m = Mask.with_prefix m Field.Tp_dst (j / 33 mod 17) in
+      if j >= 33 * 17 then Mask.with_exact m Field.Tp_src else m)
 
 let mk_flow (s, d, p, a) =
   Flow.make ~ip_src:(Int32.of_int ip_srcs.(s)) ~tp_dst:tp_dsts.(d)
@@ -129,8 +131,8 @@ let gen_flow_ix =
             (int_bound (Array.length tp_srcs - 1))
             (int_bound (Array.length ip_dsts - 1)))))
 
-(* Flush is rare and mints are common enough that a long sequence
-   reaches three blocks or more. *)
+(* Flush is rare and mints are large and common enough that a long
+   sequence under a high flow limit reaches three groups. *)
 let gen_cmd =
   let open QCheck2.Gen in
   frequency
@@ -142,7 +144,7 @@ let gen_cmd =
       ( 12,
         map3
           (fun k a r -> Mint (k, a, r))
-          (int_range 32 128)
+          (int_range 32 256)
           (int_bound (Array.length ip_dsts - 1))
           (int_bound 2) );
       (9, map (fun i -> Reinsert i) (int_bound 63));
@@ -437,7 +439,7 @@ let step mf m ~max_entries cmd =
 let gen_case =
   QCheck2.Gen.(
     pair
-      (oneofl [ 3; 6; 64; 200; 1_000; 1_000 ])
+      (oneofl [ 3; 6; 64; 200; 1_000; 2_000 ])
       (list_size (int_range 1 40) gen_cmd))
 
 let print_case (max_entries, cmds) =
@@ -497,28 +499,30 @@ let test_transitions () =
   Alcotest.(check int) "no subtable" 0 (Megaflow.n_masks mf);
   Alcotest.(check (option int)) "empty miss" None (hit b)
 
-(* Compaction that moves a subtable across a block boundary must rebuild
-   the block summaries. 128 singleton subtables fill blocks 0 and 1;
-   every mask pins ip_dst exactly, and block 0's keys share one ip_dst
-   while block 1's share another, so each block's summary pins its
-   ip_dst. The keys are complement prefixes — each differs from 0 in
-   the last bit of its ip_src and tp_dst prefixes — so no key matches
-   any other subtable's entry. Dropping one block-0 entry shifts the
-   first block-1 subtable into block 0; with stale summaries block 0
-   would still pin the old ip_dst and that key would miss. *)
-let test_compaction_across_blocks () =
+(* Compaction that moves a subtable across a summary boundary must
+   rebuild the summaries. [2 * half] singleton subtables: every mask pins
+   ip_dst exactly, and the first [half] keys share one ip_dst while the
+   rest share another, so every block and group summary of the first
+   half pins its ip_dst. The keys are complement prefixes — each differs
+   from 0 in the last bit of its ip_src and tp_dst prefixes — so no key
+   matches any other subtable's entry. Dropping one early entry shifts
+   the first subtable of the second half into the first; with stale
+   summaries the first half would still pin the old ip_dst and that key
+   would miss. Every lookup is checked one packet at a time (the
+   sequential scan) and as one walk over all the keys. *)
+let check_compaction ~half =
   let mf =
     Megaflow.create
       ~config:{ Megaflow.max_entries = 1000; idle_timeout = 1e9 } ()
   in
-  let n = 128 and dropped = 5 in
+  let n = 2 * half and dropped = 5 in
   let mask i =
     let m = Mask.with_exact Mask.empty Field.Ip_dst in
     let m = Mask.with_prefix m Field.Ip_src ((i mod 32) + 1) in
     Mask.with_prefix m Field.Tp_dst ((i / 32) + 1)
   in
   let key i =
-    let f = Flow.with_field Flow.zero Field.Ip_dst (if i < 64 then 0x0A0A0001 else 0x0A0A0002) in
+    let f = Flow.with_field Flow.zero Field.Ip_dst (if i < half then 0x0A0A0001 else 0x0A0A0002) in
     let f = Flow.with_field f Field.Ip_src (1 lsl (32 - ((i mod 32) + 1))) in
     Flow.with_field f Field.Tp_dst (1 lsl (16 - ((i / 32) + 1)))
   in
@@ -556,6 +560,14 @@ let test_compaction_across_blocks () =
     survivors;
   Alcotest.(check (result unit string)) "invariants" (Ok ())
     (Megaflow.check mf)
+
+(* 128 subtables: the first half is two blocks of 32. *)
+let test_compaction_across_blocks () = check_compaction ~half:64
+
+(* 512 subtables, every ip_src/tp_dst prefix-length pair: the first half
+   is one group of 256, and the dropped entry moves subtable 256 into
+   it. *)
+let test_compaction_across_groups () = check_compaction ~half:256
 
 (* A hashed subtable hashes its keys exactly as [Mask.hash_masked_on]
    does, so its table layout — and the occupancy and probe lengths
@@ -604,5 +616,7 @@ let suite =
   [ Alcotest.test_case "singleton transitions" `Quick test_transitions;
     Alcotest.test_case "block summaries follow compaction" `Quick
       test_compaction_across_blocks;
+    Alcotest.test_case "group summaries follow compaction" `Quick
+      test_compaction_across_groups;
     QCheck_alcotest.to_alcotest prop_model;
     QCheck_alcotest.to_alcotest prop_hash_layout ]
