@@ -77,6 +77,8 @@ let rec masked_eq_from t af bf i =
 let matches t ~key flow =
   masked_eq_from t (Flow.unsafe_fields key) (Flow.unsafe_fields flow) 0
 
+let copy = Array.copy
+
 let rec equal_from (a : int array) (b : int array) i =
   i = Field.count || (a.(i) = b.(i) && equal_from a b (i + 1))
 
@@ -203,4 +205,5 @@ module Builder = struct
     t.(i) <- full.(i)
 
   let freeze t = Array.copy t
+  let borrow t = t
 end

@@ -54,6 +54,11 @@ val apply : t -> Flow.t -> Flow.t
 val matches : t -> key:Flow.t -> Flow.t -> bool
 (** [matches m ~key flow] iff [flow & m = key & m]. *)
 
+val copy : t -> t
+(** A mask with the same bits and storage of its own. Masks are
+    immutable, so only a {!Builder.borrow}ed view ever needs one: copy
+    it before keeping it past the builder's next use. *)
+
 val equal : t -> t -> bool
 val compare : t -> t -> int
 val hash : t -> int
@@ -120,4 +125,9 @@ module Builder : sig
   val add_exact : t -> Field.t -> unit
   val freeze : t -> mask
   (** The accumulated mask. The builder remains usable. *)
+
+  val borrow : t -> mask
+  (** The accumulator itself, viewed as a mask, with no copy: valid only
+      until the builder is next reset or added to. Read it, or {!copy}
+      it to keep it. *)
 end

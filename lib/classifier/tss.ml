@@ -362,8 +362,10 @@ let examine t st flow b tr ok best =
    row and one result slot per packet position. Created once, reused for
    every batch — the walk itself allocates only [Some rule] when a probe
    improves a packet's best match. A slot's megaflow mask is frozen when
-   the caller reads it, so a caller that does not need it (the cacheless
-   engine) pays for no copy. *)
+   the caller reads it with [batch_megaflow], so a caller that does not
+   need it (the cacheless engine) pays for no copy, and one that only
+   reads it before the next walk ([batch_megaflow_borrowed]) pays for
+   none either. *)
 type 'a batch = {
   bs_cap : int;
   bs_builders : Mask.Builder.t array;
@@ -389,6 +391,7 @@ let batch ~capacity =
 let batch_capacity bs = bs.bs_cap
 let batch_rule bs j = bs.bs_rule.(j)
 let batch_megaflow bs j = Mask.Builder.freeze bs.bs_builders.(j)
+let batch_megaflow_borrowed bs j = Mask.Builder.borrow bs.bs_builders.(j)
 let batch_probes bs j = bs.bs_probes.(j)
 
 (* One subtable over every still-active packet; returns the updated

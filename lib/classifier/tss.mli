@@ -82,6 +82,11 @@ val batch_megaflow : 'a batch -> int -> Mask.t
     looked-up flow on these bits is guaranteed the same verdict. Each
     call returns a fresh mask, copied from the slot's accumulator. *)
 
+val batch_megaflow_borrowed : 'a batch -> int -> Mask.t
+(** {!batch_megaflow} without the copy: slot [j]'s accumulator itself
+    (see {!Mask.Builder.borrow}), valid until the next {!find_wc_batch}
+    on this scratch. *)
+
 val batch_probes : 'a batch -> int -> int
 (** Subtables slot [j] examined (trie skips included) — the lookup
     cost. *)

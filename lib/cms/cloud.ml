@@ -29,8 +29,6 @@ type t = {
   server_names : string list;
   pods_tbl : (string, pod) Hashtbl.t;
   pods_by_ip : (Pi_pkt.Ipv4_addr.t, pod) Hashtbl.t;
-      (* the first-deployed pod of each address: [deploy_pod] does not
-         reject a duplicate IP, and [deliver] routes to the earliest *)
   mutable pods_rev : string list;  (* newest first: O(1) insert *)
 }
 
@@ -85,12 +83,18 @@ let dataplane_exn t name = (host_exn t name).dp
 let deploy_pod t ~tenant ~name ?(labels = []) ~server ~ip () =
   if Hashtbl.mem t.pods_tbl name then
     invalid_arg (Printf.sprintf "Cloud.deploy_pod: pod %s exists" name);
+  (match Hashtbl.find_opt t.pods_by_ip ip with
+   | Some p ->
+     invalid_arg
+       (Format.asprintf "Cloud.deploy_pod: pod %s cannot take %a from pod %s"
+          name Pi_pkt.Ipv4_addr.pp ip p.pod_name)
+   | None -> ());
   let h = host_exn t server in
   let port = h.next_port in
   h.next_port <- port + 1;
   let p = { pod_name = name; tenant; ip; server; port; labels } in
   Hashtbl.replace t.pods_tbl name p;
-  if not (Hashtbl.mem t.pods_by_ip ip) then Hashtbl.replace t.pods_by_ip ip p;
+  Hashtbl.replace t.pods_by_ip ip p;
   t.pods_rev <- name :: t.pods_rev;
   p
 

@@ -58,6 +58,10 @@ val dataplane_exn : t -> string -> Pi_ovs.Dataplane.t
 val deploy_pod :
   t -> tenant:string -> name:string -> ?labels:string list ->
   server:string -> ip:Pi_pkt.Ipv4_addr.t -> unit -> pod
+(** Deploy a pod on the next port of [server].
+    @raise Invalid_argument if a pod of that name exists, or a pod
+    already holds [ip] (the message names both pods): an address
+    reaches one pod. *)
 
 val pod : t -> string -> pod option
 

@@ -57,6 +57,14 @@ type t = {
       (* {!process}'s batch of one. Its walk scratch doubles as the
          one-slot walk of a stale phase-P EMC hit, which a batch of one
          never has, so the two uses cannot collide. *)
+  ck_pos : int array;
+  mutable ck_n : int;
+  mutable ck_next : int;
+      (* The synchronous upcall chunk: slots [0, ck_n) of the slow path's
+         scratch were classified for the packets at positions [ck_pos]
+         (increasing) of the batch being processed; slots below [ck_next]
+         are spent. Valid only within one {!process_batch}, which empties
+         it first. *)
   (* Batched handler scratch for {!service_upcalls}: one chunk of popped
      items, an identity index row, and the verdicts. *)
   su_flows : Pi_classifier.Flow.t array;
@@ -132,6 +140,9 @@ let create ?(config = default_config) ?tss_config ?telemetry ?provenance rng
     cy = Array.make 2 0.;
     mf_stats = Megaflow.lookup_stats ();
     one;
+    ck_pos = Array.make Slowpath.chunk 0;
+    ck_n = 0;
+    ck_next = 0;
     su_flows = Array.make service_chunk Pi_classifier.Flow.zero;
     su_lens = Array.make service_chunk 0;
     su_idx = Array.init service_chunk (fun i -> i);
@@ -163,36 +174,43 @@ let emc t = t.emc
 let install_rules t rules = Slowpath.install t.slow rules
 let remove_rules t pred = Slowpath.remove t.slow pred
 
-(* [@inline] so the disabled-telemetry branch never boxes the float
-   argument — the batch completion path charges cycles per packet. *)
-let[@inline] observe h v =
-  match h with Some h -> Pi_telemetry.Histogram.observe h v | None -> ()
-
 let trace t ~now kind =
   match t.tracer with
   | Some tr -> Pi_telemetry.Tracer.record tr ~at:now kind
   | None -> ()
 
-(* Slow-path verdict → cached state: apply the mitigation hooks
+(* The handler cycles of an upcall that examined [slow_probes]
+   subtables. Recomputed where used rather than let-bound: a float bound
+   once and passed as an argument is boxed at its binding. *)
+let[@inline] upcall_cycles t slow_probes =
+  t.cfg.cost.Cost_model.upcall
+  +. (float_of_int slow_probes *. t.cfg.cost.Cost_model.slow_probe)
+
+(* Slow-path result → cached state: apply the mitigation hooks
    (narrowing transform, mask cap), install the megaflow, trace mask
-   growth and refresh the EMC. Shared by the synchronous upcall path and
-   the deferred handler. Returns the installed entry as the [Some] the
-   EMC stores. *)
-let install_verdict t ~now flow (v : Slowpath.verdict) =
-  let upcall_cycles =
-    t.cfg.cost.Cost_model.upcall
-    +. (float_of_int v.Slowpath.probes *. t.cfg.cost.Cost_model.slow_probe)
-  in
-  observe t.h_upcall upcall_cycles;
-  trace t ~now (Pi_telemetry.Tracer.Upcall { slow_probes = v.Slowpath.probes });
+   growth and refresh the EMC. Shared by the synchronous upcall path,
+   which passes a borrowed [mask] from the slow path's scratch, and the
+   deferred handler, which passes a frozen verdict's. Nothing here keeps
+   [mask]: the megaflow cache copies it only when it makes a subtable,
+   and provenance records the entry's own mask. Returns the installed
+   entry as the [Some] the EMC stores. *)
+let install t ~now flow ~action ~mask ~slow_probes ~rule_seq =
+  (match t.h_upcall with
+   | Some h -> Pi_telemetry.Histogram.observe h (upcall_cycles t slow_probes)
+   | None -> ());
+  (match t.tracer with
+   | Some tr ->
+     Pi_telemetry.Tracer.record tr ~at:now
+       (Pi_telemetry.Tracer.Upcall { slow_probes })
+   | None -> ());
   (* Mitigation hooks: optionally narrow the megaflow (still sound —
      more significant bits can only make the cached flow more
      specific) and cap the number of distinct masks by falling back
      to an exact-match megaflow once the cap is reached. *)
   let mask =
     match t.cfg.megaflow_transform with
-    | None -> v.Slowpath.megaflow
-    | Some f -> f v.Slowpath.megaflow
+    | None -> mask
+    | Some f -> f mask
   in
   let mask =
     match t.cfg.mask_limit with
@@ -208,21 +226,21 @@ let install_verdict t ~now flow (v : Slowpath.verdict) =
     | Some p ->
       Some
         (Provenance.origin_for p ~port:(Pi_classifier.Flow.in_port flow)
-           ~rule_seq:v.Slowpath.rule_seq)
+           ~rule_seq)
     | None -> None
   in
   let e =
-    Megaflow.insert t.mf ~key:flow ~mask
-      ~action:v.Slowpath.action ~revision:(Slowpath.revision t.slow) ~now
-      ?origin ()
+    Megaflow.insert t.mf ~key:flow ~mask ~action
+      ~revision:(Slowpath.revision t.slow) ~now ?origin ()
   in
   let n_masks = Megaflow.n_masks t.mf in
   if n_masks > masks_before then
     trace t ~now (Pi_telemetry.Tracer.Mask_created { n_masks });
   (match (t.prov, origin) with
    | Some p, Some o ->
-     Provenance.note_install p o ~mask ~new_mask:(n_masks > masks_before)
-       ~upcall_cycles
+     Provenance.note_install p o ~mask:e.Megaflow.mask
+       ~new_mask:(n_masks > masks_before)
+       ~upcall_cycles:(upcall_cycles t slow_probes)
    | _ -> ());
   let r = Some e in
   if t.cfg.emc_enabled then Emc.insert_stored t.emc flow r;
@@ -253,8 +271,9 @@ let install_verdict t ~now flow (v : Slowpath.verdict) =
    synchronous upcall installs a megaflow mid-batch, the walk results
    of the miss-set packets still pending are patched against the one
    new entry ({!Megaflow.patch_walk}), so every packet keeps its
-   precomputed result instead of re-scanning the cache. Deferred-upcall
-   mode never installs mid-batch. *)
+   precomputed result instead of re-scanning the cache. Synchronous
+   upcalls are classified in chunks (below). Deferred-upcall mode never
+   installs mid-batch. *)
 
 let finish_b t (b : Batch.t) i action ~emc_hit ~mf_probes ~mf_hit ~upcall
     ~slow_probes =
@@ -305,12 +324,68 @@ let commit_emc_hit t (b : Batch.t) ~now i r =
       ~mf_hit:false ~upcall:false ~slow_probes:0
   | None -> assert false
 
+(* --- Chunked synchronous upcalls -------------------------------------
+
+   A synchronous miss is not classified alone. The first packet of the
+   burst that must upcall gathers a chunk: itself, then the pending
+   miss-set packets whose walk result is still a miss, in packet order,
+   up to {!Slowpath.chunk}. One subtable-major walk classifies them all
+   into the slow path's scratch, and each packet installs from its own
+   slot when its turn comes, reading the action, mask and probes in
+   place — no verdict record, no frozen mask.
+
+   Nothing is counted at gathering time, only when a packet actually
+   upcalls. A gathered packet may never need its slot: an earlier
+   install of the burst can serve it (patched into its walk result) or
+   land its flow in the EMC. Its slot is then skipped as spent. The
+   classifier is read-only during a burst, so a slot's result is the
+   verdict a one-packet upcall would give its packet, whenever it is
+   read. A packet that must upcall but is not next in the chunk — a
+   stale EMC hit walked alone, or a packet whose hit a flow-limit
+   eviction took away — gathers a new chunk from itself, which replaces
+   the old one. *)
+
+let rec skip_spent t i =
+  if t.ck_next < t.ck_n && t.ck_pos.(t.ck_next) < i then begin
+    t.ck_next <- t.ck_next + 1;
+    skip_spent t i
+  end
+
+(* Append to the chunk, from slot [m], the pending miss-set packets of
+   slots [jj, k) whose walk result is a miss; returns the chunk size. *)
+let rec gather t (b : Batch.t) jj k m =
+  if jj >= k || m >= Slowpath.chunk then m
+  else if b.Batch.sc_tbl.(jj) < 0 then begin
+    t.ck_pos.(m) <- b.Batch.sc_miss.(jj);
+    gather t b (jj + 1) k (m + 1)
+  end
+  else gather t b (jj + 1) k m
+
+(* The scratch slot classifying packet [i], whose pending miss-set slots
+   are [lo, k). *)
+let chunk_slot t (b : Batch.t) i ~lo ~k =
+  skip_spent t i;
+  if t.ck_next < t.ck_n && t.ck_pos.(t.ck_next) = i then begin
+    let c = t.ck_next in
+    t.ck_next <- c + 1;
+    c
+  end
+  else begin
+    t.ck_pos.(0) <- i;
+    let m = gather t b lo k 1 in
+    Slowpath.classify t.slow b.Batch.flows ~idx:t.ck_pos ~n:m;
+    t.ck_n <- m;
+    t.ck_next <- 1;
+    0
+  end
+
 (* Commit packet [i]'s walk result, held in slot [j] of [w]'s walk
    scratch ([w] is [b] itself, or [t.one] for a stale EMC hit walked
-   alone). Sound while every install since the walk has been patched
-   in. Returns the dirty-state delta: 0 = no cache write, 1 = EMC
-   possibly written, 2 = megaflow installed. *)
-let complete_miss t (b : Batch.t) (w : Batch.t) ~now i j =
+   alone); [lo, k) are the miss-set slots still pending after it. Sound
+   while every install since the walk has been patched in. Returns the
+   dirty-state delta: 0 = no cache write, 1 = EMC possibly written, 2 =
+   megaflow installed. *)
+let complete_miss t (b : Batch.t) (w : Batch.t) ~now i j ~lo ~k =
   let flow = b.Batch.flows.(i) in
   let pkt_len = b.Batch.pkt_lens.(i) in
   let pre = w.Batch.sc_entry.(j) in
@@ -347,12 +422,18 @@ let complete_miss t (b : Batch.t) (w : Batch.t) ~now i j =
      | Some h -> Pi_telemetry.Histogram.observe h (float_of_int probes)
      | None -> ());
     if t.sync_upcalls then begin
-      (* Synchronous model: classify inline. *)
+      (* Synchronous model: classify inline, in chunks. *)
       t.n_upcalls <- t.n_upcalls + 1;
-      let v = Slowpath.upcall t.slow flow in
-      b.Batch.mf.(i) <- install_verdict t ~now flow v;
-      finish_b t b i v.Slowpath.action ~emc_hit:false ~mf_probes:probes
-        ~mf_hit:false ~upcall:true ~slow_probes:v.Slowpath.probes;
+      let slow = t.slow in
+      let c = chunk_slot t b i ~lo ~k in
+      Slowpath.count slow c;
+      let action = Slowpath.slot_action slow c in
+      let slow_probes = Slowpath.slot_probes slow c in
+      b.Batch.mf.(i) <-
+        install t ~now flow ~action ~mask:(Slowpath.slot_megaflow slow c)
+          ~slow_probes ~rule_seq:(Slowpath.slot_rule_seq slow c);
+      finish_b t b i action ~emc_hit:false ~mf_probes:probes ~mf_hit:false
+        ~upcall:true ~slow_probes;
       2
     end
     else begin
@@ -394,7 +475,7 @@ let rec complete_batch t (b : Batch.t) ~now i n j k emc_clean =
      | None -> ());
     if not t.cfg.emc_enabled then
       next_packet t b ~now i n (j + 1) k emc_clean
-        (complete_miss t b b ~now i j)
+        (complete_miss t b b ~now i j ~lo:(j + 1) ~k)
     else
       match b.Batch.sc_emc.(i) with
       | Some _ as r when emc_clean ->
@@ -417,7 +498,7 @@ let rec complete_batch t (b : Batch.t) ~now i n j k emc_clean =
             ~out_entry:w.Batch.sc_entry ~out_probes:w.Batch.sc_probes
             ~out_tbl:w.Batch.sc_tbl;
           next_packet t b ~now i n j k emc_clean
-            (complete_miss t b w ~now i 0)
+            (complete_miss t b w ~now i 0 ~lo:j ~k)
       end
       | None -> begin
         (* A pure miss can have become a hit if an in-batch insert
@@ -429,7 +510,7 @@ let rec complete_batch t (b : Batch.t) ~now i n j k emc_clean =
           complete_batch t b ~now (i + 1) n (j + 1) k emc_clean
         | None ->
           next_packet t b ~now i n (j + 1) k emc_clean
-            (complete_miss t b b ~now i j)
+            (complete_miss t b b ~now i j ~lo:(j + 1) ~k)
       end
   end
 
@@ -447,6 +528,8 @@ let process_batch t (b : Batch.t) ~now =
   let n = b.Batch.n in
   if n > 0 then begin
     t.last_b <- b;
+    t.ck_n <- 0;
+    t.ck_next <- 0;
     let k =
       if t.cfg.emc_enabled then
         Emc.lookup_batch t.emc b.Batch.flows ~n ~out:b.Batch.sc_emc
@@ -485,7 +568,9 @@ let pop_pending_upcall t =
    verdict back so the shard owner applies it to its own caches). *)
 let apply_verdict t ~now flow ~pkt_len (v : Slowpath.verdict) =
   t.n_upcalls <- t.n_upcalls + 1;
-  ignore (install_verdict t ~now flow v);
+  ignore
+    (install t ~now flow ~action:v.Slowpath.action ~mask:v.Slowpath.megaflow
+       ~slow_probes:v.Slowpath.probes ~rule_seq:v.Slowpath.rule_seq);
   let c =
     Cost_model.cycles t.cfg.cost
       { Cost_model.emc_hit = false; mf_probes = 0; mf_hit = false;

@@ -19,7 +19,8 @@ type config = {
   megaflow_transform : (Pi_classifier.Mask.t -> Pi_classifier.Mask.t) option;
       (** mitigation: narrow slow-path megaflow masks before install
           (e.g. {!Pi_mitigation.Heuristics.coarsen}); narrowing is always
-          sound *)
+          sound. The argument may be borrowed from the slow path's
+          scratch: the function may return it but must not keep it. *)
   mask_cache_capacity : int option;
       (** kernel-datapath flavour: route megaflow lookups through a
           {!Mask_cache} of this size (typically 256, combined with
@@ -110,7 +111,12 @@ val process_batch : t -> Batch.t -> now:float -> unit
     guarantee: a megaflow a mid-batch synchronous upcall installs is
     patched into the pending packets' walk results
     ({!Megaflow.patch_walk}), and a packet whose EMC hit went stale
-    mid-batch is walked alone. With deferred upcalls, misses enqueue as
+    mid-batch is walked alone. Synchronous upcalls are classified in
+    chunks of up to {!Slowpath.chunk} walk misses with one
+    subtable-major walk, and each installs straight from its slot of
+    the slow path's scratch; only packets that do upcall are counted,
+    so the counters are those of one upcall per such packet. With
+    deferred upcalls, misses enqueue as
     described under {!process} and resolve at the next
     {!service_upcalls}, which classifies queued misses in slow-path
     batches of its own.

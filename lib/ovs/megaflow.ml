@@ -30,12 +30,16 @@ type entry = {
    - two or more: [s_tbl] maps the masked-key hash to an arena index
      and each candidate's key is compared. The table is built when the
      second entry arrives and dropped when the count falls back to one.
-   The key words are meaningful only while [s_count = 1]. The mask
-   itself is not stored: the descriptor's field and mask words are it
-   (see [mask_of_desc]), and only cold paths need it as a [Mask.t]. *)
+   The key words are meaningful only while [s_count = 1]. [s_mask] is
+   the subtable's own copy of its mask, and every entry under it shares
+   that one value as its [mask]. An entry's [key] is the flow whose
+   upcall minted it, not a masked copy: only its bits under the mask
+   are meaningful, so every key compare below masks both sides. *)
 type subtable = {
-  mutable s_pos : int;                    (* index in [t.arr] *)
+  mutable s_pos : int;                    (* index in [t.arr]; -1 if pooled *)
   s_desc : int array;                     (* [field; mask; key] triples *)
+  s_mask : Mask.t;
+  s_hash : int;                           (* {!mask_hash} of [s_mask] *)
   mutable s_tbl : Flat_tbl.t option;      (* Some iff s_count >= 2 *)
   mutable s_arena : entry option array;   (* slots [0, s_count) are Some *)
   mutable s_count : int;
@@ -75,7 +79,14 @@ let default_config = { max_entries = 200_000; idle_timeout = 10.0 }
    counts are derived from positions, so nothing observable changes.
    Consecutive blocks form groups of [group_size] subtables, and
    [groups.(g)] summarises group [g] the same way, so a packet failing
-   it skips the group's blocks without testing their summaries. *)
+   it skips the group's blocks without testing their summaries.
+
+   [pool] holds the subtables the last sweep emptied (revalidation, or
+   the eviction of a full cache), indexed by mask hash in [pool_by_mask]
+   like [by_mask]. A mask minted again takes its old subtable back —
+   record, descriptor, mask and arena — instead of allocating new ones;
+   under mask churn every round re-mints what the last one evicted. A
+   taken slot holds [vacant]; the next sweep replaces the whole pool. *)
 type t = {
   cfg : config;
   by_mask : Flat_tbl.t;             (* mask hash -> position in [arr] *)
@@ -86,6 +97,9 @@ type t = {
          the rest hold [unmerged], ready for the next block *)
   mutable groups : int array array;
       (* the same for groups: slots [0, ceil (n_tables / group_size)) *)
+  mutable pool : subtable array;    (* slots [0, pool_n) *)
+  mutable pool_n : int;
+  pool_by_mask : Flat_tbl.t;        (* mask hash -> slot in [pool] *)
   mutable generation : int;
   mutable n : int;
   mutable hits : int;
@@ -137,6 +151,9 @@ let create ?(config = default_config) ?metrics () =
     n_tables = 0;
     blocks = [||];
     groups = [||];
+    pool = [||];
+    pool_n = 0;
+    pool_by_mask = Flat_tbl.create ();
     generation = 0;
     n = 0;
     hits = 0;
@@ -227,16 +244,6 @@ let rec desc_match d ff k =
      = Array.unsafe_get d (k + 2)
      && desc_match d ff (k + 3)
 
-(* The subtable's mask, rebuilt from its descriptor (cold paths only). *)
-let mask_of_desc d =
-  let m = ref Mask.empty in
-  for k = 0 to (Array.length d / 3) - 1 do
-    m := Mask.with_field !m (Field.of_index d.(3 * k)) d.((3 * k) + 1)
-  done;
-  !m
-
-let mask_of st = mask_of_desc st.s_desc
-
 (* --- Block and group summaries --------------------------------------
 
    A summary is a descriptor in the [s_desc] triple format whose mask
@@ -321,8 +328,8 @@ let n_groups t = (t.n_tables + group_size - 1) lsr group_shift
 
 (* The filler of the subtable array's unused slots; never probed. *)
 let vacant =
-  { s_pos = -1; s_desc = [||]; s_tbl = None; s_arena = [||]; s_count = 0;
-    s_hits = 0 }
+  { s_pos = -1; s_desc = [||]; s_mask = Mask.empty; s_hash = 0; s_tbl = None;
+    s_arena = [||]; s_count = 0; s_hits = 0 }
 
 (* --- Mask index ------------------------------------------------------ *)
 
@@ -333,12 +340,6 @@ let rec mask_hash w h i =
     let x = Array.unsafe_get w i in
     mask_hash w (if x = 0 then h else Bits.mix (Bits.mix h i) x) (i + 1)
   end
-
-(* The same hash from a descriptor: its triples are the mask's support
-   in field order. *)
-let rec desc_mask_hash d h k =
-  if k >= Array.length d then Bits.finalize h
-  else desc_mask_hash d (Bits.mix (Bits.mix h d.(k)) d.(k + 1)) (k + 3)
 
 (* Descriptor [d] (from triple [k]) describes exactly the mask words
    [w] (from field [i]). *)
@@ -406,18 +407,17 @@ let set_tables t l =
     (fun i st ->
       t.arr.(i) <- st;
       st.s_pos <- i;
-      Flat_tbl.add t.by_mask (desc_mask_hash st.s_desc 0 0) i;
+      Flat_tbl.add t.by_mask st.s_hash i;
       iter_entries (merge_entry t st) st)
     l;
   t.generation <- t.generation + 1;
   sync_gauges t
 
-(* [ff] agrees with the pre-masked key fields [kf] under the mask. *)
+(* [ff] agrees with the key fields [kf] under the mask. *)
 let rec key_match d kf ff k =
   k >= Array.length d
-  || (let f = Array.unsafe_get d k in
-      Array.unsafe_get d (k + 1) land Array.unsafe_get ff f
-      = Array.unsafe_get kf f
+  || (let f = Array.unsafe_get d k and m = Array.unsafe_get d (k + 1) in
+      m land Array.unsafe_get ff f = m land Array.unsafe_get kf f
       && key_match d kf ff (k + 3))
 
 (* Mixes the masked support words in support order: bit-identical to
@@ -835,14 +835,62 @@ let remove_entry t st (e : entry) =
   t.n <- t.n - 1;
   sync_gauges t
 
+let reset_pool t =
+  Array.fill t.pool 0 t.pool_n vacant;
+  t.pool_n <- 0;
+  Flat_tbl.clear t.pool_by_mask
+
+let pool_add t st =
+  if t.pool_n = Array.length t.pool then begin
+    let a = Array.make (max 8 (2 * t.pool_n)) vacant in
+    Array.blit t.pool 0 a 0 t.pool_n;
+    t.pool <- a
+  end;
+  st.s_pos <- -1;
+  t.pool.(t.pool_n) <- st;
+  Flat_tbl.add t.pool_by_mask st.s_hash t.pool_n;
+  t.pool_n <- t.pool_n + 1
+
+(* Drop the subtables the sweep emptied into a fresh pool. *)
 let drop_empty_subtables t =
+  reset_pool t;
   let any_dead = ref false in
   iter_subtables (fun st -> if st.s_count = 0 then any_dead := true) t;
   if !any_dead then begin
     let live = ref [] in
-    iter_subtables (fun st -> if st.s_count > 0 then live := st :: !live) t;
+    iter_subtables
+      (fun st -> if st.s_count > 0 then live := st :: !live else pool_add t st)
+      t;
     set_tables t (List.rev !live)
   end
+
+(* Slot of the pooled subtable of mask words [w], or -1; [h] is their
+   {!mask_hash}. *)
+let rec find_pooled t w h slot =
+  if slot < 0 then -1
+  else begin
+    let i = Flat_tbl.value t.pool_by_mask slot in
+    let st = t.pool.(i) in
+    if st != vacant && desc_is_mask st.s_desc w 0 0 then i
+    else find_pooled t w h (Flat_tbl.next t.pool_by_mask h slot)
+  end
+
+(* An empty subtable for [mask] (words [w], hash [h]): the pooled one
+   with that mask if the last sweep emptied one, else a new one owning a
+   copy of [mask], which may be borrowed. A pooled subtable already has
+   no table and only [None] arena cells (its last removal left them so);
+   clearing its hit count makes it what a new one would be. *)
+let take_subtable t mask w h =
+  let i = find_pooled t w h (Flat_tbl.find_first t.pool_by_mask h) in
+  if i >= 0 then begin
+    let st = t.pool.(i) in
+    t.pool.(i) <- vacant;
+    st.s_hits <- 0;
+    st
+  end
+  else
+    { s_pos = -1; s_desc = desc_of_mask mask; s_mask = Mask.copy mask;
+      s_hash = h; s_tbl = None; s_arena = [||]; s_count = 0; s_hits = 0 }
 
 (* LRU eviction used when the flow limit is hit: evict the oldest ~5% so
    insertion stays amortised-cheap, mimicking the revalidator's reaction
@@ -911,23 +959,19 @@ let insert t ~key ~mask ~action ~revision ~now ?origin () =
   let st =
     if p >= 0 then t.arr.(p)
     else begin
-      let st =
-        { s_pos = 0; s_desc = desc_of_mask mask; s_tbl = None;
-          s_arena = [||]; s_count = 0; s_hits = 0 }
-      in
+      let st = take_subtable t mask w h in
       push_subtable t st;
       Flat_tbl.add t.by_mask h st.s_pos;
       bump t.c_mask_created;
       st
     end
   in
-  let key = Mask.apply mask key in
   (match find_in_subtable st key with
    | Some old -> remove_entry t st old
    | None -> ());
   let e =
-    { key; mask; action; revision; created = now; origin; last_used = now;
-      n_packets = 0; n_bytes = 0; alive = true }
+    { key; mask = st.s_mask; action; revision; created = now; origin;
+      last_used = now; n_packets = 0; n_bytes = 0; alive = true }
   in
   let cap = Array.length st.s_arena in
   if st.s_count = cap then begin
@@ -979,6 +1023,7 @@ let revalidate t ~now ?(keep = fun _ -> true) () =
 let flush t =
   iter_subtables (fun st -> iter_entries (fun e -> e.alive <- false) st) t;
   t.n <- 0;
+  reset_pool t;
   set_tables t []
 
 (* --- Invariants -------------------------------------------------------
@@ -1008,13 +1053,15 @@ let check t =
       let st = t.arr.(i) in
       if st.s_pos <> i then fail "subtable %d: s_pos is %d" i st.s_pos;
       if st.s_count < 1 then fail "subtable %d: no entry" i;
-      if position t (mask_of st) <> i then
+      if position t st.s_mask <> i then
         fail "subtable %d: by_mask finds its mask at %d" i
-          (position t (mask_of st));
+          (position t st.s_mask);
       count := !count + st.s_count;
       iter_entries
         (fun e ->
           let kf = Flow.unsafe_fields e.key in
+          if e.mask != st.s_mask then
+            fail "subtable %d: an entry does not share its mask" i;
           if st.s_count = 1 then
             for k = 0 to (Array.length st.s_desc / 3) - 1 do
               let f = st.s_desc.(3 * k) and m = st.s_desc.((3 * k) + 1) in
@@ -1032,6 +1079,20 @@ let check t =
     if Flat_tbl.length t.by_mask <> t.n_tables then
       fail "by_mask holds %d masks, the scan %d"
         (Flat_tbl.length t.by_mask) t.n_tables;
+    for i = 0 to t.pool_n - 1 do
+      let st = t.pool.(i) in
+      if st != vacant then begin
+        if st.s_pos <> -1 || st.s_count <> 0 || Option.is_some st.s_tbl
+           || Array.exists Option.is_some st.s_arena
+        then fail "pool slot %d: not an empty, unlinked subtable" i;
+        let w = Mask.unsafe_words st.s_mask in
+        let h = mask_hash w 0 0 in
+        if h <> st.s_hash
+           || find_pooled t w h (Flat_tbl.find_first t.pool_by_mask h) <> i
+        then
+          fail "pool slot %d: pool_by_mask does not find its mask" i
+      end
+    done;
     if !count <> t.n then fail "n is %d, subtables hold %d" t.n !count;
     Ok ()
   with Broken msg -> Error msg
@@ -1040,7 +1101,7 @@ let n_entries t = t.n
 let n_masks t = t.n_tables
 
 let masks t =
-  List.init t.n_tables (fun i -> mask_of t.arr.(i))
+  List.init t.n_tables (fun i -> t.arr.(i).s_mask)
 
 type mask_stat = {
   ms_mask : Mask.t;
@@ -1064,7 +1125,7 @@ let subtable_stats t =
         | None when st.s_count = 1 -> (min_capacity, (1., 1))
         | None -> (min_capacity, (0., 0))
       in
-      { ms_mask = mask_of st; ms_entries = st.s_count; ms_hits = st.s_hits;
+      { ms_mask = st.s_mask; ms_entries = st.s_count; ms_hits = st.s_hits;
         ms_capacity = capacity; ms_mean_probe = mean; ms_max_probe = maxp })
 
 let entries t =
@@ -1087,7 +1148,7 @@ let pp_entry ~now ppf e =
       if m <> 0 then begin
         if not !first then Format.pp_print_char ppf ',';
         first := false;
-        let v = Flow.get e.key f in
+        let v = Flow.get e.key f land m in
         let pp_value ppf v =
           match f with
           | Field.Ip_src | Field.Ip_dst ->

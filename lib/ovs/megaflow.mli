@@ -26,11 +26,20 @@
     two entries on, a subtable is an open-addressing hash table over
     its masked keys. The choice depends only on the entry count and is
     exact either way: results, probe counts and statistics are the
-    same as if every subtable were hashed and probed. *)
+    same as if every subtable were hashed and probed.
+
+    Revalidation drops the subtables it empties into a pool, and a mask
+    minted again takes its old subtable back instead of allocating a
+    new one: under mask churn, every round re-mints what the last one
+    evicted. Results and statistics are those of a new subtable. *)
 
 type entry = {
-  key : Pi_classifier.Flow.t;   (** pre-masked *)
+  key : Pi_classifier.Flow.t;
+      (** the flow whose upcall minted the entry, not a masked copy:
+          only its bits under [mask] are meaningful. Compare keys with
+          {!Pi_classifier.Mask.matches}, never {!Pi_classifier.Flow.equal}. *)
   mask : Pi_classifier.Mask.t;
+      (** one value per subtable, shared by all of its entries *)
   action : Action.t;
   revision : int;               (** slow-path revision that produced it *)
   created : float;
@@ -164,12 +173,18 @@ val insert :
 (** Install a megaflow produced by a slow-path upcall. If the flow limit
     is exceeded, least-recently-used entries are evicted first. If an
     entry with the same masked key exists it is replaced. [origin]
-    stamps the entry with its provenance. *)
+    stamps the entry with its provenance.
+
+    The entry keeps [key] itself (flows are immutable) and the mask of
+    its subtable. [mask] is read, never kept: it is copied only when no
+    live or pooled subtable has it, so the caller may pass a borrowed
+    mask ({!Pi_classifier.Mask.Builder.borrow}). *)
 
 val revalidate : t -> now:float -> ?keep:(entry -> bool) -> unit -> int
 (** Evict idle entries ([now - last_used > idle_timeout]) and entries
     rejected by [keep] (e.g. produced by a stale slow-path revision).
-    Empty subtables (masks) are dropped. Returns entries evicted. *)
+    Empty subtables (masks) are dropped into the pool, replacing what
+    it held before. Returns entries evicted. *)
 
 val flush : t -> unit
 
@@ -227,8 +242,9 @@ val check : t -> (unit, string) result
 (** Verify the structural invariants the lookups rely on, naming the
     first one broken: every subtable's recorded position is its scan
     index and it holds at least one entry; the mask index and the scan
-    order list the same subtables; a one-entry subtable's descriptor
-    holds that entry's masked key; every live entry passes its block's
-    and its group's summary, on bits the entry itself constrains; and
-    the entry count
-    is the sum of the subtables' counts. O(entries); for tests. *)
+    order list the same subtables; every entry shares its subtable's
+    mask; a one-entry subtable's descriptor holds that entry's masked
+    key; every live entry passes its block's and its group's summary, on
+    bits the entry itself constrains; the entry count is the sum of the
+    subtables' counts; and every pooled subtable is empty, out of the
+    scan and found by its mask. O(entries); for tests. *)

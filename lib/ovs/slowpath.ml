@@ -12,6 +12,10 @@ type t = {
   c_probes : Pi_telemetry.Metrics.counter option;
 }
 
+(* The scratch's initial capacity, and the most {!classify} fills: the
+   datapath classifies its misses in chunks of this many. *)
+let chunk = 8
+
 let create ?config ?metrics () =
   let cls =
     match config with
@@ -19,7 +23,7 @@ let create ?config ?metrics () =
     | None -> Tss.create ()
   in
   let c name = Option.map (fun m -> Pi_telemetry.Metrics.counter m name) metrics in
-  { cls; bs = Tss.batch ~capacity:8; one_flow = [| Flow.make () |];
+  { cls; bs = Tss.batch ~capacity:chunk; one_flow = [| Flow.make () |];
     revision = 0; c_upcall = c "upcall"; c_probes = c "slow_probes" }
 
 let config t = Tss.config t.cls
@@ -47,28 +51,40 @@ let no_verdict =
   { action = Action.Drop; megaflow = Mask.empty; probes = 0;
     rule_found = false; rule_seq = Provenance.no_rule }
 
-(* Slot [j]'s verdict from the last classifier walk, counted. *)
-let verdict t j =
-  let probes = Tss.batch_probes t.bs j in
+let classify t flows ~idx ~n =
+  if n > chunk then invalid_arg "Slowpath.classify: n > chunk";
+  Tss.find_wc_batch t.cls t.bs flows ~idx ~n
+
+let slot_probes t j = Tss.batch_probes t.bs j
+let slot_megaflow t j = Tss.batch_megaflow_borrowed t.bs j
+
+let slot_action t j =
+  match Tss.batch_rule t.bs j with
+  | Some rule -> rule.Rule.action
+  | None -> Action.Drop
+
+let slot_rule_seq t j =
+  match Tss.batch_rule t.bs j with
+  | Some rule -> rule.Rule.seq
+  | None -> Provenance.no_rule
+
+let count t j =
   (match t.c_upcall with
    | Some c -> Pi_telemetry.Metrics.incr c
    | None -> ());
-  (match t.c_probes with
-   | Some c -> Pi_telemetry.Metrics.incr ~by:probes c
-   | None -> ());
-  match Tss.batch_rule t.bs j with
-  | Some rule ->
-    { action = rule.Rule.action;
-      megaflow = Tss.batch_megaflow t.bs j;
-      probes;
-      rule_found = true;
-      rule_seq = rule.Rule.seq }
-  | None ->
-    { action = Action.Drop;
-      megaflow = Tss.batch_megaflow t.bs j;
-      probes;
-      rule_found = false;
-      rule_seq = Provenance.no_rule }
+  match t.c_probes with
+  | Some c -> Pi_telemetry.Metrics.incr ~by:(slot_probes t j) c
+  | None -> ()
+
+(* Slot [j]'s verdict from the last classifier walk, counted and frozen:
+   the record and its mask outlive the scratch. *)
+let verdict t j =
+  count t j;
+  { action = slot_action t j;
+    megaflow = Tss.batch_megaflow t.bs j;
+    probes = slot_probes t j;
+    rule_found = Option.is_some (Tss.batch_rule t.bs j);
+    rule_seq = slot_rule_seq t j }
 
 (* Classify the whole miss set subtable-major ({!Tss.find_wc_batch}),
    then build the verdicts in packet order. The classifier is read-only

@@ -57,6 +57,37 @@ val upcall_batch :
     sequential {!upcall} calls: the classifier is read-only during the
     walk. *)
 
+(** {2 Borrowed slots}
+
+    The synchronous datapath's allocation-free path: classify a chunk of
+    misses into the classifier scratch, then read each slot's result in
+    place. Nothing is counted until {!count}, so a caller can classify
+    packets ahead and charge only those that turn out to upcall. *)
+
+val chunk : int
+(** Slots a {!classify} call may fill (8): the scratch's initial
+    capacity, which {!classify} never grows. *)
+
+val classify : t -> Pi_classifier.Flow.t array -> idx:int array -> n:int -> unit
+(** Classify [flows.(idx.(0)) .. flows.(idx.(n-1))] into slots [0, n) of
+    the scratch, counting nothing. Slot [j]'s result is the verdict
+    {!upcall} would give [flows.(idx.(j))]. It stays readable until the
+    next {!classify}, {!upcall} or {!upcall_batch}.
+    @raise Invalid_argument if [n > chunk]. *)
+
+val count : t -> int -> unit
+(** Count slot [j] as an upcall: the [upcall] and [slow_probes]
+    counters, exactly as {!upcall} does. *)
+
+val slot_action : t -> int -> Action.t
+val slot_probes : t -> int -> int
+val slot_rule_seq : t -> int -> int
+
+val slot_megaflow : t -> int -> Pi_classifier.Mask.t
+(** Borrowed (see {!Pi_classifier.Mask.Builder.borrow}): valid until
+    the scratch is next used. {!Megaflow.insert} copies it only when it
+    makes a new subtable. *)
+
 val revision : t -> int
 val n_rules : t -> int
 val n_subtables : t -> int

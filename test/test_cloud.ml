@@ -215,24 +215,29 @@ let test_deliver_unknown_dst_takes_uplink () =
         Alcotest.failf "%s: expected a single hop, got %d" dst (List.length hops))
     [ "8.8.8.8"; "10.2.0.3" ]
 
-(* [deploy_pod] accepts a second pod at an address already in use;
-   delivery goes to the first one deployed. Here that is [db] on
-   server-2, so the packet crosses the fabric even though the later pod
-   at the same address sits on the source's own server. *)
-let test_deliver_duplicate_ip_first_wins () =
+(* A second pod at an address already in use is rejected, with both
+   pods named, and leaves no trace: the address still reaches the first
+   pod, and the name stays free. *)
+let test_duplicate_ip_rejected () =
   let cloud, web, db = mk_two_servers () in
   (match Cloud.apply_acl cloud ~pod:db ~tenant:"acme" Acl.allow_all with
    | Ok () -> ()
    | Error e -> Alcotest.fail e);
-  ignore
-    (Cloud.deploy_pod cloud ~tenant:"acme" ~name:"db-twin" ~server:"server-1"
-       ~ip:db.Cloud.ip ());
+  (match
+     Cloud.deploy_pod cloud ~tenant:"acme" ~name:"db-twin" ~server:"server-1"
+       ~ip:db.Cloud.ip ()
+   with
+   | exception Invalid_argument msg ->
+     Alcotest.(check string) "names both pods"
+       "Cloud.deploy_pod: pod db-twin cannot take 10.2.0.2 from pod db" msg
+   | _ -> Alcotest.fail "duplicate pod ip accepted");
+  Alcotest.(check (option string)) "name left free" None
+    (Option.map (fun p -> p.Cloud.pod_name) (Cloud.pod cloud "db-twin"));
+  Alcotest.(check int) "server-1 port not taken" 3
+    (Cloud.deploy_pod cloud ~tenant:"acme" ~name:"cache" ~server:"server-1"
+       ~ip:(ip "10.1.0.9") ()).Cloud.port;
   match Cloud.deliver cloud ~now:0. ~src_pod:web (flow_to "10.2.0.2") ~pkt_len:200 with
-  | [ h1; h2 ] ->
-    Alcotest.(check action_t) "takes the uplink" (Pi_ovs.Action.Output 1)
-      h1.Cloud.hop_action;
-    Alcotest.(check string) "to the first pod's server" "server-2"
-      h2.Cloud.hop_server;
+  | [ _; h2 ] ->
     Alcotest.(check action_t) "delivered to the first pod"
       (Pi_ovs.Action.Output db.Cloud.port) h2.Cloud.hop_action
   | hops -> Alcotest.failf "expected two hops, got %d" (List.length hops)
@@ -252,5 +257,5 @@ let suite =
     Alcotest.test_case "deliver on the same host" `Quick test_deliver_same_server;
     Alcotest.test_case "unknown destination takes uplink" `Quick
       test_deliver_unknown_dst_takes_uplink;
-    Alcotest.test_case "deliver duplicate ip: first pod wins" `Quick
-      test_deliver_duplicate_ip_first_wins ]
+    Alcotest.test_case "duplicate pod ip rejected" `Quick
+      test_duplicate_ip_rejected ]

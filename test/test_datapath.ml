@@ -182,6 +182,147 @@ let prop_coherent_under_churn =
             Action.equal cached direct)
         ops)
 
+(* --- Chunked synchronous upcalls ---------------------------------------
+
+   [process_batch] classifies a burst's misses in chunks and installs
+   each one from its slot of the slow path's scratch. Each case sends the
+   same rounds through two datapaths: one with [process_batch] (a round
+   of one packet is a [process] call), the other one packet at a time
+   with [process], at the same clock. The per-packet result columns, the
+   counters — [upcall] and [slow_probes] above all — and the cached
+   megaflows must agree, and [upcalls] pins how many packets upcalled.
+   Returns the batched side's results, round by round. *)
+
+let show_result ((a, o) : Action.t * Cost_model.outcome) =
+  Printf.sprintf "%s emc:%b mf:%b/%d upcall:%b/%d" (Action.to_string a)
+    o.Cost_model.emc_hit o.Cost_model.mf_hit o.Cost_model.mf_probes
+    o.Cost_model.upcall o.Cost_model.slow_probes
+
+let same_as_one_at_a_time ?(config = Datapath.default_config) rounds ~upcalls =
+  let side () =
+    let metrics = Pi_telemetry.Metrics.create () in
+    let dp =
+      Datapath.create ~config ~telemetry:(Pi_telemetry.Ctx.v ~metrics ())
+        (Pi_pkt.Prng.create 3L) ()
+    in
+    Datapath.install_rules dp
+      [ Rule.make ~priority:100
+          ~pattern:(Pattern.with_ip_src Pattern.any (pfx "10.0.0.10/32"))
+          ~action:(Action.Output 2) ();
+        Rule.make ~priority:1 ~pattern:Pattern.any ~action:Action.Drop () ];
+    (dp, metrics)
+  in
+  let batched, mb = side () and single, ms = side () in
+  let results =
+    List.mapi
+      (fun r flows ->
+        let now = float_of_int r in
+        let want =
+          List.map (fun f -> Datapath.process single ~now f ~pkt_len:100) flows
+        in
+        let got =
+          match flows with
+          | [ f ] -> [ Datapath.process batched ~now f ~pkt_len:100 ]
+          | _ ->
+            let b = Batch.create ~capacity:(List.length flows) in
+            List.iter (fun f -> Batch.push b f ~pkt_len:100) flows;
+            Datapath.process_batch batched b ~now;
+            List.mapi (fun i _ -> Batch.result b i) flows
+        in
+        Alcotest.(check (list string)) (Printf.sprintf "round %d" r)
+          (List.map show_result want) (List.map show_result got);
+        got)
+      rounds
+  in
+  let counter m name =
+    Option.value ~default:0 (Pi_telemetry.Metrics.find_counter m name)
+  in
+  List.iter
+    (fun name ->
+      Alcotest.(check int) name (counter ms name) (counter mb name))
+    [ "upcall"; "slow_probes"; "mf_hit"; "mf_miss"; "emc_hit"; "emc_miss";
+      "mask_created"; "megaflow_evicted" ];
+  Alcotest.(check int) "upcalls" upcalls (counter mb "upcall");
+  let dump dp =
+    Format.asprintf "%a" (fun ppf -> Megaflow.dump ~now:9. ppf) (Datapath.megaflow dp)
+  in
+  Alcotest.(check string) "megaflows" (dump single) (dump batched);
+  results
+
+let trusted = Flow.make ~ip_src:(ip "10.0.0.10") ()
+
+(* Denied, with a megaflow on the ip_src prefix down to bit [k]: every
+   [covert k ~low] shares it. *)
+let covert ?(low = 0) k =
+  let src = Int32.logxor (ip "10.0.0.10") (Int32.shift_left 1l (31 - k)) in
+  Flow.make ~ip_src:(Int32.logxor src (Int32.of_int low)) ()
+
+let no_emc = { Datapath.default_config with Datapath.emc_enabled = false }
+
+let upcalled rounds ~round ~pos =
+  (snd (List.nth (List.nth rounds round) pos)).Cost_model.upcall
+
+(* Six walk misses in one chunk: the installs of [covert 3] and [covert
+   5] serve the later packets sharing their megaflows, which do not
+   upcall; then twelve fresh masks, more than one chunk holds. *)
+let test_chunk_install_serves_later () =
+  ignore
+    (same_as_one_at_a_time ~config:no_emc ~upcalls:16
+       [ [ covert 3; covert 5; covert ~low:1 3; trusted; covert ~low:2 5;
+           covert 7 ];
+         List.init 12 (fun k -> covert (8 + k)) ])
+
+(* A flow limit of 2: the second install of the burst evicts the
+   trusted flow's megaflow, so the walk results are re-walked and the
+   trusted packet, a hit at walk time, must upcall in mid-chunk. *)
+let test_chunk_flow_limit_rewalk () =
+  let config =
+    { no_emc with
+      Datapath.megaflow = { Megaflow.default_config with Megaflow.max_entries = 2 } }
+  in
+  let r =
+    same_as_one_at_a_time ~config ~upcalls:6
+      [ [ trusted ]; [ covert 1; covert 2; covert 3; trusted; covert 4 ] ]
+  in
+  Alcotest.(check bool) "trusted re-walked and upcalled" true
+    (upcalled r ~round:1 ~pos:3)
+
+(* The trusted flow is an EMC hit when the burst is probed, but the
+   flow limit evicts its megaflow before its turn: the stale hit is
+   walked alone and upcalls between packets of the chunk. *)
+let test_chunk_stale_emc_hit () =
+  let config =
+    { Datapath.default_config with
+      Datapath.emc_insert_inv_prob = 1;
+      megaflow = { Megaflow.default_config with Megaflow.max_entries = 2 } }
+  in
+  let r =
+    same_as_one_at_a_time ~config ~upcalls:6
+      [ [ trusted ]; [ covert 1; covert 2; covert 3; trusted; covert 4 ] ]
+  in
+  Alcotest.(check bool) "stale emc hit upcalled" true
+    (upcalled r ~round:1 ~pos:3)
+
+(* The first burst ends with its chunk's last slot unused ([covert
+   ~low:1 3] is served by [covert 3]'s install). The next burst needs an
+   upcall at that position for another flow; then a [process] follows a
+   burst, and a burst follows the [process]. No chunk slot may outlive
+   its call. *)
+let test_chunk_process_after_burst () =
+  let r =
+    same_as_one_at_a_time ~upcalls:8
+      [ [ covert 9; covert 3; covert ~low:1 3 ];
+        [ covert 9; covert 3; trusted ];
+        [ covert 12 ];
+        [ covert 14; covert 12; covert 15 ];
+        [ covert 16 ];
+        [ covert 17 ] ]
+  in
+  Alcotest.(check bool) "unused slot left behind" false
+    (upcalled r ~round:0 ~pos:2);
+  Alcotest.(check bool) "next burst upcalls there" true
+    (upcalled r ~round:1 ~pos:2)
+
 let suite =
   [ Alcotest.test_case "first packet upcalls" `Quick test_first_packet_upcalls;
     Alcotest.test_case "second packet cached" `Quick test_second_packet_cached;
@@ -193,4 +334,12 @@ let suite =
     Alcotest.test_case "megaflow transform hook" `Quick test_megaflow_transform;
     Alcotest.test_case "cycles accounted" `Quick test_cycles_accounted;
     Alcotest.test_case "cache ≡ slow path (1000 flows)" `Quick test_consistency_with_slowpath;
+    Alcotest.test_case "chunked upcalls: an install serves its chunk" `Quick
+      test_chunk_install_serves_later;
+    Alcotest.test_case "chunked upcalls: flow-limit re-walk" `Quick
+      test_chunk_flow_limit_rewalk;
+    Alcotest.test_case "chunked upcalls: stale emc hit" `Quick
+      test_chunk_stale_emc_hit;
+    Alcotest.test_case "chunked upcalls: process after a burst" `Quick
+      test_chunk_process_after_burst;
     prop_coherent_under_churn ]

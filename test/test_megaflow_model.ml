@@ -102,6 +102,7 @@ type cmd =
   | Mint of int * int * int        (* count, ip_dst, revision: fresh masks *)
   | Reinsert of int                            (* the i-th live entry *)
   | Drop_revision of int                       (* revalidate ~keep *)
+  | Remint of int          (* revalidate all, re-mint the live, revision *)
   | Expire of int              (* idle out entries older than the i-th *)
   | Resort
   | Flush
@@ -114,6 +115,7 @@ let pp_cmd = function
   | Mint (k, a, r) -> Printf.sprintf "mint %d masks ip_dst #%d rev %d" k a r
   | Reinsert i -> Printf.sprintf "reinsert #%d" i
   | Drop_revision r -> Printf.sprintf "revalidate keep rev<>%d" r
+  | Remint r -> Printf.sprintf "revalidate all, re-mint rev %d" r
   | Expire i -> Printf.sprintf "expire entries older than #%d" i
   | Resort -> "resort by hits"
   | Flush -> "flush"
@@ -149,6 +151,7 @@ let gen_cmd =
           (int_bound 2) );
       (9, map (fun i -> Reinsert i) (int_bound 63));
       (6, map (fun r -> Drop_revision r) (int_bound 2));
+      (4, map (fun r -> Remint r) (int_bound 2));
       (6, map (fun i -> Expire i) (int_bound 255));
       (3, return Resort);
       (1, return Flush);
@@ -411,6 +414,21 @@ let step mf m ~max_entries cmd =
           ~keep:(fun e -> e.Megaflow.revision <> r)
           ());
      remove_where m (fun e -> now -. e.r_used > idle_timeout || e.r_rev = r)
+   | Remint rev ->
+     (* A mask-churn round: the sweep empties every subtable into the
+        pool, and minting the same masks again takes each one back. A
+        recycled subtable must look new: no hits, a fresh probe path. *)
+     let live = m.entries in
+     let now = tick m in
+     ignore (Megaflow.revalidate mf ~now ~keep:(fun _ -> false) ());
+     set_entries m [];
+     check_shape mf m;
+     let p = pending (List.map (fun e -> e.r_key) live) in
+     List.iter
+       (fun e ->
+         insert_both mf m p ~max_entries ~mask:e.r_mask ~key:e.r_key ~rev)
+       live;
+     check_pending m p
    | Expire i ->
      (* move the clock so exactly the entries used before the i-th
         oldest stamp are idle *)
@@ -436,11 +454,49 @@ let step mf m ~max_entries cmd =
      mask) plus the command's own flows *)
   check_lookups mf m (sample_keys m @ !probe_flows)
 
+(* Shrinking replays the whole case for every candidate, and a replay
+   costs what its bulk mints cost, so the cheap wins go first: every
+   mint at once to half its size, then the command list by halves (the
+   tail first: commands after the failing one never run), then one
+   command at a time, anywhere in the list, then each mint alone halfway
+   to the smallest. Other commands are not simplified: with the list
+   already short that buys little, and the integrated shrinker, which
+   did it for every command in turn, spent over a minute on one failing
+   case. *)
+let shrink_case (max_entries, cmds) =
+  let halve = function
+    | Mint (k, a, r) when k > 32 -> Mint (max 32 (k / 2), a, r)
+    | c -> c
+  in
+  let halved = List.map halve cmds in
+  let n = List.length cmds in
+  let keep lo hi = List.filteri (fun i _ -> lo <= i && i < hi) cmds in
+  let drop i = List.filteri (fun j _ -> j <> i) cmds in
+  let case c = (max_entries, c) in
+  let mints = if halved <> cmds then Seq.return (case halved) else Seq.empty in
+  let halves =
+    if n >= 2 then List.to_seq [ case (keep 0 (n / 2)); case (keep (n / 2) n) ]
+    else Seq.empty
+  in
+  let singles =
+    if n >= 2 then Seq.init n (fun i -> case (drop (n - 1 - i))) else Seq.empty
+  in
+  let narrower i =
+    match List.nth cmds i with
+    | Mint (k, a, r) when k > 32 ->
+      let m = Mint (32 + ((k - 32) / 2), a, r) in
+      Seq.return (case (List.mapi (fun j c -> if j = i then m else c) cmds))
+    | _ -> Seq.empty
+  in
+  List.fold_right Seq.append [ mints; halves; singles ]
+    (Seq.concat_map narrower (Seq.init n Fun.id))
+
 let gen_case =
   QCheck2.Gen.(
-    pair
-      (oneofl [ 3; 6; 64; 200; 1_000; 2_000 ])
-      (list_size (int_range 1 40) gen_cmd))
+    set_shrink shrink_case
+      (pair
+         (oneofl [ 3; 6; 64; 200; 1_000; 2_000 ])
+         (list_size (int_range 1 40) gen_cmd)))
 
 let print_case (max_entries, cmds) =
   Printf.sprintf "max_entries %d:\n  %s" max_entries
@@ -499,6 +555,20 @@ let test_transitions () =
   Alcotest.(check int) "no subtable" 0 (Megaflow.n_masks mf);
   Alcotest.(check (option int)) "empty miss" None (hit b)
 
+(* Singleton subtable [i] of up to 512 (every ip_src/tp_dst prefix-length
+   pair under an exact ip_dst), and a key only its own entry matches:
+   each key differs from 0 in the last bit of its ip_src and tp_dst
+   prefixes. *)
+let disjoint_mask i =
+  let m = Mask.with_exact Mask.empty Field.Ip_dst in
+  let m = Mask.with_prefix m Field.Ip_src ((i mod 32) + 1) in
+  Mask.with_prefix m Field.Tp_dst ((i / 32) + 1)
+
+let disjoint_key ~ip_dst i =
+  let f = Flow.with_field Flow.zero Field.Ip_dst ip_dst in
+  let f = Flow.with_field f Field.Ip_src (1 lsl (32 - ((i mod 32) + 1))) in
+  Flow.with_field f Field.Tp_dst (1 lsl (16 - ((i / 32) + 1)))
+
 (* Compaction that moves a subtable across a summary boundary must
    rebuild the summaries. [2 * half] singleton subtables: every mask pins
    ip_dst exactly, and the first [half] keys share one ip_dst while the
@@ -516,15 +586,9 @@ let check_compaction ~half =
       ~config:{ Megaflow.max_entries = 1000; idle_timeout = 1e9 } ()
   in
   let n = 2 * half and dropped = 5 in
-  let mask i =
-    let m = Mask.with_exact Mask.empty Field.Ip_dst in
-    let m = Mask.with_prefix m Field.Ip_src ((i mod 32) + 1) in
-    Mask.with_prefix m Field.Tp_dst ((i / 32) + 1)
-  in
+  let mask = disjoint_mask in
   let key i =
-    let f = Flow.with_field Flow.zero Field.Ip_dst (if i < half then 0x0A0A0001 else 0x0A0A0002) in
-    let f = Flow.with_field f Field.Ip_src (1 lsl (32 - ((i mod 32) + 1))) in
-    Flow.with_field f Field.Tp_dst (1 lsl (16 - ((i / 32) + 1)))
+    disjoint_key ~ip_dst:(if i < half then 0x0A0A0001 else 0x0A0A0002) i
   in
   for i = 0 to n - 1 do
     ignore
@@ -568,6 +632,55 @@ let test_compaction_across_blocks () = check_compaction ~half:64
    is one group of 256, and the dropped entry moves subtable 256 into
    it. *)
 let test_compaction_across_groups () = check_compaction ~half:256
+
+(* Mask churn over recycled subtables: 300 disjoint singleton masks
+   (two groups), swept and re-minted three times. Each re-mint takes
+   back the subtable the sweep emptied — its entry shares the old
+   entry's mask value — and a recycled subtable starts with no hits.
+   The invariants hold after every sweep and every re-mint, and every
+   key hits its own entry. *)
+let test_recycled_subtables () =
+  let n = 300 in
+  let mf =
+    Megaflow.create
+      ~config:{ Megaflow.max_entries = 1000; idle_timeout = 1e9 } ()
+  in
+  let key = disjoint_key ~ip_dst:0x0A0A0001 and mask = disjoint_mask in
+  let invariants what =
+    match Megaflow.check mf with
+    | Ok () -> ()
+    | Error msg -> Alcotest.failf "%s: %s" what msg
+  in
+  let mint round =
+    Array.init n (fun i ->
+        Megaflow.insert mf ~key:(key i) ~mask:(mask i)
+          ~action:(Action.Output i) ~revision:round ~now:0. ())
+  in
+  let hit_all () =
+    for i = 0 to n - 1 do
+      Alcotest.(check (option int)) (Printf.sprintf "key %d" i) (Some i)
+        (Option.map id_of (Helpers.mf_lookup mf (key i) ~now:0. ~pkt_len:1))
+    done
+  in
+  let first = mint 0 in
+  invariants "first mint";
+  hit_all ();
+  for round = 1 to 3 do
+    ignore (Megaflow.revalidate mf ~now:0. ~keep:(fun _ -> false) ());
+    invariants (Printf.sprintf "sweep %d" round);
+    Alcotest.(check int) "swept" 0 (Megaflow.n_masks mf);
+    let again = mint round in
+    invariants (Printf.sprintf "re-mint %d" round);
+    Array.iteri
+      (fun i e ->
+        if e.Megaflow.mask != first.(i).Megaflow.mask then
+          Alcotest.failf "round %d: mask %d was not recycled" round i)
+      again;
+    List.iter
+      (fun s -> Alcotest.(check int) "recycled: no hits" 0 s.Megaflow.ms_hits)
+      (Megaflow.subtable_stats mf);
+    hit_all ()
+  done
 
 (* A hashed subtable hashes its keys exactly as [Mask.hash_masked_on]
    does, so its table layout — and the occupancy and probe lengths
@@ -618,5 +731,7 @@ let suite =
       test_compaction_across_blocks;
     Alcotest.test_case "group summaries follow compaction" `Quick
       test_compaction_across_groups;
+    Alcotest.test_case "revalidate-all and re-mint recycle subtables" `Quick
+      test_recycled_subtables;
     QCheck_alcotest.to_alcotest prop_model;
     QCheck_alcotest.to_alcotest prop_hash_layout ]
