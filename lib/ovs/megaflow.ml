@@ -353,20 +353,26 @@ let rec desc_is_mask d w k i =
       && desc_is_mask d w (k + 3) (i + 1)
   end
 
-(* Position of the subtable of mask words [w], or -1; [h] is their
-   {!mask_hash}. *)
-let rec find_pos t w h slot =
+(* The index, in [arr], of the subtable of mask words [w] that [tbl]
+   (a mask hash -> index table over [arr]) finds from [slot] on, or -1;
+   [h] is their {!mask_hash}. Used over the scan ([by_mask], [arr]) and
+   the pool ([pool_by_mask], [pool]), whose taken slots hold [vacant]. *)
+let rec find_in tbl arr w h slot =
   if slot < 0 then -1
   else begin
-    let p = Flat_tbl.value t.by_mask slot in
-    if desc_is_mask t.arr.(p).s_desc w 0 0 then p
-    else find_pos t w h (Flat_tbl.next t.by_mask h slot)
+    let i = Flat_tbl.value tbl slot in
+    let st = arr.(i) in
+    if st != vacant && desc_is_mask st.s_desc w 0 0 then i
+    else find_in tbl arr w h (Flat_tbl.next tbl h slot)
   end
+
+let find_pos t w h =
+  find_in t.by_mask t.arr w h (Flat_tbl.find_first t.by_mask h)
 
 let position t mask =
   let w = Mask.unsafe_words mask in
   let h = mask_hash w 0 0 in
-  find_pos t w h (Flat_tbl.find_first t.by_mask h)
+  find_pos t w h
 
 let grow_summaries a =
   let na = Array.make (max 4 (2 * Array.length a)) unmerged in
@@ -864,16 +870,8 @@ let drop_empty_subtables t =
     set_tables t (List.rev !live)
   end
 
-(* Slot of the pooled subtable of mask words [w], or -1; [h] is their
-   {!mask_hash}. *)
-let rec find_pooled t w h slot =
-  if slot < 0 then -1
-  else begin
-    let i = Flat_tbl.value t.pool_by_mask slot in
-    let st = t.pool.(i) in
-    if st != vacant && desc_is_mask st.s_desc w 0 0 then i
-    else find_pooled t w h (Flat_tbl.next t.pool_by_mask h slot)
-  end
+let find_pooled t w h =
+  find_in t.pool_by_mask t.pool w h (Flat_tbl.find_first t.pool_by_mask h)
 
 (* An empty subtable for [mask] (words [w], hash [h]): the pooled one
    with that mask if the last sweep emptied one, else a new one owning a
@@ -881,7 +879,7 @@ let rec find_pooled t w h slot =
    no table and only [None] arena cells (its last removal left them so);
    clearing its hit count makes it what a new one would be. *)
 let take_subtable t mask w h =
-  let i = find_pooled t w h (Flat_tbl.find_first t.pool_by_mask h) in
+  let i = find_pooled t w h in
   if i >= 0 then begin
     let st = t.pool.(i) in
     t.pool.(i) <- vacant;
@@ -955,7 +953,7 @@ let insert t ~key ~mask ~action ~revision ~now ?origin () =
   if evicted then evict_lru t;
   let w = Mask.unsafe_words mask in
   let h = mask_hash w 0 0 in
-  let p = find_pos t w h (Flat_tbl.find_first t.by_mask h) in
+  let p = find_pos t w h in
   let st =
     if p >= 0 then t.arr.(p)
     else begin
@@ -1088,7 +1086,7 @@ let check t =
         let w = Mask.unsafe_words st.s_mask in
         let h = mask_hash w 0 0 in
         if h <> st.s_hash
-           || find_pooled t w h (Flat_tbl.find_first t.pool_by_mask h) <> i
+           || find_pooled t w h <> i
         then
           fail "pool slot %d: pool_by_mask does not find its mask" i
       end
