@@ -69,6 +69,35 @@ let seed_arg =
 let spec_of variant allow_src =
   Policy_gen.default_spec ~variant ~allow_src ()
 
+let backend_arg =
+  Arg.(value & opt (enum [ ("pmd", `Pmd); ("cacheless", `Cacheless) ]) `Pmd
+       & info [ "backend" ] ~docv:"BACKEND"
+           ~doc:"Dataplane backend: $(b,pmd) (default; the cached OVS fast \
+                 path, one PMD thread per --shards) or $(b,cacheless) (no \
+                 flow cache — the attack-immune baseline).")
+
+let shards_arg =
+  Arg.(value & opt pos_int_conv Pi_sim.Scenario.(default_params.n_shards)
+       & info [ "shards" ] ~docv:"N"
+           ~doc:"PMD threads (one core each) of the pmd backend; flows are \
+                 RSS-steered across them. 1 (the default) is the \
+                 single-datapath model.")
+
+(* Output files are opened before any work, so an unwritable path is a
+   diagnostic (exit 123) up front, not an exception after the run. *)
+let open_out_or_exit ?(binary = false) path =
+  try (if binary then open_out_bin else open_out) path
+  with Sys_error msg ->
+    let prefix = path ^ ": " in
+    let reason =
+      if String.starts_with ~prefix msg then
+        String.sub msg (String.length prefix)
+          (String.length msg - String.length prefix)
+      else msg
+    in
+    Printf.eprintf "ovsdos: cannot write %S: %s\n" path reason;
+    exit Cmd.Exit.some_error
+
 (* --- expand --- *)
 
 let expand variant allow_src toy =
@@ -148,7 +177,7 @@ let masks variant allow_src seed telemetry =
   in
   let dp =
     Pi_ovs.Dataplane.create ~telemetry:ctx
-      (Pi_ovs.Dataplane.datapath ())
+      (Pi_ovs.Dataplane.pmd ())
       (Pi_pkt.Prng.create (Int64.of_int seed))
   in
   Pi_ovs.Dataplane.install_rules dp
@@ -210,10 +239,12 @@ let dump_cmd =
 (* --- pcap --- *)
 
 let pcap variant allow_src seed rate out =
+  let oc = open_out_or_exit ~binary:true out in
   let spec = spec_of variant allow_src in
   let gen = Packet_gen.make ~spec ~dst:(ip "10.1.0.3") () in
   let records = Packet_gen.to_pcap ~seed:(Int64.of_int seed) ~rate_pps:rate gen in
-  Pi_pkt.Pcap.write_file out records;
+  output_bytes oc (Pi_pkt.Pcap.to_bytes records);
+  close_out oc;
   Printf.printf "wrote %d covert packets to %s (%.2f Mb/s at %g pps)\n"
     (List.length records) out
     (rate *. 100. *. 8. /. 1e6) rate
@@ -232,19 +263,6 @@ let pcap_cmd =
 
 (* --- dpctl --- *)
 
-let backend_arg =
-  Arg.(value
-       & opt (enum [ ("pmd", `Pmd); ("datapath", `Datapath);
-                     ("cacheless", `Cacheless) ])
-           `Datapath
-       & info [ "backend" ] ~docv:"BACKEND"
-           ~doc:"Dataplane backend to introspect: $(b,datapath) (default), \
-                 $(b,pmd) (sharded, honours --shards) or $(b,cacheless).")
-
-let shards_arg =
-  Arg.(value & opt pos_int_conv 2
-       & info [ "shards" ] ~docv:"N" ~doc:"PMD threads for the pmd backend.")
-
 (* A small live dataplane for the introspection views: the attacked
    pod's policy bound to tenant 3, one covert round plus a trickle of
    trusted traffic, everything entering on uplink port 1. *)
@@ -252,7 +270,6 @@ let dpctl_dataplane variant allow_src seed backend shards =
   let spec = spec_of variant allow_src in
   let backend =
     match backend with
-    | `Datapath -> Pi_ovs.Dataplane.datapath ()
     | `Pmd ->
       Pi_ovs.Dataplane.pmd
         ~config:{ Pi_ovs.Pmd.default_config with Pi_ovs.Pmd.n_shards = shards }
@@ -394,25 +411,24 @@ let detect_cmd =
 
 (* --- attack --- *)
 
-let write_csv path samples =
-  let oc = open_out path in
-  Fun.protect
-    ~finally:(fun () -> close_out_noerr oc)
-    (fun () ->
-      output_string oc
-        "time,victim_gbps,offered_gbps,n_masks,n_megaflows,emc_hit_rate,loss\n";
-      List.iter
-        (fun (s : Pi_sim.Scenario.sample) ->
-          Printf.fprintf oc "%.1f,%.6f,%.3f,%d,%d,%.4f,%.4f\n"
-            s.Pi_sim.Scenario.time s.Pi_sim.Scenario.victim_gbps
-            s.Pi_sim.Scenario.offered_gbps s.Pi_sim.Scenario.n_masks
-            s.Pi_sim.Scenario.n_megaflows s.Pi_sim.Scenario.emc_hit_rate
-            s.Pi_sim.Scenario.loss)
-        samples)
+let write_csv oc samples =
+  output_string oc
+    "time,victim_gbps,offered_gbps,n_masks,n_megaflows,emc_hit_rate,loss\n";
+  List.iter
+    (fun (s : Pi_sim.Scenario.sample) ->
+      Printf.fprintf oc "%.1f,%.6f,%.3f,%d,%d,%.4f,%.4f\n"
+        s.Pi_sim.Scenario.time s.Pi_sim.Scenario.victim_gbps
+        s.Pi_sim.Scenario.offered_gbps s.Pi_sim.Scenario.n_masks
+        s.Pi_sim.Scenario.n_megaflows s.Pi_sim.Scenario.emc_hit_rate
+        s.Pi_sim.Scenario.loss)
+    samples;
+  close_out oc
 
 let attack variant duration start offered every coarse shards batch pipeline
     backend upcall_queue attribution csv json =
   let open Pi_sim in
+  let csv = Option.map (fun path -> (path, open_out_or_exit path)) csv in
+  let json = Option.map (fun path -> (path, open_out_or_exit path)) json in
   let a = { Scenario.default_attack with Scenario.variant; start } in
   let dc =
     if coarse then
@@ -433,7 +449,6 @@ let attack variant duration start offered every coarse shards batch pipeline
        stays bit-for-bit the historical one. *)
     match backend with
     | `Pmd -> None
-    | `Datapath -> Some (Pi_ovs.Dataplane.datapath ~config:dc ())
     | `Cacheless -> Some (Pi_mitigation.Cacheless.dataplane ())
   in
   let metrics =
@@ -501,18 +516,20 @@ let attack variant duration start offered every coarse shards batch pipeline
      Format.printf "@.%a@." Pi_ovs.Provenance.pp_ports s
    | None -> ());
   (match csv with
-   | Some path ->
-     write_csv path r.Scenario.samples;
+   | Some (path, oc) ->
+     write_csv oc r.Scenario.samples;
      Format.printf "samples written to %s (plot with bench/fig3.gp)@." path
    | None -> ());
   match json, metrics with
-  | Some path, Some m ->
+  | Some (path, oc), Some m ->
     let extra =
       match r.Scenario.attribution with
       | Some s -> [ ("attribution", Pi_ovs.Provenance.summary_json s) ]
       | None -> []
     in
-    Pi_telemetry.Export.write_json_file ?scrape:r.Scenario.scrape ~extra ~path m;
+    output_string oc
+      (Pi_telemetry.Export.json_snapshot ?scrape:r.Scenario.scrape ~extra m);
+    close_out oc;
     Format.printf "telemetry snapshot written to %s@." path
   | _ -> ()
 
@@ -540,13 +557,6 @@ let attack_cmd =
   let coarse =
     Arg.(value & flag & info [ "mitigate" ] ~doc:"Enable the coarsened un-wildcarding mitigation.")
   in
-  let shards =
-    Arg.(value & opt pos_int_conv dp.Pi_sim.Scenario.n_shards
-         & info [ "shards" ] ~docv:"N"
-             ~doc:"PMD threads (one core each); covert and victim flows are \
-                   RSS-steered across them. 1 reproduces the single-datapath \
-                   model exactly.")
-  in
   let batch =
     Arg.(value & opt pos_int_conv dp.Pi_sim.Scenario.batch_size
          & info [ "batch" ] ~docv:"B" ~doc:"Rx burst size per PMD (OVS: 32).")
@@ -560,17 +570,6 @@ let attack_cmd =
                    instead of the deterministic spawn-per-batch engine. \
                    Results are unchanged — only wall-clock execution \
                    differs.")
-  in
-  let backend =
-    Arg.(value
-         & opt (enum [ ("pmd", `Pmd); ("datapath", `Datapath);
-                       ("cacheless", `Cacheless) ])
-             `Pmd
-         & info [ "backend" ] ~docv:"BACKEND"
-             ~doc:"Dataplane backend: $(b,pmd) (default; sharded, honours \
-                   --shards/--batch), $(b,datapath) (single thread), or \
-                   $(b,cacheless) (no flow cache — the attack-immune \
-                   baseline). All run through the same scenario code.")
   in
   let upcall_queue =
     Arg.(value & opt (some pos_int_conv) None
@@ -600,7 +599,7 @@ let attack_cmd =
   in
   Cmd.v (Cmd.info "attack" ~doc:"Run the Fig. 3 end-to-end scenario")
     Term.(const attack $ variant_arg $ duration $ start $ offered $ every $ coarse
-          $ shards $ batch $ pipeline $ backend $ upcall_queue $ attribution
+          $ shards_arg $ batch $ pipeline $ backend_arg $ upcall_queue $ attribution
           $ csv $ json)
 
 (* --- monitor --- *)
@@ -679,10 +678,6 @@ let monitor_cmd =
     Arg.(value & opt float dp.Pi_sim.Scenario.victim_offered_gbps
          & info [ "offered" ] ~docv:"GBPS" ~doc:"Victim offered load.")
   in
-  let shards =
-    Arg.(value & opt pos_int_conv dp.Pi_sim.Scenario.n_shards
-         & info [ "shards" ] ~docv:"N" ~doc:"PMD threads (one core each).")
-  in
   let every =
     Arg.(value & opt pos_int_conv 1
          & info [ "every" ] ~docv:"SECONDS"
@@ -710,7 +705,7 @@ let monitor_cmd =
          [ `S Manpage.s_examples;
            `P "ovsdos monitor --shards 4";
            `P "ovsdos monitor --json --duration 90 > monitor.jsonl" ])
-    Term.(const monitor $ variant_arg $ duration $ start $ offered $ shards
+    Term.(const monitor $ variant_arg $ duration $ start $ offered $ shards_arg
           $ every $ json $ attribution)
 
 (* --- run --- *)

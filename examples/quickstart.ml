@@ -64,7 +64,7 @@ let () =
   (* 1. The OVS-style cached datapath: each divergence depth mints a new
      megaflow MASK, and every mask is one more hash table every future
      lookup must scan. *)
-  run_backend ~label:"cached datapath" (Dataplane.datapath ());
+  run_backend ~label:"cached datapath" (Dataplane.pmd ());
   (* 2. Same ports, same ACL, same packets — against the cache-less
      baseline there is no megaflow cache to poison, so the covert stream
      changes nothing: the victim's cost is fixed by the rule set. *)

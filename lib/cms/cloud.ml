@@ -41,15 +41,10 @@ let () =
     | Unknown_server s -> Some (Printf.sprintf "Pi_cms.Cloud.Unknown_server %S" s)
     | _ -> None)
 
-let create ?(flavour = Kubernetes) ?backend ?switch_config ?tss_config ~seed
-    ~n_servers () =
+let create ?(flavour = Kubernetes) ~seed ~n_servers () =
   if n_servers < 1 then invalid_arg "Cloud.create";
   let rng = Pi_pkt.Prng.create seed in
-  let backend =
-    match backend with
-    | Some b -> b
-    | None -> Pi_ovs.Dataplane.datapath ?config:switch_config ?tss_config ()
-  in
+  let backend = Pi_ovs.Dataplane.pmd () in
   let hosts = Hashtbl.create 8 in
   let server_names =
     List.init n_servers (fun i -> Printf.sprintf "server-%d" (i + 1))

@@ -36,15 +36,9 @@ exception Unknown_server of string
 (** Raised by {!dataplane_exn} for a server name not in {!servers}. *)
 
 val create :
-  ?flavour:flavour -> ?backend:Pi_ovs.Dataplane.backend ->
-  ?switch_config:Pi_ovs.Datapath.config ->
-  ?tss_config:Pi_classifier.Tss.config ->
-  seed:int64 -> n_servers:int -> unit -> t
-(** Every server runs its own instance of the same dataplane backend.
-    [backend] defaults to {!Pi_ovs.Dataplane.datapath}
-    [?config:switch_config ?tss_config ()]; [switch_config]/[tss_config]
-    are ignored when an explicit [backend] is given (its constructor
-    already closed over its configuration). *)
+  ?flavour:flavour -> seed:int64 -> n_servers:int -> unit -> t
+(** Every server runs its own {!Pi_ovs.Dataplane.pmd} [()]: one PMD
+    shard with the default datapath and classifier configuration. *)
 
 val flavour : t -> flavour
 

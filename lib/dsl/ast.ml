@@ -62,7 +62,7 @@ type traffic = {
   tr_attack : attack loc option;
 }
 
-type backend = Pmd | Datapath | Cacheless
+type backend = Pmd | Cacheless
 
 type cmp = Le | Ge | Lt | Gt | Eq
 
@@ -138,12 +138,10 @@ let proto_of_name = function
 
 let backend_name = function
   | Pmd -> "pmd"
-  | Datapath -> "datapath"
   | Cacheless -> "cacheless"
 
 let backend_of_name = function
   | "pmd" -> Some Pmd
-  | "datapath" -> Some Datapath
   | "cacheless" -> Some Cacheless
   | _ -> None
 

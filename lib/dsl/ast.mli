@@ -86,7 +86,7 @@ type traffic = {
 
 (** {2 Runs and assertions} *)
 
-type backend = Pmd | Datapath | Cacheless
+type backend = Pmd | Cacheless
 
 type cmp = Le | Ge | Lt | Gt | Eq
 

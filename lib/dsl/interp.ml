@@ -60,7 +60,6 @@ let params_of_run (v : Validate.t) (rc : Validate.run_cfg) =
   let backend =
     match rc.Validate.rc_backend with
     | Ast.Pmd -> None  (* Scenario builds its own Pmd — bit for bit *)
-    | Ast.Datapath -> Some (Pi_ovs.Dataplane.datapath ~config:dc ())
     | Ast.Cacheless -> Some (Pi_mitigation.Cacheless.dataplane ())
   in
   { Scenario.default_params with

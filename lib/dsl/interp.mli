@@ -3,8 +3,8 @@
 
     Each [run] block becomes one [Scenario.run] invocation: [pmd] runs
     keep [params.backend = None] (the historical sharded scenario, bit
-    for bit), [datapath]/[cacheless] runs select the corresponding
-    {!Pi_ovs.Dataplane} backend, and the mitigation knobs
+    for bit), [cacheless] runs select
+    {!Pi_mitigation.Cacheless.dataplane}, and the mitigation knobs
     ([mask_limit]/[coarsen]/[emc off]/[upcall_queue]) map onto
     {!Pi_ovs.Datapath.config} exactly as the [ovsdos attack] flags do.
 

@@ -353,9 +353,12 @@ let parse_run st =
       (match backend_of_name b.v with
        | Some bk ->
          r := { !r with r_backend = set "backend" at !r.r_backend (Ast.at b.at bk) }
+       | None when b.v = "datapath" ->
+         fail b.at
+           "backend datapath was removed; use backend pmd, which runs one \
+            shard by default"
        | None ->
-         fail b.at "unknown backend %s (expected pmd, datapath or cacheless)"
-           b.v);
+         fail b.at "unknown backend %s (expected pmd or cacheless)" b.v);
       loop ()
     | { Lexer.tok = Lexer.Ident "shards"; at } ->
       let n = expect_int st "a shard count" in

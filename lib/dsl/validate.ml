@@ -356,9 +356,8 @@ let check_run st ~has_attack seen (r : run) =
    | _ -> ());
   let backend = dfl Pmd r.r_backend in
   (match (backend, r.r_shards) with
-   | (Datapath | Cacheless), Some s when s.v > 1 ->
-     err st s.at "backend %s is single-threaded; shards must be 1"
-       (backend_name backend)
+   | Cacheless, Some s when s.v > 1 ->
+     err st s.at "backend cacheless is single-threaded; shards must be 1"
    | _ -> ());
   (match (backend, r.r_emc) with
    | Cacheless, Some e ->

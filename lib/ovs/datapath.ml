@@ -84,7 +84,6 @@ type t = {
      registry, the tracer records the event stream. All [None] when
      telemetry is disabled — the datapath then behaves exactly as
      before. *)
-  ctx : Pi_telemetry.Ctx.t;
   tracer : Pi_telemetry.Tracer.t option;
   perf : Pi_telemetry.Perf.t option;
       (* per-stage cycle profiler; its cost coefficients are installed
@@ -152,7 +151,6 @@ let create ?(config = default_config) ?tss_config ?telemetry ?provenance rng
     n_upcall_drops = 0;
     last_b = one;
     prov = Option.map (fun reg -> Provenance.store ?metrics reg) provenance;
-    ctx;
     tracer;
     perf;
     c_packets =
@@ -658,7 +656,6 @@ let last_megaflow t =
   if b.Batch.n = 0 then None else b.Batch.mf.(b.Batch.n - 1)
 
 let provenance t = t.prov
-let telemetry t = t.ctx
 let perf t = t.perf
 let cycles_used t = t.cy.(0)
 let handler_cycles_used t = t.cy.(1)

@@ -172,10 +172,6 @@ val handler_cycles_used : t -> float
     0 under the synchronous default, where upcall cost lands in
     {!cycles_used} with the packet that triggered it. *)
 
-val telemetry : t -> Pi_telemetry.Ctx.t
-(** The context the datapath was created with ({!Pi_telemetry.Ctx.empty}
-    when telemetry is off). *)
-
 val perf : t -> Pi_telemetry.Perf.t option
 (** The per-stage cycle profiler from the creation context, with this
     datapath's cost-model coefficients installed. Its per-stage cycles

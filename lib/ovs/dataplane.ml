@@ -85,7 +85,6 @@ let shard_masks (Packed ((module B), d)) = B.shard_masks d
 let shard_cycles (Packed ((module B), d)) = B.shard_cycles d
 let shard_metrics (Packed ((module B), d)) i = B.shard_metrics d i
 let shard_perf (Packed ((module B), d)) i = B.shard_perf d i
-let last_megaflow (Packed ((module B), d)) ~shard = B.last_megaflow d ~shard
 
 let emc_insert_forced (Packed ((module B), d)) flow e =
   B.emc_insert_forced d flow e
@@ -96,85 +95,6 @@ let shard_flows (Packed ((module B), d)) i = B.shard_flows d i
 let shard_mask_stats (Packed ((module B), d)) i = B.shard_mask_stats d i
 
 (* --- backends --- *)
-
-(* Tuple-array burst on top of a backend's batch entry point: a fresh
-   batch per call — this is the allocating convenience surface, not the
-   hot path. *)
-let burst_via process_batch d ~now pkts =
-  let n = Array.length pkts in
-  if n = 0 then [||]
-  else begin
-    let b = Batch.create ~capacity:n in
-    Batch.fill b pkts;
-    process_batch d b ~now;
-    Array.init n (Batch.result b)
-  end
-
-let datapath ?config ?tss_config () : backend =
-  (module struct
-    type t = Datapath.t
-
-    let name = "datapath"
-    let create ?telemetry ?provenance rng () =
-      Datapath.create ?config ?tss_config ?telemetry ?provenance rng ()
-
-    let install_rules = Datapath.install_rules
-    let remove_rules = Datapath.remove_rules
-    let process = Datapath.process
-    let process_batch = Datapath.process_batch
-    let process_burst d ~now pkts = burst_via Datapath.process_batch d ~now pkts
-
-    let service_upcalls = Datapath.service_upcalls
-    let revalidate = Datapath.revalidate
-    let close _ = ()
-
-    let stats d =
-      let emc = Datapath.emc d in
-      { packets = Datapath.n_processed d;
-        upcalls = Datapath.n_upcalls d;
-        upcall_drops = Datapath.upcall_drops d;
-        pending_upcalls = Datapath.pending_upcalls d;
-        masks = Datapath.n_masks d;
-        megaflows = Datapath.n_megaflows d;
-        cycles = Datapath.cycles_used d;
-        handler_cycles = Datapath.handler_cycles_used d;
-        emc_hits = Emc.hits emc;
-        emc_misses = Emc.misses emc;
-        emc_occupancy = Emc.occupancy emc }
-
-    let cycles_used = Datapath.cycles_used
-    let telemetry = Datapath.telemetry
-    let reset_stats = Datapath.reset_stats
-    let n_shards _ = 1
-    let shard_of _ _ = 0
-    let shard_masks d = [| Datapath.n_masks d |]
-    let shard_cycles d = [| Datapath.cycles_used d |]
-
-    let shard_metrics d i =
-      if i <> 0 then invalid_arg "Dataplane.shard_metrics";
-      Pi_telemetry.Ctx.metrics (Datapath.telemetry d)
-
-    let shard_perf d i =
-      if i <> 0 then invalid_arg "Dataplane.shard_perf";
-      Datapath.perf d
-
-    let last_megaflow d ~shard =
-      if shard <> 0 then invalid_arg "Dataplane.last_megaflow";
-      Datapath.last_megaflow d
-
-    let emc_insert_forced d flow e =
-      Emc.insert_forced (Datapath.emc d) flow e
-
-    let provenance d = Option.to_list (Datapath.provenance d)
-
-    let shard_flows d i =
-      if i <> 0 then invalid_arg "Dataplane.shard_flows";
-      Megaflow.entries (Datapath.megaflow d)
-
-    let shard_mask_stats d i =
-      if i <> 0 then invalid_arg "Dataplane.shard_mask_stats";
-      Megaflow.subtable_stats (Datapath.megaflow d)
-  end)
 
 let pmd ?config ?tss_config () : backend =
   (module struct

@@ -2,12 +2,12 @@
 
     A {!S} value is a complete fast path: create it, install rules,
     push packets, service deferred upcalls, revalidate, read stats.
-    {!Datapath} (single run-to-completion thread), {!Pmd} (sharded
-    poll-mode threads) and the cache-less mitigation baseline
-    ({!Pi_mitigation.Cacheless.dataplane}) all conform, so a scenario,
-    benchmark or CLI written against this interface runs any of them
-    unchanged — the [--backend] flag of [ovsdos attack] is exactly
-    that.
+    {!pmd} (poll-mode threads, each shard a run-to-completion
+    {!Datapath}; one shard by default) and the cache-less mitigation
+    baseline ({!Pi_mitigation.Cacheless.dataplane}) both conform, so a
+    scenario, benchmark or CLI written against this interface runs
+    either unchanged — the [--backend] flag of [ovsdos attack] is
+    exactly that.
 
     Backends are first-class module values ({!backend}) produced by
     constructor functions that close over their configuration; {!create}
@@ -38,7 +38,7 @@ module type S = sig
   type t
 
   val name : string
-  (** Stable identifier ([datapath], [pmd], [cacheless], ...). *)
+  (** Stable identifier ([pmd], [cacheless], ...). *)
 
   val create :
     ?telemetry:Pi_telemetry.Ctx.t -> ?provenance:Provenance.registry ->
@@ -194,7 +194,6 @@ val shard_masks : t -> int array
 val shard_cycles : t -> float array
 val shard_metrics : t -> int -> Pi_telemetry.Metrics.t option
 val shard_perf : t -> int -> Pi_telemetry.Perf.t option
-val last_megaflow : t -> shard:int -> Megaflow.entry option
 val emc_insert_forced : t -> Pi_classifier.Flow.t -> Megaflow.entry -> unit
 val provenance : t -> Provenance.store list
 
@@ -208,14 +207,8 @@ val shard_mask_stats : t -> int -> Megaflow.mask_stat list
 
 (** {2 Built-in backends} *)
 
-val datapath :
-  ?config:Datapath.config -> ?tss_config:Pi_classifier.Tss.config ->
-  unit -> backend
-(** The single-threaded {!Datapath}. [process_batch] is the vectorised
-    walk with no batch-overhead accounting, so it is bit-for-bit a
-    1-shard {!pmd} with [batch_cycles = 0]. *)
-
 val pmd :
   ?config:Pmd.config -> ?tss_config:Pi_classifier.Tss.config ->
   unit -> backend
-(** The sharded {!Pmd}. *)
+(** The sharded {!Pmd}: the cache-hierarchy backend. With the default
+    one shard it runs a single {!Datapath}, the paper's OVS fast path. *)

@@ -4,8 +4,8 @@
    real OVS under attack: [dpctl/dump-flows] (the megaflow cache),
    [dpctl/dump-flows -m]-ish per-mask stats, per-port stats and
    [dpif-netdev/pmd-perf-show]. Everything reads through the
-   {!Dataplane.S} introspection hooks, so every backend — datapath,
-   sharded pmd, cache-less baseline — renders with the same code. *)
+   {!Dataplane.S} introspection hooks, so every backend — pmd with one
+   shard or several, cache-less baseline — renders with the same code. *)
 
 let shard_header ppf dp s =
   if Dataplane.n_shards dp > 1 then

@@ -159,28 +159,30 @@ let differential mode backend (pkts, bs) =
   same_results && per_spec && mf_per_spec && same_stats && same_masks && same_service
   && same_tail && tail_per_spec
 
-(* (label, count, mode, backend) *)
+(* One PMD shard over a datapath configuration: the datapath itself. *)
+let pmd1 dp = Dataplane.pmd ~config:{ Pmd.default_config with Pmd.dp } ()
+
+(* (label, count, mode, backend); a [datapath-*] label names the
+   datapath configuration its one shard runs *)
 let backend_cases =
-  [ ("datapath", 150, Synchronous, fun () -> Dataplane.datapath ());
+  [ ("datapath", 150, Synchronous, fun () -> Dataplane.pmd ());
     ( "datapath-deferred",
       150,
       Deferred,
       fun () ->
         (* depth 8 so overflow drops happen mid-sequence and their
            order/count must match too *)
-        Dataplane.datapath
-          ~config:{ Datapath.default_config with
-                    Datapath.upcall_queue = Upcall_queue.bounded 8 }
-          () );
+        pmd1
+          { Datapath.default_config with
+            Datapath.upcall_queue = Upcall_queue.bounded 8 } );
     ( "datapath-kernel",
       150,
       Synchronous,
       fun () ->
-        Dataplane.datapath
-          ~config:{ Datapath.default_config with
-                    Datapath.emc_enabled = false;
-                    mask_cache_capacity = Some 256 }
-          () );
+        pmd1
+          { Datapath.default_config with
+            Datapath.emc_enabled = false;
+            mask_cache_capacity = Some 256 } );
     ( "datapath-flow-limit",
       150,
       Synchronous,
@@ -188,19 +190,17 @@ let backend_cases =
         (* a flow limit this small evicts on most installs, so the walk
            results are re-walked mid-batch, with and without the
            subtable array compacting (the generation moving) *)
-        Dataplane.datapath
-          ~config:{ Datapath.default_config with
-                    Datapath.megaflow =
-                      { Megaflow.default_config with Megaflow.max_entries = 6 } }
-          () );
+        pmd1
+          { Datapath.default_config with
+            Datapath.megaflow =
+              { Megaflow.default_config with Megaflow.max_entries = 6 } } );
     ( "datapath-mask-limit",
       150,
       Synchronous,
       fun () ->
         (* past 4 masks, installs fall back to exact-match megaflows *)
-        Dataplane.datapath
-          ~config:{ Datapath.default_config with Datapath.mask_limit = Some 4 }
-          () );
+        pmd1
+          { Datapath.default_config with Datapath.mask_limit = Some 4 } );
     ( "datapath-tiny-emc",
       150,
       Synchronous,
@@ -208,21 +208,19 @@ let backend_cases =
         (* four slots, every flow inserted: in-batch inserts overwrite
            the slots of phase-P hits, whose packets are then walked
            alone *)
-        Dataplane.datapath
-          ~config:{ Datapath.default_config with
-                    Datapath.emc_capacity = 4;
-                    emc_insert_inv_prob = 1 }
-          () );
+        pmd1
+          { Datapath.default_config with
+            Datapath.emc_capacity = 4;
+            emc_insert_inv_prob = 1 } );
     ( "datapath-tiny-emc-deferred",
       150,
       Deferred,
       fun () ->
-        Dataplane.datapath
-          ~config:{ Datapath.default_config with
-                    Datapath.emc_capacity = 4;
-                    emc_insert_inv_prob = 1;
-                    upcall_queue = Upcall_queue.bounded 8 }
-          () );
+        pmd1
+          { Datapath.default_config with
+            Datapath.emc_capacity = 4;
+            emc_insert_inv_prob = 1;
+            upcall_queue = Upcall_queue.bounded 8 } );
     ( "pmd-4",
       80,
       Synchronous,

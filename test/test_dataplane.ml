@@ -1,7 +1,8 @@
-(* Conformance suite for the Dataplane interface: every backend —
-   Datapath, Pmd, and the cache-less mitigation baseline — must honour
-   the same contract (classification, accounting, revalidation, shard
-   hooks), differing only in whether it has caches to account for.
+(* Conformance suite for the Dataplane interface: every backend — Pmd
+   with one shard (the datapath) and with four, and the cache-less
+   mitigation baseline — must honour the same contract (classification,
+   accounting, revalidation, shard hooks), differing only in whether it
+   has caches to account for.
    Plus regression tests for the bounded upcall queue. *)
 
 open Pi_ovs
@@ -291,9 +292,10 @@ module Conformance (C : CASE) = struct
         ("introspection hooks", test_introspection_hooks) ]
 end
 
-module Datapath_case = Conformance (struct
+(* One shard: the datapath. *)
+module Pmd1_case = Conformance (struct
   let label = "datapath"
-  let backend () = Dataplane.datapath ()
+  let backend () = Dataplane.pmd ()
   let cached = true
 end)
 
@@ -374,10 +376,11 @@ let test_queue_reset () =
 (* --- Bounded queue through the datapath ----------------------------- *)
 
 let deferred_backend ?(depth = 4) ?handler_budget () =
-  Dataplane.datapath
-    ~config:{ Datapath.default_config with
-              Datapath.upcall_queue = Upcall_queue.bounded ?handler_budget depth }
-    ()
+  let dp =
+    { Datapath.default_config with
+      Datapath.upcall_queue = Upcall_queue.bounded ?handler_budget depth }
+  in
+  Dataplane.pmd ~config:{ Pmd.default_config with Pmd.dp } ()
 
 let test_deferred_overflow_drops () =
   (* depth 4, six distinct misses: four queue, two drop on the floor. *)
@@ -486,4 +489,4 @@ let queue_suite =
       test_deferred_trusted_flow_resolves ]
 
 let suite =
-  Datapath_case.suite @ Pmd_case.suite @ Cacheless_case.suite @ queue_suite
+  Pmd1_case.suite @ Pmd_case.suite @ Cacheless_case.suite @ queue_suite

@@ -122,7 +122,7 @@ let gen_assertion =
 let gen_run =
   let open QCheck2.Gen in
   let* r_name = gen_ident in
-  let* r_backend = gen_oloc (oneofl [ A.Pmd; A.Datapath; A.Cacheless ]) in
+  let* r_backend = gen_oloc (oneofl [ A.Pmd; A.Cacheless ]) in
   let* r_shards = gen_oloc gen_int in
   let* r_batch = gen_oloc gen_int in
   let* r_upcall_queue = gen_oloc gen_int in
@@ -190,6 +190,13 @@ let diag_cases =
     ( "parser: duplicate field",
       "scenario s\ntraffic {\n  duration 10\n  duration 20\n}\n",
       [ "t.pis:4:3: duplicate duration" ] );
+    ( "parser: removed backend datapath",
+      "scenario s\nrun r {\n  backend datapath\n}\n",
+      [ "t.pis:3:11: backend datapath was removed; use backend pmd, which \
+         runs one shard by default" ] );
+    ( "parser: unknown backend",
+      "scenario s\nrun r {\n  backend dpdk\n}\n",
+      [ "t.pis:3:11: unknown backend dpdk (expected pmd or cacheless)" ] );
     ( "parser: empty allow",
       "scenario s\npolicy p {\n  allow\n}\n",
       [ "t.pis:3:3: allow needs at least one of src, proto, sport, dport" ] );

@@ -353,10 +353,12 @@ let test_perf_decomposes_datapath_charge () =
   (* Stage sum == fast-path cycles + deferred-handler cycles, to the
      bit, including a bounded queue with deferred servicing. *)
   let backend =
-    Dataplane.datapath
-      ~config:{ Datapath.default_config with
-                Datapath.upcall_queue = Upcall_queue.bounded 16;
-                emc_insert_inv_prob = 1 }
+    Dataplane.pmd
+      ~config:{ Pmd.default_config with
+                Pmd.dp =
+                  { Datapath.default_config with
+                    Datapath.upcall_queue = Upcall_queue.bounded 16;
+                    emc_insert_inv_prob = 1 } }
       ()
   in
   let ctx = Ctx.v ~perf:(Perf.create ()) () in
@@ -439,7 +441,7 @@ let test_perf_across_backends () =
     | exception Invalid_argument _ -> ()
     | _ -> Alcotest.fail (label ^ ": out-of-range shard_perf must raise")
   in
-  check_backend "datapath" (Dataplane.datapath ()) true;
+  check_backend "pmd1" (Dataplane.pmd ()) true;
   check_backend "pmd"
     (Dataplane.pmd
        ~config:{ Pmd.default_config with Pmd.n_shards = 2; batch_cycles = 10. }
@@ -452,7 +454,7 @@ let test_profiler_off_parity () =
   let run profile =
     let telemetry = if profile then Some (Ctx.v ~perf:(Perf.create ()) ()) else None in
     let dp =
-      Dataplane.create ?telemetry (Dataplane.datapath ())
+      Dataplane.create ?telemetry (Dataplane.pmd ())
         (Pi_pkt.Prng.create 42L)
     in
     Dataplane.install_rules dp rules;
