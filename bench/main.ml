@@ -1029,6 +1029,57 @@ let run_hotpath () =
       hr_minor_words_per_pkt = per r.hr_minor_words_per_pkt }
   in
   print_row "upcall-remint" (Some 512) upcall_remint;
+  (* 4c. Revalidation, per [Datapath.revalidate] call, over the covert
+     round's singleton megaflows (512 for src+dport, 8192 for
+     src+sport+dport), all stamped at t = 100. [revalidate-skip]: nothing
+     is idle and the rules are unchanged, so the sweep is skipped.
+     [revalidate-sweep]: before each call one covert packet is sent
+     stamped 11 s in the past (a hit on the first call, a re-mint
+     after), so that one entry is idle and the megaflow and EMC sweeps
+     run in full, evicting it. *)
+  let revalidate_rows =
+    List.map
+      (fun variant ->
+        let spec =
+          Policy_gen.default_spec ~variant ~allow_src:(ip "10.0.0.10") ()
+        in
+        let dp = Pi_ovs.Datapath.create (Pi_pkt.Prng.create 1L) () in
+        Pi_ovs.Datapath.install_rules dp
+          (Pi_cms.Compile.compile ~allow:(Pi_ovs.Action.Output 2)
+             (Policy_gen.acl spec));
+        let flows =
+          Array.of_list
+            (Packet_gen.flows (Packet_gen.make ~spec ~dst:(ip "10.1.0.3") ()))
+        in
+        let b = Pi_ovs.Batch.create ~capacity:32 in
+        Array.iteri
+          (fun i f ->
+            Pi_ovs.Batch.push b f ~pkt_len:64;
+            if Pi_ovs.Batch.length b = 32 || i = Array.length flows - 1 then begin
+              Pi_ovs.Datapath.process_batch dp b ~now:100.;
+              Pi_ovs.Batch.clear b
+            end)
+          flows;
+        let n = Pi_ovs.Datapath.n_megaflows dp in
+        ignore (Pi_ovs.Datapath.revalidate dp ~now:100.);
+        let skip =
+          hot_measure ~iters:200_000 (fun () ->
+              ignore (Pi_ovs.Datapath.revalidate dp ~now:100.))
+        in
+        print_row "revalidate-skip" (Some n) skip;
+        Pi_ovs.Batch.clear b;
+        Pi_ovs.Batch.push b flows.(0) ~pkt_len:64;
+        let sweep =
+          hot_measure ~quick_floor:20 ~iters:(max 200 (1_000_000 / n))
+            (fun () ->
+              Pi_ovs.Datapath.process_batch dp b ~now:89.;
+              if Pi_ovs.Datapath.revalidate dp ~now:100. <> 1 then
+                failwith "revalidate-sweep: a sweep must evict one entry")
+        in
+        print_row "revalidate-sweep" (Some n) sweep;
+        (n, (skip, sweep)))
+      [ Variant.Src_dport; Variant.Src_sport_dport ]
+  in
   (* 5. Megaflow update churn: the revalidator's view of the attack.
      Each op installs a fresh exact-mask entry (a new covert flow being
      cached) on top of the n injected masks; every 256 ops a
@@ -1373,6 +1424,17 @@ let run_hotpath () =
       ("mf_hit_hinted", indexed mf_hit_hinted);
       ("obs_overhead", by_profile obs_overhead);
       ("pmd_batch", fun b -> add_obj b (row_fields pmd_batch));
+      ("revalidate",
+       fun b ->
+         add_obj b
+           (List.map
+              (fun (n, (skip, sweep)) ->
+                (Printf.sprintf "%05d" n,
+                 fun b ->
+                   add_obj b
+                     [ ("skip", fun b -> add_obj b (row_fields skip));
+                       ("sweep", fun b -> add_obj b (row_fields sweep)) ]))
+              revalidate_rows));
       ("tss_churn", indexed tss_churn);
       ("tss_walk", indexed tss_walk);
       ("tss_walk_admit_batch", indexed2 tss_walk_admit_batch);

@@ -81,7 +81,19 @@ let shards_arg =
        & info [ "shards" ] ~docv:"N"
            ~doc:"PMD threads (one core each) of the pmd backend; flows are \
                  RSS-steered across them. 1 (the default) is the \
-                 single-datapath model.")
+                 single-datapath model, and the only value the cacheless \
+                 backend accepts.")
+
+(* The cache-less backend is one shard, so more is a usage error,
+   worded as [Validate] words it in a .pis file. *)
+let backend_shards_arg =
+  let check backend shards =
+    match backend with
+    | `Cacheless when shards > 1 ->
+      `Error (true, "backend cacheless is single-threaded; shards must be 1")
+    | `Pmd | `Cacheless -> `Ok (backend, shards)
+  in
+  Term.(ret (const check $ backend_arg $ shards_arg))
 
 (* Output files are opened before any work, so an unwritable path is a
    diagnostic (exit 123) up front, not an exception after the run. *)
@@ -316,7 +328,7 @@ let dpctl_dataplane variant allow_src seed backend shards =
   ignore (Pi_ovs.Dataplane.service_upcalls dp ~now:0.);
   dp
 
-let dpctl_view view variant allow_src seed backend shards max =
+let dpctl_view view variant allow_src seed (backend, shards) max =
   let dp = dpctl_dataplane variant allow_src seed backend shards in
   let ppf = Format.std_formatter in
   (match view with
@@ -335,7 +347,7 @@ let dpctl_sub name doc view =
   in
   Cmd.v (Cmd.info name ~doc)
     Term.(const (dpctl_view view) $ variant_arg $ allow_src_arg $ seed_arg
-          $ backend_arg $ shards_arg $ max)
+          $ backend_shards_arg $ max)
 
 let dpctl_cmd =
   Cmd.group
@@ -424,8 +436,8 @@ let write_csv oc samples =
     samples;
   close_out oc
 
-let attack variant duration start offered every coarse shards batch pipeline
-    backend upcall_queue attribution csv json =
+let attack variant duration start offered every coarse (backend, shards) batch
+    pipeline upcall_queue attribution csv json =
   let open Pi_sim in
   let csv = Option.map (fun path -> (path, open_out_or_exit path)) csv in
   let json = Option.map (fun path -> (path, open_out_or_exit path)) json in
@@ -599,7 +611,7 @@ let attack_cmd =
   in
   Cmd.v (Cmd.info "attack" ~doc:"Run the Fig. 3 end-to-end scenario")
     Term.(const attack $ variant_arg $ duration $ start $ offered $ every $ coarse
-          $ shards_arg $ batch $ pipeline $ backend_arg $ upcall_queue $ attribution
+          $ backend_shards_arg $ batch $ pipeline $ upcall_queue $ attribution
           $ csv $ json)
 
 (* --- monitor --- *)

@@ -105,7 +105,13 @@ let reset_stats t =
    honestly zero, which is the point of the design. *)
 let dataplane ?engine ?config ?cost () : Pi_ovs.Dataplane.backend =
   (module struct
-    type nonrec t = { cl : t; ctx : Pi_telemetry.Ctx.t }
+    type nonrec t = {
+      cl : t;
+      ctx : Pi_telemetry.Ctx.t;
+      c_packets : Pi_telemetry.Metrics.counter option;
+          (* the registry's [packets] counter, as a datapath reports
+             it, so the shard views count what this backend served *)
+    }
 
     let name = "cacheless"
 
@@ -115,12 +121,21 @@ let dataplane ?engine ?config ?cost () : Pi_ovs.Dataplane.backend =
          to record and is accepted-and-ignored (the conformance suite
          checks enabling it changes nothing). *)
       ignore (provenance : Pi_ovs.Provenance.registry option);
+      let ctx = Option.value telemetry ~default:Pi_telemetry.Ctx.empty in
       { cl = create ?engine ?config ?cost ();
-        ctx = Option.value telemetry ~default:Pi_telemetry.Ctx.empty }
+        ctx;
+        c_packets =
+          Option.map
+            (fun m -> Pi_telemetry.Metrics.counter m "packets")
+            (Pi_telemetry.Ctx.metrics ctx) }
 
     let install_rules d rules = install_rules d.cl rules
     let remove_rules d pred = remove_rules d.cl pred
-    let process d ~now:_ flow ~pkt_len = process d.cl flow ~pkt_len
+    let process d ~now:_ flow ~pkt_len =
+      (match d.c_packets with
+       | Some c -> Pi_telemetry.Metrics.incr c
+       | None -> ());
+      process d.cl flow ~pkt_len
 
     (* No cache hierarchy to vectorise: the batch entry is the scalar
        classifier applied per slot, writing the columns in place. No

@@ -51,5 +51,7 @@ val dataplane :
 (** A conforming {!Pi_ovs.Dataplane} backend (name ["cacheless"]): one
     shard, [~now] ignored, [revalidate] and [service_upcalls] are no-ops
     and every cache statistic (masks, megaflows, EMC, upcall queue)
-    reports 0 — there is nothing for policy injection to poison. The
-    PRNG handed to [create] is unused. *)
+    reports 0 — there is nothing for policy injection to poison. A
+    telemetry registry gets the [packets] counter a datapath reports,
+    so the per-shard views count the packets served. The PRNG handed to
+    [create] is unused. *)

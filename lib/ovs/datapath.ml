@@ -50,6 +50,17 @@ type t = {
          [t.cycles <- t.cycles +. c] store boxes a fresh float, which
          alone busts the batch path's zero-allocation budget; float
          array stores are unboxed. *)
+  least_now : float array;
+      (* least_now.(0): the least [now] passed to {!process_batch} or
+         {!service_upcalls} since the last full megaflow sweep, so a
+         lower bound on every hit's [last_used] stamp since then
+         ([infinity] if none); one cell for the same reason as [cy] *)
+  mutable swept_rev : int;
+      (* the slow-path revision at the last full megaflow sweep, or at
+         the last rule change that found the megaflow cache empty: no
+         live entry carries an older one *)
+  mutable emc_deaths : int;
+      (* {!Megaflow.deaths} at the last EMC sweep *)
   mf_stats : Megaflow.lookup_stats;
       (* caller-owned probe reporting for this datapath's own megaflow
          commits *)
@@ -137,6 +148,9 @@ let create ?(config = default_config) ?tss_config ?telemetry ?provenance rng
     uq = Upcall_queue.create config.upcall_queue;
     sync_upcalls = sync;
     cy = Array.make 2 0.;
+    least_now = [| infinity |];
+    swept_rev = 0;  (* a new slow path's revision *)
+    emc_deaths = 0;
     mf_stats = Megaflow.lookup_stats ();
     one;
     ck_pos = Array.make Slowpath.chunk 0;
@@ -169,8 +183,20 @@ let slowpath t = t.slow
 let megaflow t = t.mf
 let emc t = t.emc
 
-let install_rules t rules = Slowpath.install t.slow rules
-let remove_rules t pred = Slowpath.remove t.slow pred
+(* A rule change cannot leave an entry of an empty megaflow cache with
+   an old revision: every later install carries the new one. So the
+   revalidator need not sweep for it. *)
+let note_revision t =
+  if Megaflow.n_entries t.mf = 0 then t.swept_rev <- Slowpath.revision t.slow
+
+let install_rules t rules =
+  Slowpath.install t.slow rules;
+  note_revision t
+
+let remove_rules t pred =
+  let n = Slowpath.remove t.slow pred in
+  note_revision t;
+  n
 
 let trace t ~now kind =
   match t.tracer with
@@ -525,6 +551,7 @@ and next_packet t b ~now i n j k emc_clean d =
 let process_batch t (b : Batch.t) ~now =
   let n = b.Batch.n in
   if n > 0 then begin
+    if now < t.least_now.(0) then t.least_now.(0) <- now;
     t.last_b <- b;
     t.ck_n <- 0;
     t.ck_next <- 0;
@@ -598,6 +625,7 @@ let apply_verdict t ~now flow ~pkt_len (v : Slowpath.verdict) =
    installs touch only the megaflow/EMC), so each verdict equals the one
    the item would have received one-at-a-time. *)
 let service_upcalls t ~now =
+  if now < t.least_now.(0) then t.least_now.(0) <- now;
   let budget = Upcall_queue.budget t.uq in
   let serviced = ref 0 in
   let continue = ref true in
@@ -627,24 +655,51 @@ let service_upcalls t ~now =
 
 let mask_cache t = t.mcache
 
+(* The revalidator skips work that provably changes nothing. A full
+   megaflow sweep is needed only if some entry may carry an old
+   revision (the slow-path revision moved since the last full sweep, or
+   since a rule change met an empty cache) or may be idle. Every live
+   [last_used] is at least the megaflow's own bound (survivors of the
+   last sweep, later inserts; {!Megaflow.may_have_idle}) or the least
+   [now] of the bursts since (hits), and float subtraction is monotone,
+   so when [now] is within the idle timeout of both, no entry is idle.
+   An EMC value can be dead only if a megaflow died after the last EMC
+   sweep, so the EMC is swept only when the death count moved. *)
 let revalidate t ~now =
   if t.cfg.rank_subtables then Megaflow.resort_by_hits t.mf;
   let rev = Slowpath.revision t.slow in
   let evicted =
-    Megaflow.revalidate t.mf ~now
-      ~keep:(fun e -> e.Megaflow.revision = rev)
-      ()
+    if
+      rev <> t.swept_rev
+      || Megaflow.may_have_idle t.mf ~now
+      || now -. t.least_now.(0) > t.cfg.megaflow.Megaflow.idle_timeout
+    then begin
+      t.swept_rev <- rev;
+      t.least_now.(0) <- infinity;
+      Megaflow.revalidate t.mf ~now
+        ~keep:(fun e -> e.Megaflow.revision = rev)
+        ()
+    end
+    else 0
   in
-  if t.cfg.emc_enabled then
-    ignore (Emc.invalidate_if t.emc (fun e -> not e.Megaflow.alive));
+  let deaths = Megaflow.deaths t.mf in
+  if t.cfg.emc_enabled && deaths <> t.emc_deaths then begin
+    t.emc_deaths <- deaths;
+    ignore (Emc.invalidate_if t.emc (fun e -> not e.Megaflow.alive))
+  end;
   (match t.perf with
    | Some p -> Pi_telemetry.Perf.record_reval p ~evicted
    | None -> ());
   if evicted > 0 then
     trace t ~now (Pi_telemetry.Tracer.Megaflow_evicted { count = evicted });
-  trace t ~now
-    (Pi_telemetry.Tracer.Revalidate
-       { evicted; n_masks = Megaflow.n_masks t.mf });
+  (* matched, not [trace]d: the event record would be built even with
+     no tracer *)
+  (match t.tracer with
+   | Some tr ->
+     Pi_telemetry.Tracer.record tr ~at:now
+       (Pi_telemetry.Tracer.Revalidate
+          { evicted; n_masks = Megaflow.n_masks t.mf })
+   | None -> ());
   if evicted > 0 then
     Log.debug (fun m ->
         m "revalidator: evicted %d megaflows (%d masks remain)" evicted

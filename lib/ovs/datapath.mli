@@ -77,7 +77,9 @@ val mask_cache : t -> Mask_cache.t option
 val install_rules : t -> Action.t Pi_classifier.Rule.t list -> unit
 (** Install flow-table rules in the slow path. Cached megaflows from
     earlier revisions are evicted at the next {!revalidate} — OVS's
-    revalidation on policy change. *)
+    revalidation on policy change. A change that finds the megaflow
+    cache empty leaves nothing to evict, so it does not by itself make
+    the next {!revalidate} sweep. *)
 
 val remove_rules : t -> (Action.t Pi_classifier.Rule.t -> bool) -> int
 
@@ -161,7 +163,19 @@ val last_megaflow : t -> Megaflow.entry option
 val revalidate : t -> now:float -> int
 (** Run the revalidator: evict idle and stale-revision megaflows, drop
     microflow-cache entries pointing at dead megaflows. Returns evicted
-    megaflow count. *)
+    megaflow count.
+
+    Each sweep runs only when it might change something, with the same
+    result as if it always ran. The megaflow sweep runs when the rules
+    changed since the last one (unless the change found the cache
+    empty), or when some entry may be idle: [now] is more than the idle
+    timeout past {!Megaflow.may_have_idle}'s bound or past the least
+    [now] given to {!process_batch} or {!service_upcalls} since the last
+    full sweep. The microflow-cache sweep runs when a megaflow died
+    since the last one ({!Megaflow.deaths}). The subtable resort, the
+    profiler's sweep count and the [Revalidate] trace event happen on
+    every call. Exact as long as nothing stamps a megaflow's [last_used]
+    below both bounds (see {!Megaflow.entry}). *)
 
 val cycles_used : t -> float
 (** Cumulative CPU cycles consumed by processed packets since the last

@@ -116,14 +116,21 @@ let rec probe_batch t flows n out miss_idx i k =
 let lookup_batch t flows ~n ~out ~miss_idx =
   probe_batch t flows n out miss_idx 0 0
 
-(* Overwrite the key's slot with the already-boxed option [r]. *)
-let store t flow r =
-  let i = slot_of t flow in
+(* Overwrite slot [i], the key's, with the already-boxed option [r]. *)
+let store t i flow r =
   (match t.values.(i) with None -> t.occupied <- t.occupied + 1 | Some _ -> ());
   t.keys.(i) <- flow;
   t.values.(i) <- r
 
-let insert_forced t flow value = store t flow (Some value)
+(* A slot that already holds this very key and value is left as it
+   is: rewriting it would change nothing but cost a fresh [Some] and two
+   write barriers. The scenario's keep-alive inserts hit this case more
+   often than not. *)
+let insert_forced t flow value =
+  let i = slot_of t flow in
+  match t.values.(i) with
+  | Some v when v == value && t.keys.(i) == flow -> ()
+  | Some _ | None -> store t i flow (Some value)
 
 let sampled t =
   t.insert_inv_prob = 1 || Pi_pkt.Prng.int t.rng t.insert_inv_prob = 0
@@ -132,7 +139,7 @@ let insert t flow value = if sampled t then insert_forced t flow value
 
 let insert_stored t flow r =
   match r with
-  | Some _ -> if sampled t then store t flow r
+  | Some _ -> if sampled t then store t (slot_of t flow) flow r
   | None -> invalid_arg "Emc.insert_stored: None"
 
 let invalidate_if t pred =

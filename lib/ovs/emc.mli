@@ -63,7 +63,8 @@ val insert_stored : 'a t -> Pi_classifier.Flow.t -> 'a option -> unit
     [None]. *)
 
 val insert_forced : 'a t -> Pi_classifier.Flow.t -> 'a -> unit
-(** Insert regardless of the sampling probability. *)
+(** Insert regardless of the sampling probability. A slot that already
+    holds this very key (physically) and value is left untouched. *)
 
 val invalidate_if : 'a t -> ('a -> bool) -> int
 (** Drop entries whose value satisfies the predicate; returns count. *)

@@ -86,7 +86,17 @@ let default_config = { max_entries = 200_000; idle_timeout = 10.0 }
    like [by_mask]. A mask minted again takes its old subtable back —
    record, descriptor, mask and arena — instead of allocating new ones;
    under mask churn every round re-mints what the last one evicted. A
-   taken slot holds [vacant]; the next sweep replaces the whole pool. *)
+   taken slot holds [vacant]; the next sweep replaces the whole pool.
+
+   [floor.(0)] bounds from below the [last_used] of every live entry,
+   as far as stamps written at insert or kept through a sweep go: a
+   sweep sets it to its survivors' minimum ([infinity] if none), each
+   insert lowers it to its own [now], and a flush resets it. Hits stamp
+   [last_used] without lowering it; a caller that skips sweeps by the
+   bound covers those stamps itself. A one-cell float array, not a
+   mutable float field: a store into a float field of this mixed record
+   boxes. [deaths] counts the entries ever killed, so a caller can tell
+   whether a reference it holds may have gone dead. *)
 type t = {
   cfg : config;
   by_mask : Flat_tbl.t;             (* mask hash -> position in [arr] *)
@@ -101,6 +111,8 @@ type t = {
   mutable pool_n : int;
   pool_by_mask : Flat_tbl.t;        (* mask hash -> slot in [pool] *)
   mutable generation : int;
+  floor : float array;
+  mutable deaths : int;
   mutable n : int;
   mutable hits : int;
   mutable misses : int;
@@ -155,6 +167,8 @@ let create ?(config = default_config) ?metrics () =
     pool_n = 0;
     pool_by_mask = Flat_tbl.create ();
     generation = 0;
+    floor = [| infinity |];
+    deaths = 0;
     n = 0;
     hits = 0;
     misses = 0;
@@ -838,6 +852,7 @@ let remove_entry t st (e : entry) =
     | None -> assert false
   end;
   e.alive <- false;
+  t.deaths <- t.deaths + 1;
   t.n <- t.n - 1;
   sync_gauges t
 
@@ -949,6 +964,7 @@ let evict_lru t =
 let has_mask t mask = position t mask >= 0
 
 let insert t ~key ~mask ~action ~revision ~now ?origin () =
+  if now < t.floor.(0) then t.floor.(0) <- now;
   let evicted = t.n >= t.cfg.max_entries in
   if evicted then evict_lru t;
   let w = Mask.unsafe_words mask in
@@ -1001,6 +1017,7 @@ let insert t ~key ~mask ~action ~revision ~now ?origin () =
 
 let revalidate t ~now ?(keep = fun _ -> true) () =
   let evicted = ref 0 in
+  t.floor.(0) <- infinity;
   for i = 0 to t.n_tables - 1 do
     let st = t.arr.(i) in
     (* Downward, so a swap-with-last removal only moves an entry that
@@ -1011,7 +1028,8 @@ let revalidate t ~now ?(keep = fun _ -> true) () =
         remove_entry t st e;
         bump t.c_evicted;
         incr evicted
-      | Some _ -> ()
+      | Some e ->
+        if e.last_used < t.floor.(0) then t.floor.(0) <- e.last_used
       | None -> assert false
     done
   done;
@@ -1020,6 +1038,8 @@ let revalidate t ~now ?(keep = fun _ -> true) () =
 
 let flush t =
   iter_subtables (fun st -> iter_entries (fun e -> e.alive <- false) st) t;
+  t.deaths <- t.deaths + t.n;
+  t.floor.(0) <- infinity;
   t.n <- 0;
   reset_pool t;
   set_tables t []
@@ -1096,6 +1116,8 @@ let check t =
   with Broken msg -> Error msg
 
 let n_entries t = t.n
+let may_have_idle t ~now = now -. t.floor.(0) > t.cfg.idle_timeout
+let deaths t = t.deaths
 let n_masks t = t.n_tables
 
 let masks t =

@@ -47,6 +47,13 @@ type entry = {
       (** who minted it — port / tenant / rule of the upcall that
           installed the entry ([None] when provenance is off) *)
   mutable last_used : float;
+      (** stamped by the insert and by every hit. Outside this module
+          it is written by {!Datapath}'s EMC hits and by the scenario's
+          keep-alive touches, and never to a value below both the
+          bound behind {!may_have_idle} and the least [now] the owning
+          datapath has processed since its last sweep:
+          {!Datapath.revalidate} skips a sweep by those bounds, so a
+          smaller stamp could hide an idle entry from it *)
   mutable n_packets : int;
   mutable n_bytes : int;
   mutable alive : bool;
@@ -185,6 +192,21 @@ val revalidate : t -> now:float -> ?keep:(entry -> bool) -> unit -> int
     rejected by [keep] (e.g. produced by a stale slow-path revision).
     Empty subtables (masks) are dropped into the pool, replacing what
     it held before. Returns entries evicted. *)
+
+val may_have_idle : t -> now:float -> bool
+(** [false] only if no entry can be idle at [now] by the stamps this
+    module wrote: the least [last_used] among the survivors of the last
+    {!revalidate}, lowered by every later {!insert} to its [now]
+    ([infinity] after {!flush} or a sweep that left nothing), is within
+    [idle_timeout] of [now]. Hits do not lower that bound (they stamp
+    the [now] of their commit), so a caller that skips sweeps by it must
+    also bound the [now] of the hits it committed since, as
+    {!Datapath.revalidate} does. *)
+
+val deaths : t -> int
+(** Entries killed so far (revalidation, LRU eviction, replacement by
+    an insert with the same masked key, {!flush}). While it is
+    unchanged, every entry that was alive before is still alive. *)
 
 val flush : t -> unit
 

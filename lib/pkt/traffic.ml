@@ -75,7 +75,7 @@ module Flow_pool = struct
 
   let nth t i = t.flows.(i)
 
-  let sample t rng =
+  let sample_index t rng =
     let u = Prng.float rng in
     (* Binary search for the first CDF entry >= u. *)
     let lo = ref 0 and hi = ref (Array.length t.cdf - 1) in
@@ -83,7 +83,9 @@ module Flow_pool = struct
       let mid = (!lo + !hi) / 2 in
       if t.cdf.(mid) >= u then hi := mid else lo := mid + 1
     done;
-    t.flows.(!lo)
+    !lo
+
+  let sample t rng = t.flows.(sample_index t rng)
 
   let churn t rng ~fraction =
     let n = Array.length t.flows in

@@ -46,6 +46,10 @@ module Flow_pool : sig
   val sample : t -> Prng.t -> flow_spec
   (** Draw a flow according to the popularity distribution. *)
 
+  val sample_index : t -> Prng.t -> int
+  (** The index {!sample} would draw, with the same PRNG draws:
+      [sample t rng] is [nth t (sample_index t rng)]. *)
+
   val nth : t -> int -> flow_spec
 
   val churn : t -> Prng.t -> fraction:float -> int

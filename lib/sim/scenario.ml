@@ -253,6 +253,21 @@ let run p =
       ~dst_net:(Ipv4_addr.Prefix.make victim_ip 32)
       ~proto:Ipv4.proto_tcp ~dst_ports:[| 5001 |] ~pkt_len:p.victim_pkt_len ()
   in
+  (* One flow key per pool entry, built on first use and rebuilt only
+     after [churn] replaced the entry, which it does with a new spec
+     record. [unbuilt] is a fresh record, physically equal to no pool
+     entry. *)
+  let unbuilt = { (Traffic.Flow_pool.nth pool 0) with Traffic.pkt_len = 0 } in
+  let victim_specs = Array.make (Traffic.Flow_pool.size pool) unbuilt in
+  let victim_keys = Array.make (Traffic.Flow_pool.size pool) Flow.zero in
+  let victim_key j =
+    let spec = Traffic.Flow_pool.nth pool j in
+    if victim_specs.(j) != spec then begin
+      victim_specs.(j) <- spec;
+      victim_keys.(j) <- flow_of_spec ~in_port:uplink_port spec
+    end;
+    victim_keys.(j)
+  in
   let offered_pps =
     Traffic.rate_for_bandwidth
       ~bits_per_sec:(p.victim_offered_gbps *. 1e9)
@@ -362,7 +377,10 @@ let run p =
   let n_ticks = int_of_float (ceil (p.duration /. p.tick)) in
   let next_revalidate = ref p.revalidate_period in
   for i = 0 to n_ticks - 1 do
-    let now = float_of_int i *. p.tick in
+    (* Boxed once per tick: a float bound from arithmetic is kept
+       unboxed and boxed afresh at every boxed use, and the keep-alive
+       loop below stores [now] into an entry once per touch. *)
+    let now = Sys.opaque_identity (float_of_int i *. p.tick) in
     (* --- attacker --- *)
     Array.fill attacker_shard_cycles 0 n_sh 0.;
     let attacker_cycles =
@@ -477,8 +495,7 @@ let run p =
     Array.fill victim_share 0 n_sh 0;
     Batch.clear victim_b;
     for _ = 1 to p.victim_samples_per_tick do
-      let spec = Traffic.Flow_pool.sample pool traffic_rng in
-      let f = flow_of_spec ~in_port:uplink_port spec in
+      let f = victim_key (Traffic.Flow_pool.sample_index pool traffic_rng) in
       let s = Dataplane.shard_of dp f in
       victim_share.(s) <- victim_share.(s) + 1;
       Batch.push victim_b f ~pkt_len:p.victim_pkt_len

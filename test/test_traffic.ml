@@ -43,6 +43,20 @@ let test_pool_sample_zipf () =
   (* expected ~ 2000 / H(100) ≈ 385 *)
   if !hits < 200 then Alcotest.failf "zipf head too cold: %d" !hits
 
+let test_sample_index () =
+  (* [sample_index] makes the same PRNG draws as [sample] and names the
+     entry [sample] returns: two generators from one seed stay in step. *)
+  let pool = mk_pool 6L in
+  let a = Prng.create 11L and b = Prng.create 11L in
+  for k = 1 to 1000 do
+    let spec = Traffic.Flow_pool.sample pool a in
+    let i = Traffic.Flow_pool.sample_index pool b in
+    if Traffic.Flow_pool.nth pool i != spec then
+      Alcotest.failf "draw %d: index %d is not the sampled entry" k i
+  done;
+  Alcotest.(check int) "generators still in step" (Prng.int a 1_000_000)
+    (Prng.int b 1_000_000)
+
 let test_pool_churn () =
   let rng = Prng.create 4L in
   let pool = mk_pool 4L in
@@ -93,6 +107,7 @@ let suite =
     Alcotest.test_case "pool deterministic" `Quick test_pool_deterministic;
     Alcotest.test_case "pool respects nets" `Quick test_pool_nets;
     Alcotest.test_case "zipf head popularity" `Quick test_pool_sample_zipf;
+    Alcotest.test_case "sample_index draws as sample" `Quick test_sample_index;
     Alcotest.test_case "churn" `Quick test_pool_churn;
     Alcotest.test_case "packet_of_flow size" `Quick test_packet_of_flow;
     Alcotest.test_case "cbr count" `Quick test_cbr;
