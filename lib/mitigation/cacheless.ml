@@ -105,13 +105,7 @@ let reset_stats t =
    honestly zero, which is the point of the design. *)
 let dataplane ?engine ?config ?cost () : Pi_ovs.Dataplane.backend =
   (module struct
-    type nonrec t = {
-      cl : t;
-      ctx : Pi_telemetry.Ctx.t;
-      c_packets : Pi_telemetry.Metrics.counter option;
-          (* the registry's [packets] counter, as a datapath reports
-             it, so the shard views count what this backend served *)
-    }
+    type nonrec t = { cl : t; ctx : Pi_telemetry.Ctx.t }
 
     let name = "cacheless"
 
@@ -122,20 +116,18 @@ let dataplane ?engine ?config ?cost () : Pi_ovs.Dataplane.backend =
          checks enabling it changes nothing). *)
       ignore (provenance : Pi_ovs.Provenance.registry option);
       let ctx = Option.value telemetry ~default:Pi_telemetry.Ctx.empty in
-      { cl = create ?engine ?config ?cost ();
-        ctx;
-        c_packets =
-          Option.map
-            (fun m -> Pi_telemetry.Metrics.counter m "packets")
-            (Pi_telemetry.Ctx.metrics ctx) }
+      let cl = create ?engine ?config ?cost () in
+      (* the registry's [packets], as a datapath names it, so the shard
+         views count what this backend served *)
+      Option.iter
+        (fun m ->
+          Pi_telemetry.Metrics.counter m "packets" (fun () -> cl.n_processed))
+        (Pi_telemetry.Ctx.metrics ctx);
+      { cl; ctx }
 
     let install_rules d rules = install_rules d.cl rules
     let remove_rules d pred = remove_rules d.cl pred
-    let process d ~now:_ flow ~pkt_len =
-      (match d.c_packets with
-       | Some c -> Pi_telemetry.Metrics.incr c
-       | None -> ());
-      process d.cl flow ~pkt_len
+    let process d ~now:_ flow ~pkt_len = process d.cl flow ~pkt_len
 
     (* No cache hierarchy to vectorise: the batch entry is the scalar
        classifier applied per slot, writing the columns in place. No

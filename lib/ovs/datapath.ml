@@ -84,15 +84,16 @@ type t = {
   su_verd : Slowpath.verdict array;
   mutable n_processed : int;
   mutable n_upcalls : int;
-  mutable n_upcall_drops : int;
+  mutable n_slow_probes : int;
   mutable last_b : Batch.t;
       (* the batch {!process_batch} ran last; {!last_megaflow} reads its
          last [mf] slot *)
   (* Optional attribution: per-port accounting and mask provenance.
      [None] (the default) leaves every path bit-for-bit as before. *)
   prov : Provenance.store option;
-  (* Optional telemetry: counters/histograms report into a shared
-     registry, the tracer records the event stream. All [None] when
+  (* Optional telemetry: histograms report into the registry (whose
+     counters and gauges read this datapath's own counts, see
+     [register]), the tracer records the event stream. All [None] when
      telemetry is disabled — the datapath then behaves exactly as
      before. *)
   tracer : Pi_telemetry.Tracer.t option;
@@ -100,8 +101,6 @@ type t = {
       (* per-stage cycle profiler; its cost coefficients are installed
          once at creation so the hot recorders take only immediate
          arguments (a float argument would box per packet) *)
-  c_packets : Pi_telemetry.Metrics.counter option;
-  c_upcall_drops : Pi_telemetry.Metrics.counter option;
   h_cycles : Pi_telemetry.Histogram.t option;
   h_probes : Pi_telemetry.Histogram.t option;
   h_upcall : Pi_telemetry.Histogram.t option;
@@ -111,6 +110,32 @@ let mf_alive (e : Megaflow.entry) = e.Megaflow.alive
 
 (* Upcalls popped and classified per handler drain round. *)
 let service_chunk = 64
+
+(* Name this datapath's counts in [m]. Each counter and gauge reads the
+   field of the structure that counts the event, so the registry can
+   never disagree with {!n_processed}, {!Emc.hits} and the rest, and
+   {!reset_stats} resets it too. *)
+let register m t =
+  let c name read = Pi_telemetry.Metrics.counter m name read in
+  let g name read =
+    Pi_telemetry.Metrics.gauge m name (fun () -> float_of_int (read ()))
+  in
+  c "packets" (fun () -> t.n_processed);
+  c "emc_hit" (fun () -> Emc.hits t.emc);
+  c "emc_miss" (fun () -> Emc.misses t.emc);
+  c "mf_hit" (fun () -> Megaflow.hits t.mf);
+  c "mf_miss" (fun () -> Megaflow.misses t.mf);
+  c "mf_probes" (fun () -> Megaflow.total_probes t.mf);
+  c "mask_created" (fun () -> Megaflow.masks_created t.mf);
+  c "megaflow_evicted" (fun () -> Megaflow.evicted t.mf);
+  c "upcall" (fun () -> t.n_upcalls);
+  c "slow_probes" (fun () -> t.n_slow_probes);
+  g "n_masks" (fun () -> Megaflow.n_masks t.mf);
+  g "n_megaflows" (fun () -> Megaflow.n_entries t.mf);
+  (* Only in deferred mode, so that a default (synchronous) datapath
+     exports exactly the pre-queue snapshot keys. *)
+  if not t.sync_upcalls then
+    c "upcall_drops" (fun () -> Upcall_queue.drops t.uq)
 
 let create ?(config = default_config) ?tss_config ?telemetry ?provenance rng
     () =
@@ -130,53 +155,48 @@ let create ?(config = default_config) ?tss_config ?telemetry ?provenance rng
   let hist name =
     Option.map (fun m -> Pi_telemetry.Metrics.histogram m name) metrics
   in
-  let sync = Upcall_queue.synchronous config.upcall_queue in
   let one = Batch.create ~capacity:1 in
-  { cfg = config;
-    emc =
-      (* [valid] makes a cached-but-dead megaflow reference count (and
-         evict) as a miss instead of inflating the EMC hit rate. *)
-      Emc.create ~capacity:config.emc_capacity
-        ~insert_inv_prob:config.emc_insert_inv_prob ~valid:mf_alive ?metrics
-        rng ();
-    mf = Megaflow.create ~config:config.megaflow ?metrics ();
-    mcache =
-      (match config.mask_cache_capacity with
-       | Some capacity -> Some (Mask_cache.create ~capacity ())
-       | None -> None);
-    slow = Slowpath.create ?config:tss_config ?metrics ();
-    uq = Upcall_queue.create config.upcall_queue;
-    sync_upcalls = sync;
-    cy = Array.make 2 0.;
-    least_now = [| infinity |];
-    swept_rev = 0;  (* a new slow path's revision *)
-    emc_deaths = 0;
-    mf_stats = Megaflow.lookup_stats ();
-    one;
-    ck_pos = Array.make Slowpath.chunk 0;
-    ck_n = 0;
-    ck_next = 0;
-    su_flows = Array.make service_chunk Pi_classifier.Flow.zero;
-    su_lens = Array.make service_chunk 0;
-    su_idx = Array.init service_chunk (fun i -> i);
-    su_verd = Array.make service_chunk Slowpath.no_verdict;
-    n_processed = 0;
-    n_upcalls = 0;
-    n_upcall_drops = 0;
-    last_b = one;
-    prov = Option.map (fun reg -> Provenance.store ?metrics reg) provenance;
-    tracer;
-    perf;
-    c_packets =
-      Option.map (fun m -> Pi_telemetry.Metrics.counter m "packets") metrics;
-    c_upcall_drops =
-      (* Registered only in deferred mode so that a default (synchronous)
-         datapath exports exactly the pre-queue snapshot keys. *)
-      (if sync then None
-       else Option.map (fun m -> Pi_telemetry.Metrics.counter m "upcall_drops") metrics);
-    h_cycles = hist "cycles_per_packet";
-    h_probes = hist "mf_probes_per_lookup";
-    h_upcall = hist "upcall_cycles" }
+  let t =
+    { cfg = config;
+      emc =
+        (* [valid] makes a cached-but-dead megaflow reference count (and
+           evict) as a miss instead of inflating the EMC hit rate. *)
+        Emc.create ~capacity:config.emc_capacity
+          ~insert_inv_prob:config.emc_insert_inv_prob ~valid:mf_alive rng ();
+      mf = Megaflow.create ~config:config.megaflow ();
+      mcache =
+        (match config.mask_cache_capacity with
+         | Some capacity -> Some (Mask_cache.create ~capacity ())
+         | None -> None);
+      slow = Slowpath.create ?config:tss_config ();
+      uq = Upcall_queue.create config.upcall_queue;
+      sync_upcalls = Upcall_queue.synchronous config.upcall_queue;
+      cy = Array.make 2 0.;
+      least_now = [| infinity |];
+      swept_rev = 0;  (* a new slow path's revision *)
+      emc_deaths = 0;
+      mf_stats = Megaflow.lookup_stats ();
+      one;
+      ck_pos = Array.make Slowpath.chunk 0;
+      ck_n = 0;
+      ck_next = 0;
+      su_flows = Array.make service_chunk Pi_classifier.Flow.zero;
+      su_lens = Array.make service_chunk 0;
+      su_idx = Array.init service_chunk (fun i -> i);
+      su_verd = Array.make service_chunk Slowpath.no_verdict;
+      n_processed = 0;
+      n_upcalls = 0;
+      n_slow_probes = 0;
+      last_b = one;
+      prov = Option.map (fun reg -> Provenance.store ?metrics reg) provenance;
+      tracer;
+      perf;
+      h_cycles = hist "cycles_per_packet";
+      h_probes = hist "mf_probes_per_lookup";
+      h_upcall = hist "upcall_cycles" }
+  in
+  Option.iter (fun m -> register m t) metrics;
+  t
 
 let config t = t.cfg
 let slowpath t = t.slow
@@ -447,12 +467,12 @@ let complete_miss t (b : Batch.t) (w : Batch.t) ~now i j ~lo ~k =
      | None -> ());
     if t.sync_upcalls then begin
       (* Synchronous model: classify inline, in chunks. *)
-      t.n_upcalls <- t.n_upcalls + 1;
       let slow = t.slow in
       let c = chunk_slot t b i ~lo ~k in
-      Slowpath.count slow c;
       let action = Slowpath.slot_action slow c in
       let slow_probes = Slowpath.slot_probes slow c in
+      t.n_upcalls <- t.n_upcalls + 1;
+      t.n_slow_probes <- t.n_slow_probes + slow_probes;
       b.Batch.mf.(i) <-
         install t ~now flow ~action ~mask:(Slowpath.slot_megaflow slow c)
           ~slow_probes ~rule_seq:(Slowpath.slot_rule_seq slow c);
@@ -473,15 +493,10 @@ let complete_miss t (b : Batch.t) (w : Batch.t) ~now i j ~lo ~k =
          trace t ~now
            (Pi_telemetry.Tracer.Upcall_enqueued
               { queued = Upcall_queue.length t.uq })
-       else begin
-         t.n_upcall_drops <- t.n_upcall_drops + 1;
-         (match t.c_upcall_drops with
-          | Some c -> Pi_telemetry.Metrics.incr c
-          | None -> ());
+       else
          trace t ~now
            (Pi_telemetry.Tracer.Upcall_dropped
-              { queued = Upcall_queue.length t.uq })
-       end);
+              { queued = Upcall_queue.length t.uq }));
       b.Batch.mf.(i) <- None;
       finish_b t b i Action.Drop ~emc_hit:false ~mf_probes:probes
         ~mf_hit:false ~upcall:false ~slow_probes:0;
@@ -494,9 +509,6 @@ let complete_miss t (b : Batch.t) (w : Batch.t) ~now i j ~lo ~k =
 let rec complete_batch t (b : Batch.t) ~now i n j k emc_clean =
   if i < n then begin
     t.n_processed <- t.n_processed + 1;
-    (match t.c_packets with
-     | Some c -> Pi_telemetry.Metrics.incr c
-     | None -> ());
     if not t.cfg.emc_enabled then
       next_packet t b ~now i n (j + 1) k emc_clean
         (complete_miss t b b ~now i j ~lo:(j + 1) ~k)
@@ -593,6 +605,7 @@ let pop_pending_upcall t =
    verdict back so the shard owner applies it to its own caches). *)
 let apply_verdict t ~now flow ~pkt_len (v : Slowpath.verdict) =
   t.n_upcalls <- t.n_upcalls + 1;
+  t.n_slow_probes <- t.n_slow_probes + v.Slowpath.probes;
   ignore
     (install t ~now flow ~action:v.Slowpath.action ~mask:v.Slowpath.megaflow
        ~slow_probes:v.Slowpath.probes ~rule_seq:v.Slowpath.rule_seq);
@@ -716,7 +729,8 @@ let cycles_used t = t.cy.(0)
 let handler_cycles_used t = t.cy.(1)
 let n_processed t = t.n_processed
 let n_upcalls t = t.n_upcalls
-let upcall_drops t = t.n_upcall_drops
+let n_slow_probes t = t.n_slow_probes
+let upcall_drops t = Upcall_queue.drops t.uq
 let pending_upcalls t = Upcall_queue.length t.uq
 let n_masks t = Megaflow.n_masks t.mf
 let n_megaflows t = Megaflow.n_entries t.mf
@@ -726,7 +740,7 @@ let reset_stats t =
   t.cy.(1) <- 0.;
   t.n_processed <- 0;
   t.n_upcalls <- 0;
-  t.n_upcall_drops <- 0;
+  t.n_slow_probes <- 0;
   (* Drain, don't keep: stale queued misses from before the measurement
      window would otherwise be serviced inside it and charge their
      handler work to the wrong window. The drained items are not counted
@@ -735,5 +749,6 @@ let reset_stats t =
   (match t.perf with
    | Some p -> Pi_telemetry.Perf.reset p
    | None -> ());
+  Option.iter Provenance.reset_ports t.prov;
   Megaflow.reset_stats t.mf;
   Emc.reset_stats t.emc

@@ -47,13 +47,20 @@ val create :
 (** [tss_config] configures the slow-path classifier's un-wildcarding
     behaviour (see {!Pi_classifier.Tss.config}).
 
-    [telemetry] attaches a {!Pi_telemetry.Ctx.t}: with a registry, every
-    cache stage reports into it — counters [packets],
-    [emc_hit]/[emc_miss], [mf_hit]/[mf_miss]/[mf_probes],
-    [mask_created]/[megaflow_evicted], [upcall]/[slow_probes] (plus
-    [upcall_drops] when the upcall queue is bounded); gauges [n_masks]
-    and [n_megaflows]; histograms [cycles_per_packet],
-    [mf_probes_per_lookup] and [upcall_cycles]. With a tracer it
+    [telemetry] attaches a {!Pi_telemetry.Ctx.t}. With a registry,
+    [create] names every stage's counts in it, once: counters [packets]
+    ({!n_processed}), [emc_hit]/[emc_miss] ({!Emc.hits}/{!Emc.misses}),
+    [mf_hit]/[mf_miss]/[mf_probes] ({!Megaflow.hits}/{!Megaflow.misses}/
+    {!Megaflow.total_probes}), [mask_created]/[megaflow_evicted]
+    ({!Megaflow.masks_created}/{!Megaflow.evicted}),
+    [upcall]/[slow_probes] ({!n_upcalls}/{!n_slow_probes}), plus
+    [upcall_drops] ({!upcall_drops}) when the upcall queue is bounded;
+    gauges [n_masks] and [n_megaflows] ({!n_masks}/{!n_megaflows}). Each
+    reads its structure's field, so the registry always agrees with the
+    accessors and follows {!reset_stats}. The registry also owns three
+    histograms: [cycles_per_packet], [mf_probes_per_lookup] and
+    [upcall_cycles]. A registry names one datapath: a second [create]
+    on it raises [Invalid_argument]. With a tracer it
     additionally records per-event traces (EMC/megaflow hits, upcalls,
     queue overflow drops, mask creation, evictions, revalidator sweeps).
     Defaults to off, with no change in behaviour or cost accounting.
@@ -201,8 +208,13 @@ val provenance : t -> Provenance.store option
 val n_processed : t -> int
 val n_upcalls : t -> int
 
+val n_slow_probes : t -> int
+(** Slow-path subtables examined by the upcalls counted in
+    {!n_upcalls}. *)
+
 val upcall_drops : t -> int
-(** Packets dropped because the bounded upcall queue was full. *)
+(** Packets dropped because the bounded upcall queue was full
+    ({!Upcall_queue.drops} of this datapath's queue). *)
 
 val pending_upcalls : t -> int
 (** Upcalls queued and not yet serviced. *)
@@ -211,7 +223,10 @@ val n_masks : t -> int
 val n_megaflows : t -> int
 
 val reset_stats : t -> unit
-(** Resets cycle/packet/hit counters; cache contents are untouched.
+(** Resets every count this datapath, its EMC, megaflow cache, upcall
+    queue, profiler and provenance ports keep ({!Provenance.reset_ports}),
+    and with them every registry counter that names one; cache contents,
+    registry histograms and tenant attribution are untouched.
     Pending deferred upcalls are {e drained} (discarded without being
     serviced and without counting as drops): a reset opens a fresh
     measurement window, and stale queued misses from before it must not

@@ -14,8 +14,6 @@ type 'a t = {
   mutable occupied : int;
   mutable hits : int;
   mutable misses : int;
-  c_hit : Pi_telemetry.Metrics.counter option;
-  c_miss : Pi_telemetry.Metrics.counter option;
 }
 
 let next_pow2 n =
@@ -25,7 +23,7 @@ let next_pow2 n =
 let always_valid _ = true
 
 let create ?(capacity = 8192) ?(insert_inv_prob = 4) ?(valid = always_valid)
-    ?metrics rng () =
+    rng () =
   if capacity < 1 then invalid_arg "Emc.create: capacity";
   if insert_inv_prob < 1 then invalid_arg "Emc.create: insert_inv_prob";
   let cap = next_pow2 capacity in
@@ -37,24 +35,17 @@ let create ?(capacity = 8192) ?(insert_inv_prob = 4) ?(valid = always_valid)
     rng;
     occupied = 0;
     hits = 0;
-    misses = 0;
-    c_hit = Option.map (fun m -> Pi_telemetry.Metrics.counter m "emc_hit") metrics;
-    c_miss = Option.map (fun m -> Pi_telemetry.Metrics.counter m "emc_miss") metrics }
+    misses = 0 }
 
 let capacity t = Array.length t.values
 
 let slot_of t flow = Flow.hash flow land t.mask
-
-let bump = function
-  | Some c -> Pi_telemetry.Metrics.incr c
-  | None -> ()
 
 (* Top-level (not a closure inside [lookup]): an inner [let miss () =]
    helper would be heap-allocated on every call, breaking the zero-
    allocation guarantee of the steady-state hit path. *)
 let record_miss t =
   t.misses <- t.misses + 1;
-  bump t.c_miss;
   None
 
 let lookup t flow =
@@ -63,7 +54,6 @@ let lookup t flow =
   | Some v as r when Flow.equal t.keys.(i) flow ->
     if t.valid v then begin
       t.hits <- t.hits + 1;
-      bump t.c_hit;
       r
     end
     else begin
@@ -92,9 +82,7 @@ let probe t flow =
    bookkeeping [lookup] would have performed on the hit path. Only valid
    while no insert has run since the probe (the caller's [emc_clean]
    discipline); otherwise re-run [lookup] for the authoritative answer. *)
-let commit_hit t =
-  t.hits <- t.hits + 1;
-  bump t.c_hit
+let commit_hit t = t.hits <- t.hits + 1
 
 (* Pure probe over packets [0, n): [out.(i)] receives the stored hit
    option, the miss positions land densely in [miss_idx], and the miss

@@ -13,14 +13,13 @@ type 'a t
 
 val create :
   ?capacity:int -> ?insert_inv_prob:int -> ?valid:('a -> bool) ->
-  ?metrics:Pi_telemetry.Metrics.t -> Pi_pkt.Prng.t -> unit -> 'a t
+  Pi_pkt.Prng.t -> unit -> 'a t
 (** [capacity] (default 8192) is rounded up to a power of two;
     [insert_inv_prob] (default 4) is the [1/p] insertion probability
     denominator — 1 inserts always. [valid] (default: accept all) is
     the cached-value validity predicate consulted on every hit; it
     lives here rather than on {!lookup} so the per-packet call carries
-    no closure-option allocation. When [metrics] is given, every lookup
-    also bumps the registry's [emc_hit]/[emc_miss] counters. *)
+    no closure-option allocation. *)
 
 val capacity : 'a t -> int
 

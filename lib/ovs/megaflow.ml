@@ -117,6 +117,9 @@ type t = {
   mutable hits : int;
   mutable misses : int;
   mutable probes : int;
+  mutable masks_created : int;
+  mutable evicted : int;
+      (* cumulative: evictions lower [n_tables] and [n], never these *)
   mutable scan_pos : int;
       (* walk scratch: the probes paid by the last one-packet [scan] *)
   mutable w_remaining : int;
@@ -143,20 +146,9 @@ type t = {
   mutable ins_evicted : bool;
       (* the last insert: its subtable's position, and whether it had to
          evict first — what {!patch_walk} needs *)
-  c_hit : Pi_telemetry.Metrics.counter option;
-  c_miss : Pi_telemetry.Metrics.counter option;
-  c_probes : Pi_telemetry.Metrics.counter option;
-  c_mask_created : Pi_telemetry.Metrics.counter option;
-  c_evicted : Pi_telemetry.Metrics.counter option;
-  (* Live sizes, distinct from the cumulative [mask_created] counter —
-     evictions decrease these but never the counter. *)
-  g_masks : Pi_telemetry.Metrics.gauge option;
-  g_megaflows : Pi_telemetry.Metrics.gauge option;
 }
 
-let create ?(config = default_config) ?metrics () =
-  let c name = Option.map (fun m -> Pi_telemetry.Metrics.counter m name) metrics in
-  let g name = Option.map (fun m -> Pi_telemetry.Metrics.gauge m name) metrics in
+let create ?(config = default_config) () =
   { cfg = config;
     by_mask = Flat_tbl.create ();
     arr = [||];
@@ -173,6 +165,8 @@ let create ?(config = default_config) ?metrics () =
     hits = 0;
     misses = 0;
     probes = 0;
+    masks_created = 0;
+    evicted = 0;
     scan_pos = 0;
     w_remaining = 0;
     w_fields = [||];
@@ -182,22 +176,7 @@ let create ?(config = default_config) ?metrics () =
     w_gsel = [||];
     w_gk = 0;
     ins_pos = -1;
-    ins_evicted = false;
-    c_hit = c "mf_hit";
-    c_miss = c "mf_miss";
-    c_probes = c "mf_probes";
-    c_mask_created = c "mask_created";
-    c_evicted = c "megaflow_evicted";
-    g_masks = g "n_masks";
-    g_megaflows = g "n_megaflows" }
-
-let sync_gauges t =
-  (match t.g_masks with
-   | Some g -> Pi_telemetry.Metrics.set g (float_of_int t.n_tables)
-   | None -> ());
-  match t.g_megaflows with
-  | Some g -> Pi_telemetry.Metrics.set g (float_of_int t.n)
-  | None -> ()
+    ins_evicted = false }
 
 let generation t = t.generation
 
@@ -214,10 +193,6 @@ let iter_entries f st =
     | Some e -> f e
     | None -> assert false
   done
-
-let bump ?(by = 1) = function
-  | Some c -> Pi_telemetry.Metrics.incr ~by c
-  | None -> ()
 
 (* --- Probe descriptor ------------------------------------------------
 
@@ -430,8 +405,7 @@ let set_tables t l =
       Flat_tbl.add t.by_mask st.s_hash i;
       iter_entries (merge_entry t st) st)
     l;
-  t.generation <- t.generation + 1;
-  sync_gauges t
+  t.generation <- t.generation + 1
 
 (* [ff] agrees with the key fields [kf] under the mask. *)
 let rec key_match d kf ff k =
@@ -488,15 +462,11 @@ let hit_entry t st e ~now ~pkt_len ~probes =
   e.n_bytes <- e.n_bytes + pkt_len;
   st.s_hits <- st.s_hits + 1;
   t.hits <- t.hits + 1;
-  t.probes <- t.probes + probes;
-  bump t.c_hit;
-  bump ~by:probes t.c_probes
+  t.probes <- t.probes + probes
 
 let miss t ~probes =
   t.misses <- t.misses + 1;
-  t.probes <- t.probes + probes;
-  bump t.c_miss;
-  bump ~by:probes t.c_probes
+  t.probes <- t.probes + probes
 
 (* Caller-owned probe reporting: each commit writes the probe count it
    charged into the record its caller passed, so two walks in flight
@@ -853,8 +823,7 @@ let remove_entry t st (e : entry) =
   end;
   e.alive <- false;
   t.deaths <- t.deaths + 1;
-  t.n <- t.n - 1;
-  sync_gauges t
+  t.n <- t.n - 1
 
 let reset_pool t =
   Array.fill t.pool 0 t.pool_n vacant;
@@ -956,7 +925,7 @@ let evict_lru t =
     match (heap_st.(i), heap_e.(i)) with
     | Some st, Some e ->
       remove_entry t st e;
-      bump t.c_evicted
+      t.evicted <- t.evicted + 1
     | _ -> ()
   done;
   drop_empty_subtables t
@@ -976,7 +945,7 @@ let insert t ~key ~mask ~action ~revision ~now ?origin () =
       let st = take_subtable t mask w h in
       push_subtable t st;
       Flat_tbl.add t.by_mask h st.s_pos;
-      bump t.c_mask_created;
+      t.masks_created <- t.masks_created + 1;
       st
     end
   in
@@ -1012,7 +981,6 @@ let insert t ~key ~mask ~action ~revision ~now ?origin () =
   t.n <- t.n + 1;
   t.ins_pos <- st.s_pos;
   t.ins_evicted <- evicted;
-  sync_gauges t;
   e
 
 let revalidate t ~now ?(keep = fun _ -> true) () =
@@ -1026,7 +994,7 @@ let revalidate t ~now ?(keep = fun _ -> true) () =
       match st.s_arena.(j) with
       | Some e when now -. e.last_used > t.cfg.idle_timeout || not (keep e) ->
         remove_entry t st e;
-        bump t.c_evicted;
+        t.evicted <- t.evicted + 1;
         incr evicted
       | Some e ->
         if e.last_used < t.floor.(0) then t.floor.(0) <- e.last_used
@@ -1214,8 +1182,12 @@ let dump ?max ~now ppf t =
 let hits t = t.hits
 let misses t = t.misses
 let total_probes t = t.probes
+let masks_created t = t.masks_created
+let evicted t = t.evicted
 
 let reset_stats t =
   t.hits <- 0;
   t.misses <- 0;
-  t.probes <- 0
+  t.probes <- 0;
+  t.masks_created <- 0;
+  t.evicted <- 0

@@ -70,12 +70,7 @@ type config = {
 
 val default_config : config
 
-val create : ?config:config -> ?metrics:Pi_telemetry.Metrics.t -> unit -> t
-(** When [metrics] is given, lookups/inserts/evictions also report into
-    the registry's [mf_hit], [mf_miss], [mf_probes], [mask_created] and
-    [megaflow_evicted] counters, and the {e live} [n_masks] and
-    [n_megaflows] gauges track the current sizes (unlike the cumulative
-    [mask_created] counter, which evictions never decrease). *)
+val create : ?config:config -> unit -> t
 
 type lookup_stats = { mutable s_probes : int }
 (** Caller-owned probe reporting. A commit writes the number of subtable
@@ -253,12 +248,26 @@ val dump : ?max:int -> now:float -> Format.formatter -> t -> unit
 (** Print entries in scan order, one per line ([max] defaults to all) —
     the equivalent of [ovs-dpctl dump-flows] at time [now]. *)
 
+(** {2 Counts}
+
+    Each is the only store of its count, cumulative since creation or
+    the last {!reset_stats}; a datapath's metrics registry names them
+    ([mf_hit], [mf_miss], [mf_probes], [mask_created],
+    [megaflow_evicted]). *)
+
 val hits : t -> int
 val misses : t -> int
 val total_probes : t -> int
-(** Cumulative subtable probes across all lookups. *)
+(** Subtable probes across all lookups. *)
+
+val masks_created : t -> int
+(** Subtables made. Evictions lower {!n_masks}, never this. *)
+
+val evicted : t -> int
+(** Entries removed by {!revalidate} or by the flow limit. *)
 
 val reset_stats : t -> unit
+(** Zero the counts above. The cache's contents stay. *)
 
 val check : t -> (unit, string) result
 (** Verify the structural invariants the lookups rely on, naming the

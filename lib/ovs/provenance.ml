@@ -67,15 +67,10 @@ type port_stat = {
   mutable ps_masks_induced : int;
   mutable ps_cycles : float;
   mutable ps_handler_cycles : float;
-  (* labelled instruments ([port<i>/...]), present iff the store has a
-     metrics registry; cached here so the hot path never re-resolves
-     names *)
-  m_packets : Pi_telemetry.Metrics.counter option;
-  m_emc_hit : Pi_telemetry.Metrics.counter option;
-  m_mf_hit : Pi_telemetry.Metrics.counter option;
-  m_mf_probes : Pi_telemetry.Metrics.counter option;
-  m_upcall : Pi_telemetry.Metrics.counter option;
   m_cycles : Pi_telemetry.Histogram.t option;
+      (* the [port<i>/cycles] histogram, present iff the store has a
+         metrics registry; cached here so the hot path never re-resolves
+         its name *)
 }
 
 (* --- per-tenant attribution --- *)
@@ -123,19 +118,7 @@ let port_stat s port =
   match s.ports.(port) with
   | Some ps -> ps
   | None ->
-    let c name =
-      Option.map
-        (fun m ->
-          Pi_telemetry.Metrics.counter m (Printf.sprintf "port%d/%s" port name))
-        s.metrics
-    in
-    let h name =
-      Option.map
-        (fun m ->
-          Pi_telemetry.Metrics.histogram m
-            (Printf.sprintf "port%d/%s" port name))
-        s.metrics
-    in
+    let name = Printf.sprintf "port%d/%s" port in
     let ps =
       { ps_port = port;
         ps_packets = 0;
@@ -147,19 +130,23 @@ let port_stat s port =
         ps_masks_induced = 0;
         ps_cycles = 0.;
         ps_handler_cycles = 0.;
-        m_packets = c "packets";
-        m_emc_hit = c "emc_hit";
-        m_mf_hit = c "mf_hit";
-        m_mf_probes = c "mf_probes";
-        m_upcall = c "upcall";
-        m_cycles = h "cycles" }
+        m_cycles =
+          Option.map
+            (fun m -> Pi_telemetry.Metrics.histogram m (name "cycles"))
+            s.metrics }
     in
+    (* The labelled counters read the port's own counts. *)
+    Option.iter
+      (fun m ->
+        let c n read = Pi_telemetry.Metrics.counter m (name n) read in
+        c "packets" (fun () -> ps.ps_packets);
+        c "emc_hit" (fun () -> ps.ps_emc_hits);
+        c "mf_hit" (fun () -> ps.ps_mf_hits);
+        c "mf_probes" (fun () -> ps.ps_mf_probes);
+        c "upcall" (fun () -> ps.ps_upcalls))
+      s.metrics;
     s.ports.(port) <- Some ps;
     ps
-
-let bump ?(by = 1) = function
-  | Some c -> Pi_telemetry.Metrics.incr ~by c
-  | None -> ()
 
 let observe h v =
   match h with Some h -> Pi_telemetry.Histogram.observe h v | None -> ()
@@ -168,24 +155,13 @@ let account s ~port ~(outcome : Cost_model.outcome) ~cycles =
   let ps = port_stat s port in
   ps.ps_packets <- ps.ps_packets + 1;
   ps.ps_cycles <- ps.ps_cycles +. cycles;
-  bump ps.m_packets;
   observe ps.m_cycles cycles;
-  if outcome.Cost_model.emc_hit then begin
-    ps.ps_emc_hits <- ps.ps_emc_hits + 1;
-    bump ps.m_emc_hit
-  end;
-  if outcome.Cost_model.mf_probes > 0 then begin
-    ps.ps_mf_probes <- ps.ps_mf_probes + outcome.Cost_model.mf_probes;
-    bump ~by:outcome.Cost_model.mf_probes ps.m_mf_probes
-  end;
-  if outcome.Cost_model.mf_hit then begin
-    ps.ps_mf_hits <- ps.ps_mf_hits + 1;
-    bump ps.m_mf_hit
-  end;
+  if outcome.Cost_model.emc_hit then ps.ps_emc_hits <- ps.ps_emc_hits + 1;
+  ps.ps_mf_probes <- ps.ps_mf_probes + outcome.Cost_model.mf_probes;
+  if outcome.Cost_model.mf_hit then ps.ps_mf_hits <- ps.ps_mf_hits + 1;
   if outcome.Cost_model.upcall then begin
     ps.ps_upcalls <- ps.ps_upcalls + 1;
-    ps.ps_slow_probes <- ps.ps_slow_probes + outcome.Cost_model.slow_probes;
-    bump ps.m_upcall
+    ps.ps_slow_probes <- ps.ps_slow_probes + outcome.Cost_model.slow_probes
   end
 
 (* Deferred handler work: the classification ran beside the fast path,
@@ -195,8 +171,22 @@ let account_handler s ~port ~slow_probes ~cycles =
   let ps = port_stat s port in
   ps.ps_upcalls <- ps.ps_upcalls + 1;
   ps.ps_slow_probes <- ps.ps_slow_probes + slow_probes;
-  ps.ps_handler_cycles <- ps.ps_handler_cycles +. cycles;
-  bump ps.m_upcall
+  ps.ps_handler_cycles <- ps.ps_handler_cycles +. cycles
+
+let reset_ports s =
+  Array.iter
+    (function
+      | Some ps ->
+        ps.ps_packets <- 0;
+        ps.ps_emc_hits <- 0;
+        ps.ps_mf_hits <- 0;
+        ps.ps_mf_probes <- 0;
+        ps.ps_upcalls <- 0;
+        ps.ps_slow_probes <- 0;
+        ps.ps_cycles <- 0.;
+        ps.ps_handler_cycles <- 0.
+      | None -> ())
+    s.ports
 
 (* --- upcall attribution --- *)
 

@@ -58,11 +58,13 @@ val bind :
 type store
 
 val store : ?metrics:Pi_telemetry.Metrics.t -> registry -> store
-(** When [metrics] is given, per-port accounting also maintains labelled
-    instruments in the registry — [port<i>/packets], [port<i>/emc_hit],
-    [port<i>/mf_hit], [port<i>/mf_probes], [port<i>/upcall] counters and
-    a [port<i>/cycles] histogram — beside the plain datapath-wide
-    names. Use the owning shard's registry, never a shared one. *)
+(** When [metrics] is given, each port the store first accounts is named
+    in the registry: [port<i>/packets], [port<i>/emc_hit],
+    [port<i>/mf_hit], [port<i>/mf_probes] and [port<i>/upcall] counters
+    that read the port's own counts (the [p_*] fields of its
+    {!port_row}), and a [port<i>/cycles] histogram, beside the plain
+    datapath-wide names. Use the owning shard's registry, never a shared
+    one. *)
 
 val account :
   store -> port:int -> outcome:Cost_model.outcome -> cycles:float -> unit
@@ -71,6 +73,12 @@ val account :
 val account_handler :
   store -> port:int -> slow_probes:int -> cycles:float -> unit
 (** Charge one deferred upcall (handler thread) to its ingress port. *)
+
+val reset_ports : store -> unit
+(** Zero every port's packet, hit, probe, upcall and cycle counts: the
+    measurement-window reset ({!Datapath.reset_stats} calls it). The
+    tenant and mask attribution, and each port's induced-mask count,
+    stay. *)
 
 val origin_for : store -> port:int -> rule_seq:int -> origin
 (** Resolve an upcall's origin through the registry ([rule_seq] may be

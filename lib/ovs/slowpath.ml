@@ -8,23 +8,20 @@ type t = {
   one_flow : Flow.t array;
       (* One-slot flow scratch: {!upcall} is a batch of one. *)
   mutable revision : int;
-  c_upcall : Pi_telemetry.Metrics.counter option;
-  c_probes : Pi_telemetry.Metrics.counter option;
 }
 
 (* The scratch's initial capacity, and the most {!classify} fills: the
    datapath classifies its misses in chunks of this many. *)
 let chunk = 8
 
-let create ?config ?metrics () =
+let create ?config () =
   let cls =
     match config with
     | Some c -> Tss.create ~config:c ()
     | None -> Tss.create ()
   in
-  let c name = Option.map (fun m -> Pi_telemetry.Metrics.counter m name) metrics in
   { cls; bs = Tss.batch ~capacity:chunk; one_flow = [| Flow.make () |];
-    revision = 0; c_upcall = c "upcall"; c_probes = c "slow_probes" }
+    revision = 0 }
 
 let config t = Tss.config t.cls
 
@@ -68,18 +65,9 @@ let slot_rule_seq t j =
   | Some rule -> rule.Rule.seq
   | None -> Provenance.no_rule
 
-let count t j =
-  (match t.c_upcall with
-   | Some c -> Pi_telemetry.Metrics.incr c
-   | None -> ());
-  match t.c_probes with
-  | Some c -> Pi_telemetry.Metrics.incr ~by:(slot_probes t j) c
-  | None -> ()
-
-(* Slot [j]'s verdict from the last classifier walk, counted and frozen:
-   the record and its mask outlive the scratch. *)
+(* Slot [j]'s verdict from the last classifier walk, frozen: the record
+   and its mask outlive the scratch. *)
 let verdict t j =
-  count t j;
   { action = slot_action t j;
     megaflow = Tss.batch_megaflow t.bs j;
     probes = slot_probes t j;
@@ -90,8 +78,7 @@ let verdict t j =
    then build the verdicts in packet order. The classifier is read-only
    during the walk and each slot's result depends only on its own flow,
    so the results are bit-for-bit those of [n] sequential {!upcall}
-   calls — only the counter-bumping order changes, and counters are
-   order-independent totals. *)
+   calls. *)
 let upcall_batch t flows ~idx ~n ~out =
   if Tss.batch_capacity t.bs < n then
     t.bs <- Tss.batch ~capacity:(max n (2 * Tss.batch_capacity t.bs));

@@ -13,11 +13,9 @@
 
 type t
 
-val create :
-  ?config:Pi_classifier.Tss.config -> ?metrics:Pi_telemetry.Metrics.t ->
-  unit -> t
-(** When [metrics] is given, every upcall also bumps the registry's
-    [upcall] counter and adds its classifier probes to [slow_probes]. *)
+val create : ?config:Pi_classifier.Tss.config -> unit -> t
+(** The slow path counts nothing: the datapath counts the upcalls it
+    makes ({!Datapath.n_upcalls}) and their probes. *)
 
 val config : t -> Pi_classifier.Tss.config
 
@@ -53,16 +51,15 @@ val upcall_batch :
 (** Classify the [n] missed flows [flows.(idx.(0)) ..
     flows.(idx.(n-1))] with one subtable-major batch walk
     ({!Pi_classifier.Tss.find_wc_batch}), writing [out.(j)] for slot
-    [j]. Verdicts (and counter totals) are bit-for-bit those of [n]
-    sequential {!upcall} calls: the classifier is read-only during the
-    walk. *)
+    [j]. Verdicts are bit-for-bit those of [n] sequential {!upcall}
+    calls: the classifier is read-only during the walk. *)
 
 (** {2 Borrowed slots}
 
     The synchronous datapath's allocation-free path: classify a chunk of
     misses into the classifier scratch, then read each slot's result in
-    place. Nothing is counted until {!count}, so a caller can classify
-    packets ahead and charge only those that turn out to upcall. *)
+    place. A caller can classify packets ahead and charge only those
+    that turn out to upcall. *)
 
 val chunk : int
 (** Slots a {!classify} call may fill (8): the scratch's initial
@@ -74,10 +71,6 @@ val classify : t -> Pi_classifier.Flow.t array -> idx:int array -> n:int -> unit
     {!upcall} would give [flows.(idx.(j))]. It stays readable until the
     next {!classify}, {!upcall} or {!upcall_batch}.
     @raise Invalid_argument if [n > chunk]. *)
-
-val count : t -> int -> unit
-(** Count slot [j] as an upcall: the [upcall] and [slow_probes]
-    counters, exactly as {!upcall} does. *)
 
 val slot_action : t -> int -> Action.t
 val slot_probes : t -> int -> int

@@ -18,7 +18,6 @@ type 'a t = {
   cfg : config;
   q : 'a Queue.t;
   mutable drops : int;
-  mutable pushes : int;
 }
 
 let create cfg =
@@ -28,7 +27,7 @@ let create cfg =
   (match cfg.handler_budget with
    | Some b when b < 1 -> invalid_arg "Upcall_queue.create: handler_budget"
    | Some _ | None -> ());
-  { cfg; q = Queue.create (); drops = 0; pushes = 0 }
+  { cfg; q = Queue.create (); drops = 0 }
 
 let config t = t.cfg
 
@@ -39,14 +38,12 @@ let push t v =
     false
   | Some _ | None ->
     Queue.push v t.q;
-    t.pushes <- t.pushes + 1;
     true
 
 let pop t = Queue.take_opt t.q
 
 let length t = Queue.length t.q
 let drops t = t.drops
-let pushes t = t.pushes
 
 let budget t =
   match t.cfg.handler_budget with Some b -> b | None -> max_int
@@ -58,11 +55,6 @@ let clear t =
   t.drops <- t.drops + Queue.length t.q;
   Queue.clear t.q
 
-let reset_stats t =
-  t.drops <- 0;
-  t.pushes <- 0
-
 let reset t =
   Queue.clear t.q;
-  t.drops <- 0;
-  t.pushes <- 0
+  t.drops <- 0

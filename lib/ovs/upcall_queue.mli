@@ -52,11 +52,10 @@ val length : 'a t -> int
 (** Upcalls currently pending. *)
 
 val drops : 'a t -> int
-(** Upcalls refused because the queue was full, since creation or the
-    last {!reset_stats}. *)
-
-val pushes : 'a t -> int
-(** Successful enqueues, since creation or the last {!reset_stats}. *)
+(** Upcalls refused because the queue was full (or discarded by
+    {!clear}), since creation or the last {!reset}. The only store of
+    the count: {!Datapath.upcall_drops} and a deferred datapath's
+    [upcall_drops] counter read it. *)
 
 val budget : 'a t -> int
 (** The per-call service allowance: [handler_budget], or [max_int] when
@@ -67,12 +66,9 @@ val clear : 'a t -> unit
     slow path will now never resolve, so they are counted in {!drops} —
     a clear is a drop burst, not an amnesty. *)
 
-val reset_stats : 'a t -> unit
-(** Zero {!drops} and {!pushes}; pending items stay queued. *)
-
 val reset : 'a t -> unit
 (** Return the queue to its freshly-created state: discard pending items
-    {e and} zero the counters, without counting the discarded items as
+    {e and} zero {!drops}, without counting the discarded items as
     drops. This is the measurement-window reset ({!Datapath.reset_stats}
     uses it): stale queued work from before the window must neither be
     serviced inside it nor show up in its drop count. *)

@@ -159,7 +159,8 @@ let pp_text ?scrape ?tracer ppf metrics =
   let packets = c "packets" in
   let hit = c "emc_hit" + c "mf_hit" in
   let missed = c "upcall" in
-  Format.fprintf ppf "@[<v>lookups: hit:%d missed:%d lost:0@," hit missed;
+  Format.fprintf ppf "@[<v>lookups: hit:%d missed:%d lost:%d@," hit missed
+    (c "upcall_drops");
   (* [mask_created] is cumulative (evictions never decrease it); the
      current subtable count is the live [n_masks] gauge, when the
      producer maintains one. *)

@@ -1,9 +1,6 @@
-type counter = { c_name : string; mutable c_value : int }
-type gauge = { g_name : string; mutable g_value : float }
-
 type item =
-  | Counter of counter
-  | Gauge of gauge
+  | Counter of (unit -> int)
+  | Gauge of (unit -> float)
   | Hist of Histogram.t
 
 type t = { tbl : (string, item) Hashtbl.t }
@@ -15,31 +12,23 @@ let wrong_type name what =
     (Printf.sprintf "Metrics.%s: %S is registered as a different type" what
        name)
 
-let counter t name =
+let kind = function
+  | Counter _ -> "counter"
+  | Gauge _ -> "gauge"
+  | Hist _ -> "histogram"
+
+(* A reader names a count its owner stores: two readers under one name
+   would be two views of possibly different counts. *)
+let register t name item =
   match Hashtbl.find_opt t.tbl name with
-  | Some (Counter c) -> c
-  | Some _ -> wrong_type name "counter"
-  | None ->
-    let c = { c_name = name; c_value = 0 } in
-    Hashtbl.add t.tbl name (Counter c);
-    c
+  | None -> Hashtbl.add t.tbl name item
+  | Some old when kind old = kind item ->
+    invalid_arg
+      (Printf.sprintf "Metrics.%s: duplicate %S" (kind item) name)
+  | Some _ -> wrong_type name (kind item)
 
-let incr ?(by = 1) c = c.c_value <- c.c_value + by
-let counter_name c = c.c_name
-let counter_value c = c.c_value
-
-let gauge t name =
-  match Hashtbl.find_opt t.tbl name with
-  | Some (Gauge g) -> g
-  | Some _ -> wrong_type name "gauge"
-  | None ->
-    let g = { g_name = name; g_value = 0. } in
-    Hashtbl.add t.tbl name (Gauge g);
-    g
-
-let set g v = g.g_value <- v
-let gauge_name g = g.g_name
-let gauge_value g = g.g_value
+let counter t name read = register t name (Counter read)
+let gauge t name read = register t name (Gauge read)
 
 let histogram ?lo ?growth ?n_buckets t name =
   match Hashtbl.find_opt t.tbl name with
@@ -57,13 +46,13 @@ let sorted_fold f t =
 let counters t =
   sorted_fold
     (fun name item acc ->
-      match item with Counter c -> (name, c.c_value) :: acc | _ -> acc)
+      match item with Counter read -> (name, read ()) :: acc | _ -> acc)
     t
 
 let gauges t =
   sorted_fold
     (fun name item acc ->
-      match item with Gauge g -> (name, g.g_value) :: acc | _ -> acc)
+      match item with Gauge read -> (name, read ()) :: acc | _ -> acc)
     t
 
 let histograms t =
@@ -73,24 +62,15 @@ let histograms t =
 
 let find_counter t name =
   match Hashtbl.find_opt t.tbl name with
-  | Some (Counter c) -> Some c.c_value
+  | Some (Counter read) -> Some (read ())
   | Some _ | None -> None
 
 let find_gauge t name =
   match Hashtbl.find_opt t.tbl name with
-  | Some (Gauge g) -> Some g.g_value
+  | Some (Gauge read) -> Some (read ())
   | Some _ | None -> None
 
 let find_histogram t name =
   match Hashtbl.find_opt t.tbl name with
   | Some (Hist h) -> Some h
   | Some _ | None -> None
-
-let reset t =
-  Hashtbl.iter
-    (fun _ item ->
-      match item with
-      | Counter c -> c.c_value <- 0
-      | Gauge g -> g.g_value <- 0.
-      | Hist h -> Histogram.reset h)
-    t.tbl

@@ -1,37 +1,29 @@
 (** A registry of named counters, gauges and histograms.
 
-    One registry is threaded (optionally) through the datapath layers so
-    every cache stage reports hits/misses/probes/cycles under stable
-    names ([emc_hit], [mf_hit], [upcall], …) instead of each structure
-    exposing only private mutable fields. Lookups are get-or-create, so
-    independent components sharing a registry converge on the same
-    instrument; a name registered as one instrument type raises
-    [Invalid_argument] when requested as another. *)
+    The registry stores no count of its own. Each counter and gauge is a
+    named reader of a field that the structure counting the event owns
+    ([Emc.hits], [Megaflow.misses], [Datapath.n_processed], …), so the
+    registry, [Dataplane.stats], [dpctl] and the JSON snapshot read one
+    store, and a [reset_stats] on that store resets every view.
+    Histograms are the exception: a distribution has no other store, so
+    the registry owns it, and a histogram lookup is get-or-create.
+
+    A name registered as one instrument type raises [Invalid_argument]
+    when requested as another. *)
 
 type t
 
-type counter
-type gauge
-
 val create : unit -> t
 
-(** {1 Counters} *)
+(** {1 Counters and gauges} *)
 
-val counter : t -> string -> counter
-(** Get or create a monotonically increasing integer counter. *)
+val counter : t -> string -> (unit -> int) -> unit
+(** [counter t name read] names [read] as the counter [name]: every
+    enumeration and lookup calls it. Raises [Invalid_argument] if [name]
+    is already registered. *)
 
-val incr : ?by:int -> counter -> unit
-val counter_name : counter -> string
-val counter_value : counter -> int
-
-(** {1 Gauges} *)
-
-val gauge : t -> string -> gauge
-(** Get or create a point-in-time float gauge (initially [0.]). *)
-
-val set : gauge -> float -> unit
-val gauge_name : gauge -> string
-val gauge_value : gauge -> float
+val gauge : t -> string -> (unit -> float) -> unit
+(** The same for a point-in-time float gauge. *)
 
 (** {1 Histograms} *)
 
@@ -49,7 +41,3 @@ val histograms : t -> (string * Histogram.t) list
 val find_counter : t -> string -> int option
 val find_gauge : t -> string -> float option
 val find_histogram : t -> string -> Histogram.t option
-
-val reset : t -> unit
-(** Zero every counter and gauge, reset every histogram; the
-    registrations themselves persist. *)

@@ -9,16 +9,25 @@ open Pi_telemetry
    records 3, so the retained tallies ([by_kind]) have lost the first
    event while the cumulative ones ([by_kind_total]) have not — pinning
    the wrap-around-safe counting. *)
+(* Name a count held in a ref, as a datapath names its fields. *)
+let count m name v =
+  let r = ref v in
+  Metrics.counter m name (fun () -> !r)
+
+let level m name v =
+  let r = ref v in
+  Metrics.gauge m name (fun () -> !r)
+
 let fixture () =
   let m = Metrics.create () in
-  Metrics.incr ~by:4 (Metrics.counter m "packets");
-  Metrics.incr ~by:2 (Metrics.counter m "emc_hit");
-  Metrics.incr (Metrics.counter m "mf_hit");
-  Metrics.incr (Metrics.counter m "upcall");
-  Metrics.incr ~by:3 (Metrics.counter m "mask_created");
-  Metrics.incr ~by:7 (Metrics.counter m "mf_probes");
-  Metrics.set (Metrics.gauge m "n_masks") 2.;
-  Metrics.set (Metrics.gauge m "n_megaflows") 3.;
+  count m "packets" 4;
+  count m "emc_hit" 2;
+  count m "mf_hit" 1;
+  count m "upcall" 1;
+  count m "mask_created" 3;
+  count m "mf_probes" 7;
+  level m "n_masks" 2.;
+  level m "n_megaflows" 3.;
   let h = Metrics.histogram m "cycles_per_packet" in
   Histogram.observe h 100.;
   Histogram.observe h 300.;
@@ -70,10 +79,19 @@ let test_text_report_no_gauge () =
   (* Without a live n_masks gauge the current count is unknowable from
      counters alone — the report must say so, not echo the cumulative. *)
   let m = Metrics.create () in
-  Metrics.incr ~by:5 (Metrics.counter m "mask_created");
+  count m "mask_created" 5;
   let r = Export.text_report m in
   Alcotest.(check bool) "current unknown" true
     (Helpers.Astring_like.contains r "masks: current:? created-total:5")
+
+let test_text_report_lost () =
+  (* A deferred datapath registers upcall_drops: the packets its full
+     upcall queue refused are the report's [lost]. *)
+  let m, _ = fixture () in
+  count m "upcall_drops" 5;
+  let r = Export.text_report m in
+  Alcotest.(check bool) "lost reads upcall_drops" true
+    (Helpers.Astring_like.contains r "lookups: hit:3 missed:1 lost:5\n")
 
 let test_extra_sections () =
   let m, _ = fixture () in
@@ -93,4 +111,6 @@ let suite =
     Alcotest.test_case "text report golden" `Quick test_text_report;
     Alcotest.test_case "text report without n_masks gauge" `Quick
       test_text_report_no_gauge;
+    Alcotest.test_case "text report with upcall drops" `Quick
+      test_text_report_lost;
     Alcotest.test_case "extra json sections" `Quick test_extra_sections ]

@@ -55,19 +55,20 @@ let show c =
    time earlier than their insert. *)
 let gen_step = QCheck2.Gen.int_range (-12) 12
 
+let gen_cmd =
+  let open QCheck2.Gen in
+  frequency
+    [ (5, map2 (fun d fs -> Packets (d, fs)) gen_step
+           (list_size (int_range 1 6) Helpers.gen_small_flow));
+      (1, map2 (fun p prio -> Install (p, prio)) Helpers.gen_small_pattern
+           (int_range 1 8));
+      (1, return Remove);
+      (1, return Flush);
+      (1, map (fun d -> Service d) gen_step);
+      (3, map (fun d -> Revalidate d) gen_step) ]
+
 let gen_case =
   let open QCheck2.Gen in
-  let gen_cmd =
-    frequency
-      [ (5, map2 (fun d fs -> Packets (d, fs)) gen_step
-             (list_size (int_range 1 6) Helpers.gen_small_flow));
-        (1, map2 (fun p prio -> Install (p, prio)) Helpers.gen_small_pattern
-             (int_range 1 8));
-        (1, return Remove);
-        (1, return Flush);
-        (1, map (fun d -> Service d) gen_step);
-        (3, map (fun d -> Revalidate d) gen_step) ]
-  in
   let* deferred = bool in
   let* max_entries = oneofl [ 3; 5; 200_000 ] in
   let* inv_prob = oneofl [ 1; 2 ] in

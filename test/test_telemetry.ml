@@ -131,32 +131,54 @@ let test_scrape_log_escapes_names () =
 
 (* --- Metrics registry --- *)
 
+(* Histograms are the registry's own store, so components sharing a
+   registry converge on one instrument per name. *)
 let test_metrics_get_or_create () =
   let m = Metrics.create () in
-  let c1 = Metrics.counter m "hits" in
-  let c2 = Metrics.counter m "hits" in
-  Metrics.incr c1;
-  Metrics.incr ~by:2 c2;
-  Alcotest.(check int) "shared instrument" 3 (Metrics.counter_value c1);
-  Alcotest.(check (list (pair string int))) "enumeration" [ ("hits", 3) ]
-    (Metrics.counters m)
+  let h1 = Metrics.histogram m "cycles" in
+  let h2 = Metrics.histogram m "cycles" in
+  Histogram.observe h1 1.;
+  Histogram.observe h2 2.;
+  Alcotest.(check bool) "shared instrument" true (h1 == h2);
+  Alcotest.(check (list (pair string int))) "enumeration" [ ("cycles", 2) ]
+    (List.map (fun (n, h) -> (n, Histogram.count h)) (Metrics.histograms m))
+
+(* Counters and gauges store nothing: each enumeration and lookup reads
+   the count its owner keeps, and a name has one reader. *)
+let test_metrics_readers () =
+  let m = Metrics.create () in
+  let hits = ref 0 and load = ref 0. in
+  Metrics.counter m "hits" (fun () -> !hits);
+  Metrics.gauge m "load" (fun () -> !load);
+  hits := 3;
+  load := 0.5;
+  Alcotest.(check (list (pair string int))) "enumeration reads" [ ("hits", 3) ]
+    (Metrics.counters m);
+  Alcotest.(check (option (float 0.))) "gauge reads" (Some 0.5)
+    (Metrics.find_gauge m "load");
+  hits := 0;
+  Alcotest.(check (option int)) "a reset owner resets the view" (Some 0)
+    (Metrics.find_counter m "hits");
+  Alcotest.check_raises "one reader per name"
+    (Invalid_argument "Metrics.counter: duplicate \"hits\"") (fun () ->
+      Metrics.counter m "hits" (fun () -> 1))
 
 let test_metrics_type_mismatch () =
   let m = Metrics.create () in
-  ignore (Metrics.counter m "x");
-  match Metrics.gauge m "x" with
+  Metrics.counter m "x" (fun () -> 0);
+  (match Metrics.gauge m "x" (fun () -> 0.) with
+   | exception Invalid_argument _ -> ()
+   | () -> Alcotest.fail "counter reused as gauge");
+  match Metrics.histogram m "x" with
   | exception Invalid_argument _ -> ()
-  | _ -> Alcotest.fail "counter reused as gauge"
+  | _ -> Alcotest.fail "counter reused as histogram"
 
 (* --- JSON snapshot stability --- *)
 
 let fill order m =
-  List.iter
-    (fun name -> ignore (Metrics.counter m name))
-    order;
-  Metrics.incr ~by:7 (Metrics.counter m "b");
-  Metrics.incr ~by:1 (Metrics.counter m "a");
-  Metrics.set (Metrics.gauge m "g") 2.5;
+  let value = function "b" -> 7 | _ -> 1 in
+  List.iter (fun name -> Metrics.counter m name (fun () -> value name)) order;
+  Metrics.gauge m "g" (fun () -> 2.5);
   Histogram.observe (Metrics.histogram m "h") 3.0
 
 let test_json_stable_across_insertion_order () =
@@ -298,6 +320,7 @@ let suite =
     Alcotest.test_case "scrape duplicate rejected" `Quick test_scrape_duplicate_rejected;
     Alcotest.test_case "scrape log escapes names" `Quick test_scrape_log_escapes_names;
     Alcotest.test_case "metrics get-or-create" `Quick test_metrics_get_or_create;
+    Alcotest.test_case "metrics readers" `Quick test_metrics_readers;
     Alcotest.test_case "metrics type mismatch" `Quick test_metrics_type_mismatch;
     Alcotest.test_case "json stable across insertion order" `Quick
       test_json_stable_across_insertion_order;
