@@ -63,6 +63,24 @@ let pos_int_conv =
   in
   Arg.conv (parse, Format.pp_print_int)
 
+(* Run lengths, times and loads: a finite number in range, else a usage
+   error worded as the .pis validator words it. *)
+let float_conv ~what ~bound ok =
+  let parse s =
+    let err fmt = Printf.ksprintf (fun m -> Error (`Msg m)) fmt in
+    match float_of_string_opt s with
+    | None -> err "invalid value %S (expected a number)" s
+    | Some x when not (Float.is_finite x) ->
+      err "%s must be finite (got %s)" what (Pi_dsl.Pretty.float_str x)
+    | Some x when not (ok x) ->
+      err "%s must be %s (got %s)" what bound (Pi_dsl.Pretty.float_str x)
+    | Some x -> Ok x
+  in
+  Arg.conv (parse, Arg.conv_printer Arg.float)
+
+let pos_float_conv what = float_conv ~what ~bound:"> 0" (fun x -> x > 0.)
+let nonneg_float_conv what = float_conv ~what ~bound:">= 0" (fun x -> x >= 0.)
+
 let seed_arg =
   Arg.(value & opt int 42 & info [ "seed" ] ~docv:"N" ~doc:"PRNG seed.")
 
@@ -409,11 +427,11 @@ let detect variant duration start =
 
 let detect_cmd =
   let duration =
-    Arg.(value & opt float 60.
+    Arg.(value & opt (pos_float_conv "duration") 60.
          & info [ "duration" ] ~docv:"SECONDS" ~doc:"Run length.")
   in
   let start =
-    Arg.(value & opt float 20.
+    Arg.(value & opt (nonneg_float_conv "start") 20.
          & info [ "start" ] ~docv:"SECONDS" ~doc:"Attack start time.")
   in
   Cmd.v
@@ -551,15 +569,16 @@ let attack_cmd =
   let dp = Pi_sim.Scenario.default_params in
   let da = Pi_sim.Scenario.default_attack in
   let duration =
-    Arg.(value & opt float dp.Pi_sim.Scenario.duration
+    Arg.(value & opt (pos_float_conv "duration") dp.Pi_sim.Scenario.duration
          & info [ "duration" ] ~docv:"SECONDS" ~doc:"Run length.")
   in
   let start =
-    Arg.(value & opt float da.Pi_sim.Scenario.start
+    Arg.(value & opt (nonneg_float_conv "start") da.Pi_sim.Scenario.start
          & info [ "start" ] ~docv:"SECONDS" ~doc:"Attack start time.")
   in
   let offered =
-    Arg.(value & opt float dp.Pi_sim.Scenario.victim_offered_gbps
+    Arg.(value
+         & opt (pos_float_conv "offered") dp.Pi_sim.Scenario.victim_offered_gbps
          & info [ "offered" ] ~docv:"GBPS" ~doc:"Victim offered load.")
   in
   let every =
@@ -679,15 +698,16 @@ let monitor_cmd =
   let dp = Pi_sim.Scenario.default_params in
   let da = Pi_sim.Scenario.default_attack in
   let duration =
-    Arg.(value & opt float dp.Pi_sim.Scenario.duration
+    Arg.(value & opt (pos_float_conv "duration") dp.Pi_sim.Scenario.duration
          & info [ "duration" ] ~docv:"SECONDS" ~doc:"Run length.")
   in
   let start =
-    Arg.(value & opt float da.Pi_sim.Scenario.start
+    Arg.(value & opt (nonneg_float_conv "start") da.Pi_sim.Scenario.start
          & info [ "start" ] ~docv:"SECONDS" ~doc:"Attack start time.")
   in
   let offered =
-    Arg.(value & opt float dp.Pi_sim.Scenario.victim_offered_gbps
+    Arg.(value
+         & opt (pos_float_conv "offered") dp.Pi_sim.Scenario.victim_offered_gbps
          & info [ "offered" ] ~docv:"GBPS" ~doc:"Victim offered load.")
   in
   let every =
