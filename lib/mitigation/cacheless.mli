@@ -53,5 +53,7 @@ val dataplane :
     and every cache statistic (masks, megaflows, EMC, upcall queue)
     reports 0 — there is nothing for policy injection to poison. A
     telemetry registry gets the [packets] counter a datapath reports,
-    so the per-shard views count the packets served. The PRNG handed to
+    reading the backend's own packet count (so {!reset_stats} resets
+    it too), and the per-shard views count the packets served. The PRNG
+    handed to
     [create] is unused. *)

@@ -96,6 +96,11 @@ module type S = sig
 
   val telemetry : t -> Pi_telemetry.Ctx.t
   val reset_stats : t -> unit
+  (** Open a fresh measurement window: zero every count {!stats}
+      reports. Registry counters ({!shard_metrics}) and per-port
+      provenance counts read those counts, so every view resets with
+      them; cache contents, registry histograms and tenant attribution
+      stay. *)
 
   (** {2 Shard and simulation hooks}
 

@@ -81,8 +81,9 @@ val create :
     [Datapath.create]. With several shards each datapath gets an
     independent PRNG substream ({!Pi_pkt.Prng.split}) and, when the
     context carries a registry, a {e private} registry (see
-    {!shard_metrics}) so parallel shards never race on shared
-    instruments; the context's tracer is ignored in that case.
+    {!shard_metrics}) that names that shard's counts, since a registry
+    names one datapath's; the context's tracer is ignored in that
+    case.
 
     [provenance] hands every shard the same (read-during-processing)
     rule registry; each shard's datapath builds its own private
@@ -230,7 +231,9 @@ val per_shard_masks : t -> int array
 val per_shard_cycles : t -> float array
 
 val reset_stats : t -> unit
-(** Zero every shard's counters and the batch accounting. Pipeline mode
+(** Zero every shard's counts ({!Datapath.reset_stats}) and the batch
+    accounting; each shard's registry counters read those counts, so
+    they follow. Pipeline mode
     quiesces first, so no in-flight work leaks into the next
     measurement window; per {!Datapath.reset_stats}, pending deferred
     upcalls are drained, not carried over. *)

@@ -106,7 +106,8 @@ type params = {
   mss : int;
   metrics : Pi_telemetry.Metrics.t option;
       (** attach a telemetry registry to the datapath; enables the
-          per-tick gauge scrape reported in {!report.scrape} *)
+          per-tick gauge scrape reported in {!report.scrape}. The
+          datapath names its counts in it, so a fresh registry per run *)
   provenance : bool;
       (** bind every installed policy to its tenant (pod port ids: victim
           2, attacker 3, services 4+i) in a {!Pi_ovs.Provenance.registry}

@@ -1,11 +1,12 @@
 (** Telemetry context: the one value a dataplane backend is handed at
     creation time.
 
-    Historically every module took its own [?metrics]/[?tracer] optional
-    arguments and threaded them down by hand; a [Ctx.t] bundles both so
-    a backend constructor receives telemetry exactly once and passes the
-    same context to every stage it builds. The legacy optional arguments
-    went through one deprecation release and are now gone. *)
+    A backend constructor receives telemetry exactly once, as a [Ctx.t].
+    The stages it builds (EMC, megaflow cache, slow path) take no
+    telemetry at all: they keep their counts in their own fields, and
+    the constructor names those fields in [metrics] in one place
+    ([Pi_ovs.Datapath.create]). The registry owns only the histograms
+    the constructor asks it for. *)
 
 type t = {
   metrics : Metrics.t option;

@@ -23,8 +23,7 @@ let register t name item =
   match Hashtbl.find_opt t.tbl name with
   | None -> Hashtbl.add t.tbl name item
   | Some old when kind old = kind item ->
-    invalid_arg
-      (Printf.sprintf "Metrics.%s: duplicate %S" (kind item) name)
+    invalid_arg (Printf.sprintf "Metrics.%s: duplicate %S" (kind item) name)
   | Some _ -> wrong_type name (kind item)
 
 let counter t name read = register t name (Counter read)

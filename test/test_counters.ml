@@ -10,6 +10,7 @@
      name, no more and no fewer;
    - summed over the shards, [stats.packets] = registry [packets] =
      [Perf.packets]; [stats.emc_hits] = [emc_hit] = [Perf.emc_hits];
+     [mf_hit] = [Perf.mf_hits]; [mf_probes] = [Perf.mf_probes];
      [stats.upcalls] = [upcall] = [Perf.upcalls + Perf.handler_upcalls];
      [stats.upcall_drops] = [upcall_drops];
    - the per-port packet counts sum to [stats.packets]. *)
@@ -244,31 +245,38 @@ let check d after =
       (fun m -> Option.value ~default:0 (Metrics.find_counter m name))
       d.registries
   in
-  let agree what view others =
-    List.iter
-      (fun (src, v) ->
-        if v <> view then fail "%s: stats %d, %s %d" what view src v)
-      others
+  let agree what = function
+    | [] -> ()
+    | (src0, v0) :: views ->
+      List.iter
+        (fun (src, v) ->
+          if v <> v0 then fail "%s: %s %d, %s %d" what src0 v0 src v)
+        views
   in
   let perf f = if d.perf = [] then [] else [ ("perf", sum f d.perf) ] in
-  agree "packets" st.Dataplane.packets
-    ((("registry", reg "packets") :: perf Perf.packets)
-     @
-     if d.prov = [] then []
-     else
-       [ ( "ports",
-           sum
-             (fun (p : Provenance.port_row) -> p.Provenance.p_packets)
-             (Provenance.report d.prov).Provenance.ports ) ]);
-  if d.perf <> [] then begin
-    agree "emc hits" st.Dataplane.emc_hits
-      (("registry", reg "emc_hit") :: perf Perf.emc_hits);
-    agree "upcalls" st.Dataplane.upcalls
-      (("registry", reg "upcall")
-       :: perf (fun p -> Perf.upcalls p + Perf.handler_upcalls p));
-    agree "upcall drops" st.Dataplane.upcall_drops
-      [ ("registry", reg "upcall_drops") ]
-  end
+  let ports =
+    if d.prov = [] then []
+    else
+      [ ( "ports",
+          sum
+            (fun (p : Provenance.port_row) -> p.Provenance.p_packets)
+            (Provenance.report d.prov).Provenance.ports ) ]
+  in
+  agree "packets"
+    ((("stats", st.Dataplane.packets) :: ("registry", reg "packets")
+      :: perf Perf.packets)
+     @ ports);
+  agree "emc hits"
+    (("stats", st.Dataplane.emc_hits) :: ("registry", reg "emc_hit")
+     :: perf Perf.emc_hits);
+  agree "megaflow hits" (("registry", reg "mf_hit") :: perf Perf.mf_hits);
+  agree "megaflow probes"
+    (("registry", reg "mf_probes") :: perf Perf.mf_probes);
+  agree "upcalls"
+    (("stats", st.Dataplane.upcalls) :: ("registry", reg "upcall")
+     :: perf (fun p -> Perf.upcalls p + Perf.handler_upcalls p));
+  agree "upcall drops"
+    [ ("stats", st.Dataplane.upcall_drops); ("registry", reg "upcall_drops") ]
 
 let prop c =
   let d = make c in
