@@ -5,10 +5,6 @@
 
 open Pi_telemetry
 
-(* A small fixed registry + tracer. The tracer ring holds 2 events and
-   records 3, so the retained tallies ([by_kind]) have lost the first
-   event while the cumulative ones ([by_kind_total]) have not — pinning
-   the wrap-around-safe counting. *)
 (* Name a count held in a ref, as a datapath names its fields. *)
 let count m name v =
   let r = ref v in
@@ -18,6 +14,10 @@ let level m name v =
   let r = ref v in
   Metrics.gauge m name (fun () -> !r)
 
+(* A small fixed registry + tracer. The tracer ring holds 2 events and
+   records 3, so the retained tallies ([by_kind]) have lost the first
+   event while the cumulative ones ([by_kind_total]) have not — pinning
+   the wrap-around-safe counting. *)
 let fixture () =
   let m = Metrics.create () in
   count m "packets" 4;
