@@ -813,16 +813,21 @@ let run_micro () =
 
    Env knobs:
      PI_BENCH_QUICK=1            reduced iteration counts (CI smoke)
-     PI_BENCH_ASSERT_ZERO_ALLOC=1  exit 1 if any steady-state lookup
+     PI_BENCH_ASSERT_ZERO_ALLOC=1  fail if any steady-state lookup
                                  regime — EMC hit, hinted megaflow hit
-                                 at any mask count, or the full TSS
-                                 walk — allocates on the minor heap,
-                                 or if an upcall-remint install takes
-                                 more than [remint_words_budget] words.
-                                 (The other churn and upcall rows are
+                                 at any mask count, the full TSS walk,
+                                 the sharded batch path — allocates on
+                                 the minor heap, or if an upcall-remint
+                                 install takes more than
+                                 [remint_words_budget] words. (The
+                                 other churn and upcall rows are
                                  exempt: inserting rules and
                                  synthesising megaflows builds
-                                 structures.) *)
+                                 structures.)
+     PI_BENCH_ASSERT_BATCH=1     fail if the batch walk costs more than
+                                 the per-packet walk at >= 512 masks.
+   Every requested gate prints its verdict; the run then exits 1 if any
+   failed. *)
 
 (* Minor words one synchronous upcall-and-install may take in the
    [upcall-remint] row: the megaflow entry (11) and its [Some] (2), the
@@ -1137,15 +1142,25 @@ let run_hotpath () =
       mask_counts
   in
   (* 7. Sharded batch fast path: RSS steering into the per-shard scratch
-     plus an EMC hit per packet. The steering scratch is preallocated
-     int arrays (not a cons cell per packet), so the per-packet budget
-     here is the EMC hit plus the result array — independent of batch
-     size and shard count. *)
-  let pmd_batch =
+     plus, in the pmd-batch row, an EMC hit per packet. The steering
+     scratch is preallocated int arrays (not a cons cell per packet), so
+     the per-packet budget there is the EMC hit plus the result array —
+     independent of batch size and shard count. The same flow set split
+     4 ways keeps the EMCs free of 2-way collision thrash. Two more
+     regimes ride the same path: megaflow hits (EMC off, every packet
+     walks its subtables) and charged rx bursts (a nonzero per-burst
+     cost). Each shard's per-stage profile is a view over the counts
+     this path keeps, so all three rows price the counting too, and all
+     three join the zero-alloc gate. *)
+  let pmd_regime ~emc ~batch_cycles =
     let config =
       { Pi_ovs.Pmd.default_config with
         Pi_ovs.Pmd.n_shards = 4;
-        parallel = false }
+        parallel = false;
+        batch_cycles;
+        dp =
+          { Pi_ovs.Datapath.default_config with
+            Pi_ovs.Datapath.emc_enabled = emc } }
     in
     let pmd = Pi_ovs.Pmd.create ~config (Pi_pkt.Prng.create 7L) () in
     let rng = Pi_pkt.Prng.create 9L in
@@ -1161,7 +1176,7 @@ let run_hotpath () =
     let batch = Pi_ovs.Batch.create ~capacity:(Array.length pkts) in
     Pi_ovs.Batch.fill batch pkts;
     (* warm: first pass installs the (tiny) megaflow set and fills the
-       EMCs; afterwards every packet is an EMC hit on its shard *)
+       EMCs; afterwards every packet hits on its shard *)
     Pi_ovs.Pmd.process_batch pmd batch ~now:0.;
     Pi_ovs.Pmd.process_batch pmd batch ~now:0.;
     let now = 0. in
@@ -1174,7 +1189,16 @@ let run_hotpath () =
       hr_cycles_per_pkt = per r.hr_cycles_per_pkt;
       hr_minor_words_per_pkt = per r.hr_minor_words_per_pkt }
   in
+  let pmd_batch = pmd_regime ~emc:true ~batch_cycles:0. in
   print_row "pmd-batch" None pmd_batch;
+  let pmd_regimes =
+    List.map
+      (fun (name, emc, batch_cycles) ->
+        let r = pmd_regime ~emc ~batch_cycles in
+        print_row name None r;
+        (name, r))
+      [ ("pmd-mf-hit", false, 0.); ("pmd-charged", true, 100.) ]
+  in
   (* 8./9. Subtable-major batch walk vs the same 32 flows looked up one
      at a time: the dpcls-style amortisation the vectorised dataplane
      rides on. [Megaflow.walk_batch] probes one subtable for the
@@ -1283,95 +1307,6 @@ let run_hotpath () =
           miss_flows;
         (mf, miss_flows))
   in
-  (* 10. Profiler observation overhead: the same batch fast paths with a
-     per-stage Pi_telemetry.Perf profiler attached. The hot recorders
-     take only immediate int/bool arguments (coefficients are installed
-     once at creation), so the profiled rows must stay allocation-free
-     — they join the zero-alloc gate — and within a few percent of the
-     unprofiled run (PI_BENCH_ASSERT_OBS_OVERHEAD=1 enforces <= 5 %).
-     Measured through the batch entry points: the per-packet [process]
-     wrapper materialises a result tuple profiled or not, so it cannot
-     expose the profiler's own cost. *)
-  let obs_overhead =
-    let mk_pkts () =
-      let rng = Pi_pkt.Prng.create 9L in
-      Array.init 256 (fun _ ->
-          (Flow.make ~ip_src:(Pi_pkt.Prng.int32 rng) ~ip_proto:17
-             ~tp_src:(Pi_pkt.Prng.int rng 65536)
-             ~tp_dst:(Pi_pkt.Prng.int rng 65536) (),
-           100))
-    in
-    let telemetry profiled =
-      if profiled then
-        Some (Pi_telemetry.Ctx.v ~perf:(Pi_telemetry.Perf.create ()) ())
-      else None
-    in
-    let warmed_batch process =
-      let pkts = mk_pkts () in
-      let batch = Pi_ovs.Batch.create ~capacity:(Array.length pkts) in
-      Pi_ovs.Batch.fill batch pkts;
-      (* first pass installs megaflows / fills the EMC; second confirms
-         the steady state *)
-      process batch;
-      process batch;
-      fun () -> process batch
-    in
-    (* All three regimes ride the sharded batch path of the pmd-batch
-       row (the same flow set split 4 ways keeps the EMCs free of 2-way
-       collision thrash): EMC hits, megaflow hits (EMC off, every
-       packet walks its subtables), and per-burst batch accounting
-       (exercises the record_batch recorder on every charged burst). *)
-    let pmd_regime ~emc ~batch_cycles profiled =
-      let config =
-        { Pi_ovs.Pmd.default_config with
-          Pi_ovs.Pmd.n_shards = 4;
-          parallel = false;
-          batch_cycles;
-          dp =
-            { Pi_ovs.Datapath.default_config with
-              Pi_ovs.Datapath.emc_enabled = emc } }
-      in
-      let pmd =
-        Pi_ovs.Pmd.create ~config ?telemetry:(telemetry profiled)
-          (Pi_pkt.Prng.create 7L) ()
-      in
-      warmed_batch (fun b -> Pi_ovs.Pmd.process_batch pmd b ~now:0.)
-    in
-    let regimes =
-      [ ("emc-hit", pmd_regime ~emc:true ~batch_cycles:0.);
-        ("mf-hit", pmd_regime ~emc:false ~batch_cycles:0.);
-        ("batch", pmd_regime ~emc:true ~batch_cycles:100.) ]
-    in
-    List.map
-      (fun (name, mk) ->
-        let sample profiled =
-          let f = mk profiled in
-          (* no reduced quick floor here: the on/off gap this feeds the
-             1.05x CI gate with is a few percent, and 100-iteration
-             samples flake past it on scheduler noise alone *)
-          let r = hot_measure ~iters:5_000 f in
-          let d v = v /. 256. in
-          { hr_ns_per_pkt = d r.hr_ns_per_pkt;
-            hr_cycles_per_pkt = d r.hr_cycles_per_pkt;
-            hr_minor_words_per_pkt = d r.hr_minor_words_per_pkt }
-        in
-        (* Interleaved best-of-6, same rationale as batch-vs-scalar: the
-           on/off gap is a few percent, below run-level drift, so
-           alternate the measurements and keep each variant's best. Six
-           alternations (not three) because the ratio feeds a hard CI
-           gate: one unluckily slow set of profiler-on samples must not
-           fail the build. *)
-        let best a b = if b.hr_ns_per_pkt < a.hr_ns_per_pkt then b else a in
-        let rec reps k (boff, bon) =
-          if k = 0 then (boff, bon)
-          else reps (k - 1) (best boff (sample false), best bon (sample true))
-        in
-        let off, on = reps 5 (sample false, sample true) in
-        print_row (name ^ "-prof-off") None off;
-        print_row (name ^ "-prof-on") None on;
-        (name, (off, on)))
-      regimes
-  in
   (match List.assoc_opt 8192 tss_walk with
    | Some r ->
      Printf.printf
@@ -1405,25 +1340,18 @@ let run_hotpath () =
                     ("scalar", fun b -> add_obj b (row_fields sr)) ]))
            rows)
   in
-  let by_profile rows =
-    fun b ->
-      add_obj b
-        (List.map
-           (fun (name, (off, on)) ->
-             (name,
-              fun b ->
-                add_obj b
-                  [ ("off", fun b -> add_obj b (row_fields off));
-                    ("on", fun b -> add_obj b (row_fields on)) ]))
-           rows)
-  in
   add_obj buf
     [ ("emc_hit", fun b -> add_obj b (row_fields emc_hit));
       ("mf_churn", indexed mf_churn);
       ("mf_hit_batch", indexed2 mf_hit_batch);
       ("mf_hit_hinted", indexed mf_hit_hinted);
-      ("obs_overhead", by_profile obs_overhead);
       ("pmd_batch", fun b -> add_obj b (row_fields pmd_batch));
+      ("pmd_regimes",
+       fun b ->
+         add_obj b
+           (List.map
+              (fun (name, r) -> (name, fun b -> add_obj b (row_fields r)))
+              pmd_regimes));
       ("revalidate",
        fun b ->
          add_obj b
@@ -1449,136 +1377,118 @@ let run_hotpath () =
   output_char oc '\n';
   close_out oc;
   Printf.printf "\n  hot-path trajectory written to %s\n" path;
-  (match Sys.getenv_opt "PI_BENCH_ASSERT_ZERO_ALLOC" with
-   | None | Some ("" | "0") -> ()
-   | Some _ ->
-     (* Every steady-state lookup regime must be allocation-free: the
-        benign EMC hit, the kernel-style hinted megaflow hit at every
-        mask count, and — since the flat-store rewrite — the full TSS
-        walk the attack forces. Churn/upcall rows build structures and
-        are exempt. *)
-     let failed = ref false in
-     let demand_zero name n words =
-       if words > 0. then begin
-         Printf.eprintf
-           "FAIL: steady-state %s%s allocates %.3f minor words/packet (want 0)\n"
-           name
-           (match n with
-            | Some n -> Printf.sprintf " @%d masks" n
-            | None -> "")
-           words;
-         failed := true
-       end
-     in
-     demand_zero "emc-hit" None emc_hit.hr_minor_words_per_pkt;
-     List.iter
-       (fun (n, r) ->
-         demand_zero "mf-hit-hinted" (Some n) r.hr_minor_words_per_pkt)
-       mf_hit_hinted;
-     List.iter
-       (fun (n, r) -> demand_zero "tss-walk" (Some n) r.hr_minor_words_per_pkt)
-       tss_walk;
-     demand_zero "pmd-batch" None pmd_batch.hr_minor_words_per_pkt;
-     if upcall_remint.hr_minor_words_per_pkt > remint_words_budget then begin
-       Printf.eprintf
-         "FAIL: upcall-remint allocates %.3f minor words/install (budget %g)\n"
-         upcall_remint.hr_minor_words_per_pkt remint_words_budget;
-       failed := true
-     end;
-     List.iter
-       (fun (n, (b, s)) ->
-         demand_zero "tss-walk-batch" (Some n) b.hr_minor_words_per_pkt;
-         demand_zero "tss-walk-scalar" (Some n) s.hr_minor_words_per_pkt)
-       tss_walk_batch;
-     List.iter
-       (fun (n, (b, s)) ->
-         demand_zero "tss-walk-hashed-batch" (Some n) b.hr_minor_words_per_pkt;
-         demand_zero "tss-walk-hashed-scalar" (Some n)
-           s.hr_minor_words_per_pkt)
-       tss_walk_hashed_batch;
-     List.iter
-       (fun (n, (b, s)) ->
-         demand_zero "tss-walk-admit-batch" (Some n) b.hr_minor_words_per_pkt;
-         demand_zero "tss-walk-admit-scalar" (Some n)
-           s.hr_minor_words_per_pkt)
-       tss_walk_admit_batch;
-     List.iter
-       (fun (n, (b, s)) ->
-         demand_zero "tss-walk-grouped-batch" (Some n) b.hr_minor_words_per_pkt;
-         demand_zero "tss-walk-grouped-scalar" (Some n)
-           s.hr_minor_words_per_pkt)
-       tss_walk_grouped_batch;
-     List.iter
-       (fun (n, (b, s)) ->
-         demand_zero "mf-hit-batch" (Some n) b.hr_minor_words_per_pkt;
-         demand_zero "mf-hit-scalar" (Some n) s.hr_minor_words_per_pkt)
-       mf_hit_batch;
-     (* Profiled rows are held to the same budget: observation must not
-        put a single word on the minor heap per packet. *)
-     List.iter
-       (fun (name, (off, on)) ->
-         demand_zero (name ^ "-prof-off") None off.hr_minor_words_per_pkt;
-         demand_zero (name ^ "-prof-on") None on.hr_minor_words_per_pkt)
-       obs_overhead;
-     if !failed then exit 1
-     else
-       Printf.printf
-         "  zero-alloc assertion (emc-hit, mf-hit-hinted, tss-walk,\n\
+  (* Every gate runs and prints its verdict before the run fails, so
+     one failing gate does not hide another. *)
+  let gate var =
+    match Sys.getenv_opt var with None | Some ("" | "0") -> false | Some _ -> true
+  in
+  let failed = ref false in
+  let verdict ok what =
+    if ok then Printf.printf "  %s: OK\n" what
+    else begin
+      Printf.printf "  %s: FAILED\n" what;
+      failed := true
+    end
+  in
+  if gate "PI_BENCH_ASSERT_ZERO_ALLOC" then begin
+    (* Every steady-state lookup regime must be allocation-free: the
+       benign EMC hit, the kernel-style hinted megaflow hit at every
+       mask count, and — since the flat-store rewrite — the full TSS
+       walk the attack forces. Churn/upcall rows build structures and
+       are exempt. *)
+    let ok = ref true in
+    let demand_zero name n words =
+      if words > 0. then begin
+        Printf.eprintf
+          "FAIL: steady-state %s%s allocates %.3f minor words/packet (want 0)\n"
+          name
+          (match n with
+           | Some n -> Printf.sprintf " @%d masks" n
+           | None -> "")
+          words;
+        ok := false
+      end
+    in
+    demand_zero "emc-hit" None emc_hit.hr_minor_words_per_pkt;
+    List.iter
+      (fun (n, r) ->
+        demand_zero "mf-hit-hinted" (Some n) r.hr_minor_words_per_pkt)
+      mf_hit_hinted;
+    List.iter
+      (fun (n, r) -> demand_zero "tss-walk" (Some n) r.hr_minor_words_per_pkt)
+      tss_walk;
+    demand_zero "pmd-batch" None pmd_batch.hr_minor_words_per_pkt;
+    if upcall_remint.hr_minor_words_per_pkt > remint_words_budget then begin
+      Printf.eprintf
+        "FAIL: upcall-remint allocates %.3f minor words/install (budget %g)\n"
+        upcall_remint.hr_minor_words_per_pkt remint_words_budget;
+      ok := false
+    end;
+    List.iter
+      (fun (n, (b, s)) ->
+        demand_zero "tss-walk-batch" (Some n) b.hr_minor_words_per_pkt;
+        demand_zero "tss-walk-scalar" (Some n) s.hr_minor_words_per_pkt)
+      tss_walk_batch;
+    List.iter
+      (fun (n, (b, s)) ->
+        demand_zero "tss-walk-hashed-batch" (Some n) b.hr_minor_words_per_pkt;
+        demand_zero "tss-walk-hashed-scalar" (Some n)
+          s.hr_minor_words_per_pkt)
+      tss_walk_hashed_batch;
+    List.iter
+      (fun (n, (b, s)) ->
+        demand_zero "tss-walk-admit-batch" (Some n) b.hr_minor_words_per_pkt;
+        demand_zero "tss-walk-admit-scalar" (Some n)
+          s.hr_minor_words_per_pkt)
+      tss_walk_admit_batch;
+    List.iter
+      (fun (n, (b, s)) ->
+        demand_zero "tss-walk-grouped-batch" (Some n) b.hr_minor_words_per_pkt;
+        demand_zero "tss-walk-grouped-scalar" (Some n)
+          s.hr_minor_words_per_pkt)
+      tss_walk_grouped_batch;
+    List.iter
+      (fun (n, (b, s)) ->
+        demand_zero "mf-hit-batch" (Some n) b.hr_minor_words_per_pkt;
+        demand_zero "mf-hit-scalar" (Some n) s.hr_minor_words_per_pkt)
+      mf_hit_batch;
+    List.iter
+      (fun (name, r) -> demand_zero name None r.hr_minor_words_per_pkt)
+      pmd_regimes;
+    verdict !ok
+      (Printf.sprintf
+         "zero-alloc assertion (emc-hit, mf-hit-hinted, tss-walk,\n\
          \  pmd-batch, tss-walk-batch, tss-walk-hashed-batch,\n\
          \  tss-walk-admit-batch, tss-walk-grouped-batch, mf-hit-batch,\n\
-         \  profiler on/off; upcall-remint <= %g words/install): OK\n"
-         remint_words_budget);
-  (match Sys.getenv_opt "PI_BENCH_ASSERT_OBS_OVERHEAD" with
-   | None | Some ("" | "0") -> ()
-   | Some _ ->
-     (* The observability tax: profiler-on fast-path rows must price
-        within 5 % of profiler-off. *)
-     let failed = ref false in
-     List.iter
-       (fun (name, (off, on)) ->
-         let ratio = on.hr_ns_per_pkt /. off.hr_ns_per_pkt in
-         if ratio > 1.05 then begin
-           Printf.eprintf
-             "FAIL: profiler-on %s costs %.1f%% over profiler-off\n\
-             \      (%.2f vs %.2f ns/pkt, want <= 5%%)\n"
-             name
-             ((ratio -. 1.) *. 100.)
-             on.hr_ns_per_pkt off.hr_ns_per_pkt;
-           failed := true
-         end)
-       obs_overhead;
-     if !failed then exit 1
-     else
-       Printf.printf
-         "  observability overhead assertion (profiler-on <= 1.05x on\n\
-         \  emc-hit, mf-hit, batch): OK\n");
-  (match Sys.getenv_opt "PI_BENCH_ASSERT_BATCH" with
-   | None | Some ("" | "0") -> ()
-   | Some _ ->
-     (* The point of the subtable-major walk: once the attack has
-        injected enough masks (>= 512), probing each subtable for the
-        whole burst must not be slower than re-walking the hierarchy
-        per packet. Below 512 masks the walk is too short for the
-        amortisation to matter and noise dominates, so no assertion. *)
-     let failed = ref false in
-     let demand_faster name (n, (b, s)) =
-       if n >= 512 && b.hr_cycles_per_pkt > s.hr_cycles_per_pkt then begin
-         Printf.eprintf
-           "FAIL: %s @%d masks: batch walk costs %.0f cycles/pkt vs %.0f \
-            per-packet (want batch <= per-packet)\n"
-           name n b.hr_cycles_per_pkt s.hr_cycles_per_pkt;
-         failed := true
-       end
-     in
-     List.iter (demand_faster "tss-walk-batch") tss_walk_batch;
-     List.iter (demand_faster "tss-walk-hashed-batch") tss_walk_hashed_batch;
-     List.iter (demand_faster "tss-walk-admit-batch") tss_walk_admit_batch;
-     List.iter (demand_faster "mf-hit-batch") mf_hit_batch;
-     if !failed then exit 1
-     else
-       Printf.printf
-         "  batch <= per-packet at >= 512 masks (tss-walk-batch, \
-          tss-walk-hashed-batch, tss-walk-admit-batch, mf-hit-batch): OK\n")
+         \  pmd-mf-hit, pmd-charged; upcall-remint <= %g words/install)"
+         remint_words_budget)
+  end;
+  if gate "PI_BENCH_ASSERT_BATCH" then begin
+    (* The point of the subtable-major walk: once the attack has
+       injected enough masks (>= 512), probing each subtable for the
+       whole burst must not be slower than re-walking the hierarchy
+       per packet. Below 512 masks the walk is too short for the
+       amortisation to matter and noise dominates, so no assertion. *)
+    let ok = ref true in
+    let demand_faster name (n, (b, s)) =
+      if n >= 512 && b.hr_cycles_per_pkt > s.hr_cycles_per_pkt then begin
+        Printf.eprintf
+          "FAIL: %s @%d masks: batch walk costs %.0f cycles/pkt vs %.0f \
+           per-packet (want batch <= per-packet)\n"
+          name n b.hr_cycles_per_pkt s.hr_cycles_per_pkt;
+        ok := false
+      end
+    in
+    List.iter (demand_faster "tss-walk-batch") tss_walk_batch;
+    List.iter (demand_faster "tss-walk-hashed-batch") tss_walk_hashed_batch;
+    List.iter (demand_faster "tss-walk-admit-batch") tss_walk_admit_batch;
+    List.iter (demand_faster "mf-hit-batch") mf_hit_batch;
+    verdict !ok
+      "batch <= per-packet at >= 512 masks (tss-walk-batch, \
+       tss-walk-hashed-batch, tss-walk-admit-batch, mf-hit-batch)"
+  end;
+  flush stdout;
+  if !failed then exit 1
 
 (* ------------------------------------------------------------------ *)
 (* wallclock: real pkts/sec of the two PMD execution engines            *)

@@ -309,12 +309,7 @@ let dpctl_dataplane variant allow_src seed backend shards =
   let reg = Pi_ovs.Provenance.registry () in
   let metrics = Pi_telemetry.Metrics.create () in
   let dp =
-    (* a perf in the context makes every backend profile per stage, so
-       pmd-perf-show renders the cycles breakdown (each PMD shard
-       creates its own Perf.t from this seed context) *)
-    Pi_ovs.Dataplane.create
-      ~telemetry:
-        (Pi_telemetry.Ctx.v ~metrics ~perf:(Pi_telemetry.Perf.create ()) ())
+    Pi_ovs.Dataplane.create ~telemetry:(Pi_telemetry.Ctx.v ~metrics ())
       ~provenance:reg backend
       (Pi_pkt.Prng.create (Int64.of_int seed))
   in
@@ -454,6 +449,18 @@ let write_csv oc samples =
     samples;
   close_out oc
 
+(* The run's mean victim throughput line. A mean over a window without
+   samples (the attack starts at 0 s, or the run ends before
+   [start + 10] s) is nan: print it as n/a. *)
+let print_means (r : Pi_sim.Scenario.report) =
+  let gbps ppf v =
+    if Float.is_nan v then Format.pp_print_string ppf "n/a"
+    else Format.fprintf ppf "%.3f Gbps" v
+  in
+  Format.printf "@.pre-attack mean: %a, post-attack mean: %a, peak masks: %d@."
+    gbps r.Pi_sim.Scenario.pre_attack_mean_gbps gbps
+    r.Pi_sim.Scenario.post_attack_mean_gbps r.Pi_sim.Scenario.peak_masks
+
 let attack variant duration start offered every coarse (backend, shards) batch
     pipeline upcall_queue attribution csv json =
   let open Pi_sim in
@@ -504,9 +511,7 @@ let attack variant duration start offered every coarse (backend, shards) batch
       if int_of_float s.Scenario.time mod every = 0 then
         Format.printf "%a@." Scenario.pp_sample s)
     r.Scenario.samples;
-  Format.printf "@.pre-attack mean: %.3f Gbps, post-attack mean: %.3f Gbps, peak masks: %d@."
-    r.Scenario.pre_attack_mean_gbps r.Scenario.post_attack_mean_gbps
-    r.Scenario.peak_masks;
+  print_means r;
   let fs = r.Scenario.final_stats in
   Format.printf
     "upcalls: %d, upcall drops: %d (pending %d), handler cycles: %.0f@."
@@ -671,15 +676,11 @@ let monitor variant duration start offered shards every use_json attribution =
       n_shards = shards;
       metrics = Some metrics;
       provenance = attribution;
-      profile = true;
       on_sample = Some on_sample }
   in
   let r = Scenario.run p in
   if not use_json then begin
-    Format.printf
-      "@.pre-attack mean: %.3f Gbps, post-attack mean: %.3f Gbps, peak masks: %d@."
-      r.Scenario.pre_attack_mean_gbps r.Scenario.post_attack_mean_gbps
-      r.Scenario.peak_masks;
+    print_means r;
     match r.Scenario.perf with
     | Some p ->
       let module P = Pi_telemetry.Perf in

@@ -83,8 +83,16 @@ type t = {
   su_idx : int array;
   su_verd : Slowpath.verdict array;
   mutable n_processed : int;
+  mutable n_bytes : int;
   mutable n_upcalls : int;
   mutable n_slow_probes : int;
+  mutable n_handler_upcalls : int;
+  mutable n_handler_slow_probes : int;
+  mutable n_handler_bytes : int;
+      (* of the upcalls, those {!apply_verdict} applied, their probes
+         and bytes: the handler's share of the charge *)
+  mutable n_revalidations : int;
+  mutable n_reval_evicted : int;
   mutable last_b : Batch.t;
       (* the batch {!process_batch} ran last; {!last_megaflow} reads its
          last [mf] slot *)
@@ -97,10 +105,6 @@ type t = {
      telemetry is disabled — the datapath then behaves exactly as
      before. *)
   tracer : Pi_telemetry.Tracer.t option;
-  perf : Pi_telemetry.Perf.t option;
-      (* per-stage cycle profiler; its cost coefficients are installed
-         once at creation so the hot recorders take only immediate
-         arguments (a float argument would box per packet) *)
   h_cycles : Pi_telemetry.Histogram.t option;
   h_probes : Pi_telemetry.Histogram.t option;
   h_upcall : Pi_telemetry.Histogram.t option;
@@ -142,16 +146,6 @@ let create ?(config = default_config) ?tss_config ?telemetry ?provenance rng
   let ctx = Option.value telemetry ~default:Pi_telemetry.Ctx.empty in
   let metrics = Pi_telemetry.Ctx.metrics ctx in
   let tracer = Pi_telemetry.Ctx.tracer ctx in
-  let perf = Pi_telemetry.Ctx.perf ctx in
-  (match perf with
-   | Some p ->
-     Pi_telemetry.Perf.configure ~emc_lookup:config.cost.Cost_model.emc_lookup
-       ~mf_probe:config.cost.Cost_model.mf_probe
-       ~mf_hit_fixed:config.cost.Cost_model.mf_hit_fixed
-       ~upcall:config.cost.Cost_model.upcall
-       ~slow_probe:config.cost.Cost_model.slow_probe
-       ~per_byte:config.cost.Cost_model.per_byte p
-   | None -> ());
   let hist name =
     Option.map (fun m -> Pi_telemetry.Metrics.histogram m name) metrics
   in
@@ -185,12 +179,17 @@ let create ?(config = default_config) ?tss_config ?telemetry ?provenance rng
       su_idx = Array.init service_chunk (fun i -> i);
       su_verd = Array.make service_chunk Slowpath.no_verdict;
       n_processed = 0;
+      n_bytes = 0;
       n_upcalls = 0;
       n_slow_probes = 0;
+      n_handler_upcalls = 0;
+      n_handler_slow_probes = 0;
+      n_handler_bytes = 0;
+      n_revalidations = 0;
+      n_reval_evicted = 0;
       last_b = one;
       prov = Option.map (fun reg -> Provenance.store ?metrics reg) provenance;
       tracer;
-      perf;
       h_cycles = hist "cycles_per_packet";
       h_probes = hist "mf_probes_per_lookup";
       h_upcall = hist "upcall_cycles" }
@@ -330,11 +329,6 @@ let finish_b t (b : Batch.t) i action ~emc_hit ~mf_probes ~mf_hit ~upcall
      every packet of the batch hit path. *)
   Cost_model.add_cycles t.cfg.cost t.cy ~emc_hit ~mf_probes ~mf_hit ~upcall
     ~slow_probes ~pkt_len:b.Batch.pkt_lens.(i);
-  (match t.perf with
-   | Some p ->
-     Pi_telemetry.Perf.record p ~pkt_len:b.Batch.pkt_lens.(i) ~emc_hit
-       ~mf_probes ~mf_hit ~upcalled:upcall ~slow_probes
-   | None -> ());
   (match t.h_cycles with
    | Some h ->
      Pi_telemetry.Histogram.observe h
@@ -486,17 +480,19 @@ let complete_miss t (b : Batch.t) (w : Batch.t) ~now i j ~lo ~k =
          and the packet itself is not forwarded this tick; the handler
          resolves the flow in {!service_upcalls}. A full queue means
          the packet — and its upcall — is dropped on the floor. *)
-      (if
-         Upcall_queue.push t.uq
-           { ui_flow = flow; ui_pkt_len = pkt_len; ui_at = now }
-       then
-         trace t ~now
-           (Pi_telemetry.Tracer.Upcall_enqueued
-              { queued = Upcall_queue.length t.uq })
-       else
-         trace t ~now
-           (Pi_telemetry.Tracer.Upcall_dropped
-              { queued = Upcall_queue.length t.uq }));
+      let pushed =
+        Upcall_queue.push t.uq
+          { ui_flow = flow; ui_pkt_len = pkt_len; ui_at = now }
+      in
+      (* matched, not [trace]d: the event record would be built even
+         with no tracer *)
+      (match t.tracer with
+       | Some tr ->
+         let queued = Upcall_queue.length t.uq in
+         Pi_telemetry.Tracer.record tr ~at:now
+           (if pushed then Pi_telemetry.Tracer.Upcall_enqueued { queued }
+            else Pi_telemetry.Tracer.Upcall_dropped { queued })
+       | None -> ());
       b.Batch.mf.(i) <- None;
       finish_b t b i Action.Drop ~emc_hit:false ~mf_probes:probes
         ~mf_hit:false ~upcall:false ~slow_probes:0;
@@ -509,6 +505,7 @@ let complete_miss t (b : Batch.t) (w : Batch.t) ~now i j ~lo ~k =
 let rec complete_batch t (b : Batch.t) ~now i n j k emc_clean =
   if i < n then begin
     t.n_processed <- t.n_processed + 1;
+    t.n_bytes <- t.n_bytes + b.Batch.pkt_lens.(i);
     if not t.cfg.emc_enabled then
       next_packet t b ~now i n (j + 1) k emc_clean
         (complete_miss t b b ~now i j ~lo:(j + 1) ~k)
@@ -606,6 +603,9 @@ let pop_pending_upcall t =
 let apply_verdict t ~now flow ~pkt_len (v : Slowpath.verdict) =
   t.n_upcalls <- t.n_upcalls + 1;
   t.n_slow_probes <- t.n_slow_probes + v.Slowpath.probes;
+  t.n_handler_upcalls <- t.n_handler_upcalls + 1;
+  t.n_handler_slow_probes <- t.n_handler_slow_probes + v.Slowpath.probes;
+  t.n_handler_bytes <- t.n_handler_bytes + pkt_len;
   ignore
     (install t ~now flow ~action:v.Slowpath.action ~mask:v.Slowpath.megaflow
        ~slow_probes:v.Slowpath.probes ~rule_seq:v.Slowpath.rule_seq);
@@ -615,11 +615,6 @@ let apply_verdict t ~now flow ~pkt_len (v : Slowpath.verdict) =
         upcall = true; slow_probes = v.Slowpath.probes; pkt_len }
   in
   t.cy.(1) <- t.cy.(1) +. c;
-  (match t.perf with
-   | Some p ->
-     Pi_telemetry.Perf.record_handler p ~pkt_len
-       ~slow_probes:v.Slowpath.probes
-   | None -> ());
   match t.prov with
   | Some p ->
     Provenance.account_handler p ~port:(Pi_classifier.Flow.in_port flow)
@@ -700,9 +695,8 @@ let revalidate t ~now =
     t.emc_deaths <- deaths;
     ignore (Emc.invalidate_if t.emc (fun e -> not e.Megaflow.alive))
   end;
-  (match t.perf with
-   | Some p -> Pi_telemetry.Perf.record_reval p ~evicted
-   | None -> ());
+  t.n_revalidations <- t.n_revalidations + 1;
+  t.n_reval_evicted <- t.n_reval_evicted + evicted;
   if evicted > 0 then
     trace t ~now (Pi_telemetry.Tracer.Megaflow_evicted { count = evicted });
   (* matched, not [trace]d: the event record would be built even with
@@ -724,7 +718,21 @@ let last_megaflow t =
   if b.Batch.n = 0 then None else b.Batch.mf.(b.Batch.n - 1)
 
 let provenance t = t.prov
-let perf t = t.perf
+let perf_counts t ~batches =
+  { Pi_telemetry.Perf.packets = t.n_processed;
+    bytes = t.n_bytes;
+    emc_hits = Emc.hits t.emc;
+    mf_hits = Megaflow.hits t.mf;
+    mf_probes = Megaflow.total_probes t.mf;
+    upcalls = t.n_upcalls;
+    slow_probes = t.n_slow_probes;
+    handler_upcalls = t.n_handler_upcalls;
+    handler_slow_probes = t.n_handler_slow_probes;
+    handler_bytes = t.n_handler_bytes;
+    batches;
+    reval_sweeps = t.n_revalidations;
+    reval_evicted = t.n_reval_evicted }
+
 let cycles_used t = t.cy.(0)
 let handler_cycles_used t = t.cy.(1)
 let n_processed t = t.n_processed
@@ -739,16 +747,19 @@ let reset_stats t =
   t.cy.(0) <- 0.;
   t.cy.(1) <- 0.;
   t.n_processed <- 0;
+  t.n_bytes <- 0;
   t.n_upcalls <- 0;
   t.n_slow_probes <- 0;
+  t.n_handler_upcalls <- 0;
+  t.n_handler_slow_probes <- 0;
+  t.n_handler_bytes <- 0;
+  t.n_revalidations <- 0;
+  t.n_reval_evicted <- 0;
   (* Drain, don't keep: stale queued misses from before the measurement
      window would otherwise be serviced inside it and charge their
      handler work to the wrong window. The drained items are not counted
      as drops — they belong to no window any more. *)
   Upcall_queue.reset t.uq;
-  (match t.perf with
-   | Some p -> Pi_telemetry.Perf.reset p
-   | None -> ());
   Option.iter Provenance.reset_ports t.prov;
   Megaflow.reset_stats t.mf;
   Emc.reset_stats t.emc

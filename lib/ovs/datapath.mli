@@ -180,8 +180,8 @@ val revalidate : t -> now:float -> int
     [now] given to {!process_batch} or {!service_upcalls} since the last
     full sweep. The microflow-cache sweep runs when a megaflow died
     since the last one ({!Megaflow.deaths}). The subtable resort, the
-    profiler's sweep count and the [Revalidate] trace event happen on
-    every call. Exact as long as nothing stamps a megaflow's [last_used]
+    revalidation count ({!perf_counts}) and the [Revalidate] trace
+    event happen on every call. Exact as long as nothing stamps a megaflow's [last_used]
     below both bounds (see {!Megaflow.entry}). *)
 
 val cycles_used : t -> float
@@ -193,13 +193,16 @@ val handler_cycles_used : t -> float
     0 under the synchronous default, where upcall cost lands in
     {!cycles_used} with the packet that triggered it. *)
 
-val perf : t -> Pi_telemetry.Perf.t option
-(** The per-stage cycle profiler from the creation context, with this
-    datapath's cost-model coefficients installed. Its per-stage cycles
-    decompose exactly the charge recorded in {!cycles_used} plus
-    {!handler_cycles_used}: summing {!Pi_telemetry.Perf.stage_cycles}
-    over all stages reproduces that total to float rounding (the
-    profiler sums per stage, the datapath keeps one running total). *)
+val perf_counts : t -> batches:int -> Pi_telemetry.Perf.counts
+(** The counts a per-stage profile prices, read from this datapath's
+    fields, its EMC's and its megaflow cache's, since the last
+    {!reset_stats}; [batches] is the caller's rx-burst count (the PMD
+    shard chops bursts, not the datapath). Priced with this datapath's
+    cost model ({!Pi_telemetry.Perf.v}), the stages decompose exactly
+    the charge recorded in {!cycles_used} plus {!handler_cycles_used}
+    (plus the caller's batch overhead): the stage sum reproduces that
+    total to float rounding (the view sums per stage, the datapath
+    keeps one running total). *)
 
 val provenance : t -> Provenance.store option
 (** The attribution store ([Some] exactly when [create] was given a
@@ -224,9 +227,9 @@ val n_megaflows : t -> int
 
 val reset_stats : t -> unit
 (** Resets every count this datapath, its EMC, megaflow cache, upcall
-    queue, profiler and provenance ports keep ({!Provenance.reset_ports}),
-    and with them every registry counter that names one; cache contents,
-    registry histograms and tenant attribution are untouched.
+    queue and provenance ports keep ({!Provenance.reset_ports}), and
+    with them every registry counter and profile that reads one; cache
+    contents, registry histograms and tenant attribution are untouched.
     Pending deferred upcalls are {e drained} (discarded without being
     serviced and without counting as drops): a reset opens a fresh
     measurement window, and stale queued misses from before it must not

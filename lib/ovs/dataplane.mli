@@ -118,9 +118,9 @@ module type S = sig
       off). Raises [Invalid_argument] out of range. *)
 
   val shard_perf : t -> int -> Pi_telemetry.Perf.t option
-  (** Shard [i]'s per-stage cycle profiler ([None] when the creation
-      context carried none, or the backend does not profile). Merge the
-      shards with {!Pi_telemetry.Perf.merge} for a whole-dataplane
+  (** Shard [i]'s per-stage cycle profile, a view over the shard's own
+      counts ([None] when the backend has no stages to profile). Merge
+      the shards with {!Pi_telemetry.Perf.merge} for a whole-dataplane
       view; see [ovsdos dpctl pmd-perf-show]. Raises [Invalid_argument]
       out of range. *)
 

@@ -73,7 +73,8 @@ let port_stats ppf dp =
 let pp_perf ppf p =
   let module P = Pi_telemetry.Perf in
   let total = P.total_cycles p in
-  let pkts = P.packets p in
+  let c = P.counts p in
+  let pkts = c.P.packets in
   Format.fprintf ppf "  per-stage cycles:@,";
   for st = 0 to P.n_stages - 1 do
     let c = P.stage_cycles p st in
@@ -84,15 +85,14 @@ let pp_perf ppf p =
   Format.fprintf ppf "  avg cycles/pkt: %.1f@,"
     (if pkts = 0 then 0. else total /. float_of_int pkts);
   Format.fprintf ppf "  avg subtables/walk: %.2f@,"
-    (let walks = pkts - P.emc_hits p in
+    (let walks = pkts - c.P.emc_hits in
      if walks <= 0 then 0.
-     else float_of_int (P.mf_probes p) /. float_of_int walks);
-  Format.fprintf ppf "  rx batches:     %d (avg %.1f pkts/batch)@,"
-    (P.batches p)
-    (let b = P.batches p in
-     if b = 0 then 0. else float_of_int pkts /. float_of_int b);
-  Format.fprintf ppf "  reval sweeps:   %d (evicted %d)@," (P.reval_sweeps p)
-    (P.reval_evicted p)
+     else float_of_int c.P.mf_probes /. float_of_int walks);
+  Format.fprintf ppf "  rx batches:     %d (avg %.1f pkts/batch)@," c.P.batches
+    (if c.P.batches = 0 then 0.
+     else float_of_int pkts /. float_of_int c.P.batches);
+  Format.fprintf ppf "  reval sweeps:   %d (evicted %d)@," c.P.reval_sweeps
+    c.P.reval_evicted
 
 let pmd_perf ppf dp =
   let masks = Dataplane.shard_masks dp in

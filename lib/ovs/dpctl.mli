@@ -25,8 +25,8 @@ val pmd_perf : Format.formatter -> Dataplane.t -> unit
 (** [pmd-perf-show]: per-shard masks/cycles, hit-rate breakdowns when
     the shard has a metrics registry, a per-stage cycle breakdown
     (steering / emc / megaflow / upcall / revalidation / batch, each
-    with its share of the charged cycles) when it has a
-    {!Pi_telemetry.Perf.t} profiler, and a cross-shard total. *)
+    with its share of the charged cycles) when it reports a
+    {!Pi_telemetry.Perf.t} profile, and a cross-shard total. *)
 
 val attribution : Format.formatter -> Dataplane.t -> unit
 (** The ranked tenant attribution report ({!Provenance.pp_summary}).

@@ -213,10 +213,7 @@ let worker_body t pl s =
         (* a charged rx burst: the fixed per-burst cost, exactly as the
            deterministic mode's chopping charges it *)
         sh.n_batches <- sh.n_batches + 1;
-        sh.oc.(0) <- sh.oc.(0) +. t.cfg.batch_cycles;
-        match Datapath.perf sh.dp with
-        | Some p -> Pi_telemetry.Perf.record_batch p
-        | None -> ()
+        sh.oc.(0) <- sh.oc.(0) +. t.cfg.batch_cycles
       end;
       let b = pl.cur_b in
       let now = pl.cur_now in
@@ -332,13 +329,8 @@ let create ?(config = default_config) ?tss_config ?telemetry ?provenance rng
     else begin
       ignore i;
       let metrics = Option.map (fun _ -> Pi_telemetry.Metrics.create ()) metrics in
-      let perf =
-        Option.map
-          (fun _ -> Pi_telemetry.Perf.create ())
-          (Pi_telemetry.Ctx.perf ctx)
-      in
       { dp = Datapath.create ~config:config.dp ?tss_config
-               ~telemetry:(Pi_telemetry.Ctx.v ?metrics ?perf ())
+               ~telemetry:(Pi_telemetry.Ctx.v ?metrics ())
                ?provenance
                (Pi_pkt.Prng.split rng) ();
         metrics;
@@ -348,14 +340,6 @@ let create ?(config = default_config) ?tss_config ?telemetry ?provenance rng
     end
   in
   let shards = Array.init config.n_shards mk_shard in
-  (* The datapath installed its own cost coefficients; the per-rx-burst
-     overhead is a Pmd concept, so its coefficient lands here. *)
-  Array.iter
-    (fun s ->
-      match Datapath.perf s.dp with
-      | Some p -> Pi_telemetry.Perf.configure ~batch:config.batch_cycles p
-      | None -> ())
-    shards;
   let pl =
     match config.mode with
     | Deterministic -> None
@@ -517,9 +501,6 @@ let rec det_run_chunks t (b : Batch.t) ~now s pos =
     let k = min t.cfg.batch_size (len - pos) in
     sh.n_batches <- sh.n_batches + 1;
     sh.oc.(0) <- sh.oc.(0) +. t.cfg.batch_cycles;
-    (match Datapath.perf sh.dp with
-     | Some p -> Pi_telemetry.Perf.record_batch p
-     | None -> ());
     let sb = sh.b and idx = t.sc_idx.(s) in
     for j = 0 to k - 1 do
       let i = idx.(pos + j) in
@@ -655,7 +636,18 @@ let n_megaflows t = sum_int (fun s -> Datapath.n_megaflows s.dp) t
 
 let telemetry t = t.ctx
 
-let shard_perf t i = Datapath.perf t.shards.(i).dp
+(* The datapath's cost model prices its stages; the per-rx-burst
+   overhead is a Pmd concept, so its coefficient and count come from
+   here. *)
+let shard_perf t i =
+  let s = t.shards.(i) in
+  let c = t.cfg.dp.Datapath.cost in
+  Some
+    (Pi_telemetry.Perf.v ~emc_lookup:c.Cost_model.emc_lookup
+       ~mf_probe:c.Cost_model.mf_probe ~mf_hit_fixed:c.Cost_model.mf_hit_fixed
+       ~upcall:c.Cost_model.upcall ~slow_probe:c.Cost_model.slow_probe
+       ~per_byte:c.Cost_model.per_byte ~batch:t.cfg.batch_cycles
+       (fun () -> Datapath.perf_counts s.dp ~batches:s.n_batches))
 
 let per_shard_masks t =
   Array.map (fun s -> Datapath.n_masks s.dp) t.shards

@@ -116,12 +116,13 @@ val shard_metrics : t -> int -> Pi_telemetry.Metrics.t option
     off). *)
 
 val shard_perf : t -> int -> Pi_telemetry.Perf.t option
-(** Shard [i]'s per-stage cycle profiler ([None] when the creation
-    context carried none). With one shard this is the context's own
-    instance; with several, a private per-shard instance (exactly like
-    {!shard_metrics}) with this Pmd's [batch_cycles] coefficient
-    installed — merge with {!Pi_telemetry.Perf.merge} for the
-    whole-dataplane view. Same quiescence caveat as {!shard}. *)
+(** Shard [i]'s per-stage cycle profile: a view over the shard's own
+    counts ({!Datapath.perf_counts} plus its rx bursts, {!n_batches}),
+    priced with the datapath's cost model and this Pmd's
+    [batch_cycles]. Always [Some]; it follows {!reset_stats}. Merge with
+    {!Pi_telemetry.Perf.merge} for the whole-dataplane view. Raises
+    [Invalid_argument] out of range. Same quiescence caveat as
+    {!shard}. *)
 
 val provenance : t -> Provenance.store list
 (** All shard stores, in shard order (empty when provenance is off) —

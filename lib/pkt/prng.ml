@@ -43,9 +43,9 @@ let bits t n =
   if n = 0 then 0
   else Int64.to_int (Int64.shift_right_logical (next t) (64 - n))
 
-let float t =
-  let v = Int64.shift_right_logical (next t) 11 in
-  Int64.to_float v *. 0x1.0p-53
+let bits53 t = Int64.to_int (Int64.shift_right_logical (next t) 11)
+
+let float t = Float.of_int (bits53 t) *. 0x1.0p-53
 
 let bool t = Int64.logand (next t) 1L = 1L
 

@@ -31,8 +31,14 @@ val int32 : t -> int32
 val bits : t -> int -> int
 (** [bits t n] is a uniform [n]-bit non-negative integer, [0 <= n <= 30]. *)
 
+val bits53 : t -> int
+(** [bits53 t] is a uniform 53-bit non-negative integer: the draw
+    {!float} scales, as an immediate, so a caller in another module can
+    scale it itself without a boxed float crossing the call. *)
+
 val float : t -> float
-(** [float t] is uniform in [\[0, 1)]. *)
+(** [float t] is uniform in [\[0, 1)]: [Float.of_int (bits53 t) *.
+    0x1.0p-53]. *)
 
 val bool : t -> bool
 

@@ -76,7 +76,9 @@ module Flow_pool = struct
   let nth t i = t.flows.(i)
 
   let sample_index t rng =
-    let u = Prng.float rng in
+    (* [Prng.float]'s draw, scaled here: a float returned across the
+       module boundary would be boxed on every draw. *)
+    let u = Float.of_int (Prng.bits53 rng) *. 0x1.0p-53 in
     (* Binary search for the first CDF entry >= u. *)
     let lo = ref 0 and hi = ref (Array.length t.cdf - 1) in
     while !lo < !hi do

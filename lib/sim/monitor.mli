@@ -15,8 +15,8 @@ val create : Pi_ovs.Dataplane.t -> t
 (** Build the monitor for a dataplane: one
     {!Pi_telemetry.Window.t} per shard over its [cycles_per_packet]
     histogram (when the shard has a metrics registry), an upcall-rate
-    EWMA, and per-stage cycle windows (when the dataplane carries
-    {!Pi_ovs.Dataplane.shard_perf} profilers). Works degraded with any
+    EWMA, and per-stage cycle windows (when the dataplane reports
+    {!Pi_ovs.Dataplane.shard_perf} profiles). Works degraded with any
     instruments missing — the corresponding lines/fields are omitted or
     [null]. *)
 

@@ -79,10 +79,6 @@ type params = {
   provenance : bool;
       (* stamp megaflows/masks with their origin and account per-port /
          per-tenant attribution; the report then carries {!report.attribution} *)
-  profile : bool;
-      (* attach a per-shard Perf profiler to the dataplane's telemetry
-         context; the report then carries the cross-shard merge in
-         {!report.perf} *)
   sample_log : Pi_telemetry.Sample_log.t option;
       (* bounded JSONL ring the per-tick scrape appends to *)
   on_sample : (Dataplane.t -> sample -> unit) option;
@@ -117,7 +113,6 @@ let default_params =
     mss = 1460;
     metrics = None;
     provenance = false;
-    profile = false;
     sample_log = None;
     on_sample = None }
 
@@ -182,10 +177,7 @@ let run p =
         ?tss_config:p.tss_config ()
   in
   let telemetry =
-    let perf = if p.profile then Some (Pi_telemetry.Perf.create ()) else None in
-    match (p.metrics, perf) with
-    | None, None -> None
-    | metrics, perf -> Some (Pi_telemetry.Ctx.v ?metrics ?perf ())
+    Option.map (fun metrics -> Pi_telemetry.Ctx.v ~metrics ()) p.metrics
   in
   let prov_reg = if p.provenance then Some (Provenance.registry ()) else None in
   let dp =
@@ -634,25 +626,10 @@ let run p =
         (fun i m -> if m > peak_shard_masks.(i) then peak_shard_masks.(i) <- m)
         s.shard_masks)
     samples;
-  (* Cross-shard profiler merge: a fresh accumulator, so per-shard
-     instances stay readable on their own. *)
   let perf =
-    let acc = ref None in
-    for s = 0 to n_sh - 1 do
-      match Dataplane.shard_perf dp s with
-      | Some sp ->
-        let into =
-          match !acc with
-          | Some i -> i
-          | None ->
-            let i = Pi_telemetry.Perf.create () in
-            acc := Some i;
-            i
-        in
-        Pi_telemetry.Perf.merge ~into sp
-      | None -> ()
-    done;
-    !acc
+    match List.filter_map (Dataplane.shard_perf dp) (List.init n_sh Fun.id) with
+    | [] -> None
+    | v :: vs -> Some (List.fold_left Pi_telemetry.Perf.merge v vs)
   in
   { samples;
     pre_attack_mean_gbps = pre;

@@ -114,12 +114,6 @@ type params = {
           and attach per-shard stores, so masks carry origins and the
           report carries {!report.attribution}. Default [false];
           disabled runs are bit-for-bit the historical scenario *)
-  profile : bool;
-      (** attach a per-shard {!Pi_telemetry.Perf.t} per-stage cycle
-          profiler to the dataplane; the report then carries the
-          cross-shard merge in {!report.perf}. Default [false];
-          observation only — results are bit-for-bit the unprofiled
-          run's *)
   sample_log : Pi_telemetry.Sample_log.t option;
       (** bounded JSONL event ring: when given (and a scrape is active),
           every per-tick scrape also appends one
@@ -157,8 +151,10 @@ type report = {
           [shard<i>/n_masks] when sharded); [Some] exactly when
           {!params.metrics} or {!params.sample_log} was given *)
   perf : Pi_telemetry.Perf.t option;
-      (** the per-stage cycle profile merged across shards; [Some]
-          exactly when {!params.profile} *)
+      (** the per-stage cycle profile merged across shards
+          ({!Pi_ovs.Dataplane.shard_perf}), a view over the run's
+          dataplane; [None] on a backend that does not profile (the
+          cache-less one) *)
   final_stats : Pi_ovs.Dataplane.stats;
       (** the dataplane's cumulative counters at the end of the run —
           includes [upcall_drops] under a bounded upcall queue *)

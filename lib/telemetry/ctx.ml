@@ -1,24 +1,20 @@
 type t = {
   metrics : Metrics.t option;
   tracer : Tracer.t option;
-  perf : Perf.t option;
 }
 
-let empty = { metrics = None; tracer = None; perf = None }
+let empty = { metrics = None; tracer = None }
 
-let v ?metrics ?tracer ?perf () = { metrics; tracer; perf }
+let v ?metrics ?tracer () = { metrics; tracer }
 
 let full () =
   { metrics = Some (Metrics.create ());
-    tracer = Some (Tracer.create ());
-    perf = Some (Perf.create ()) }
+    tracer = Some (Tracer.create ()) }
 
 let metrics t = t.metrics
 let tracer t = t.tracer
-let perf t = t.perf
 
-let enabled t = t.metrics <> None || t.tracer <> None || t.perf <> None
+let enabled t = t.metrics <> None || t.tracer <> None
 
 let with_metrics t m = { t with metrics = Some m }
-let with_perf t p = { t with perf = Some p }
 let without_tracer t = { t with tracer = None }

@@ -1,23 +1,52 @@
-(* Per-stage cycle profiler: dpif-netdev's pmd-perf counters for this
-   repository's cost model.
+(* Per-stage cycle profile: dpif-netdev's pmd-perf counters for this
+   repository's cost model, as a view.
 
-   One [t] per shard. The hot recorders touch nothing but a fixed int
-   array — per packet that is a handful of integer adds, never a float
-   op, never an allocation. Stage cycles are derived lazily at read
-   time: every stage's charge is linear in the recorded event counts
-   (the cost model is a linear form), so
+   A [t] holds the cost coefficients and a reader of the owners' counts;
+   it stores no count itself. Every stage's charge is linear in those
+   counts (the cost model is a linear form), so
 
      stage_cycles = coefficient . counts
 
    evaluated on demand. Deriving from exact integer totals also makes
    the decomposition independent of accumulation order: sequential and
-   Domain-parallel shard runs merge to bit-identical stage totals.
+   Domain-parallel shard runs merge to bit-identical stage totals. *)
 
-   Allocation discipline: the hot recorders ([record], [record_handler],
-   [record_batch]) take only immediate arguments (ints, bools). Float
-   coefficients would be boxed at every cross-module call, so they are
-   installed once at configuration time ([configure]) into the [coef]
-   array and only read on the (cold) derivation path. *)
+type counts = {
+  packets : int;
+  bytes : int;
+  emc_hits : int;
+  mf_hits : int;
+  mf_probes : int;
+  upcalls : int;
+  slow_probes : int;
+  handler_upcalls : int;
+  handler_slow_probes : int;
+  handler_bytes : int;
+  batches : int;
+  reval_sweeps : int;
+  reval_evicted : int;
+}
+
+type coef = {
+  emc_lookup : float;
+  mf_probe : float;
+  mf_hit_fixed : float;
+  upcall : float;
+  slow_probe : float;
+  per_byte : float;
+  batch : float;
+}
+
+type t = { coef : coef; read : unit -> counts }
+
+let v ~emc_lookup ~mf_probe ~mf_hit_fixed ~upcall ~slow_probe ~per_byte
+    ~batch read =
+  { coef =
+      { emc_lookup; mf_probe; mf_hit_fixed; upcall; slow_probe; per_byte;
+        batch };
+    read }
+
+let counts t = t.read ()
 
 (* Stage indices. *)
 let stage_steer = 0   (* rx/steering: the per-byte packet copy *)
@@ -37,146 +66,55 @@ let stage_name = function
   | 5 -> "batch"
   | _ -> invalid_arg "Perf.stage_name"
 
-(* Counter indices (counts array). *)
-let c_packets = 0
-let c_emc_hits = 1
-let c_mf_hits = 2
-let c_mf_probes = 3        (* subtables probed across all fast-path walks *)
-let c_upcalls = 4          (* inline (synchronous) slow-path trips *)
-let c_handler_upcalls = 5  (* deferred verdicts applied by the handler *)
-let c_slow_probes = 6      (* slow-path subtable probes, inline trips *)
-let c_batches = 7          (* charged rx bursts *)
-let c_reval_sweeps = 8
-let c_reval_evicted = 9
-let c_bytes = 10           (* fast-path bytes (steering charge basis) *)
-let c_handler_slow_probes = 11
-let c_handler_bytes = 12
-let n_counters = 13
-
-(* Coefficient indices (coef array), installed by [configure]. *)
-let k_emc_lookup = 0
-let k_mf_probe = 1
-let k_mf_hit_fixed = 2
-let k_upcall = 3
-let k_slow_probe = 4
-let k_per_byte = 5
-let k_batch = 6
-let n_coefs = 7
-
-type t = {
-  counts : int array;    (* event counters, [n_counters] *)
-  coef : float array;    (* cost coefficients, [n_coefs] *)
-}
-
-let create () =
-  { counts = Array.make n_counters 0; coef = Array.make n_coefs 0. }
-
-let configure ?emc_lookup ?mf_probe ?mf_hit_fixed ?upcall ?slow_probe
-    ?per_byte ?batch t =
-  let set k = function Some v -> t.coef.(k) <- v | None -> () in
-  set k_emc_lookup emc_lookup;
-  set k_mf_probe mf_probe;
-  set k_mf_hit_fixed mf_hit_fixed;
-  set k_upcall upcall;
-  set k_slow_probe slow_probe;
-  set k_per_byte per_byte;
-  set k_batch batch
-
-(* One fast-path packet: pure integer bookkeeping. The cost model's
-   [cycles_of] term maps onto the counters as
+(* The cost model's [cycles_of] term maps onto the counts as
 
      steering <- per_byte * bytes
      emc      <- emc_lookup * packets + mf_hit_fixed * emc_hits
      megaflow <- mf_probe * mf_probes + mf_hit_fixed * mf_hits
-     upcall   <- upcall * upcalls + slow_probe * slow_probes   (inline)
+     upcall   <- upcall * inline upcalls + slow_probe * inline probes
 
-   evaluated in [stage_cycles]. Index constants are static and the
-   arrays are allocated at [n_counters] in [create], so the accesses
-   are provably in bounds — [unsafe_get]/[unsafe_set] skip the checks;
-   hit booleans add via [Bool.to_int] rather than branching (the
-   recorder must not cost differently on hit- vs miss-heavy traffic). *)
-let record t ~pkt_len ~emc_hit ~mf_probes ~mf_hit ~upcalled ~slow_probes =
-  let c = t.counts in
-  Array.unsafe_set c c_packets (Array.unsafe_get c c_packets + 1);
-  Array.unsafe_set c c_bytes (Array.unsafe_get c c_bytes + pkt_len);
-  Array.unsafe_set c c_emc_hits
-    (Array.unsafe_get c c_emc_hits + Bool.to_int emc_hit);
-  Array.unsafe_set c c_mf_hits
-    (Array.unsafe_get c c_mf_hits + Bool.to_int mf_hit);
-  Array.unsafe_set c c_mf_probes
-    (Array.unsafe_get c c_mf_probes + mf_probes);
-  Array.unsafe_set c c_upcalls
-    (Array.unsafe_get c c_upcalls + Bool.to_int upcalled);
-  Array.unsafe_set c c_slow_probes
-    (Array.unsafe_get c c_slow_probes + slow_probes)
-
-(* One deferred verdict applied by the upcall handler. The handler's
-   whole charge (per the cost model: emc_lookup + upcall +
+   and a deferred verdict's whole handler charge (emc_lookup + upcall +
    slow_probes * slow_probe + pkt_len * per_byte) is slow-path work, so
-   it lands on the upcall stage in one piece — hence the dedicated
-   handler byte/probe counters. *)
-let record_handler t ~pkt_len ~slow_probes =
-  let c = t.counts in
-  c.(c_handler_upcalls) <- c.(c_handler_upcalls) + 1;
-  c.(c_handler_slow_probes) <- c.(c_handler_slow_probes) + slow_probes;
-  c.(c_handler_bytes) <- c.(c_handler_bytes) + pkt_len
-
-let record_batch t = t.counts.(c_batches) <- t.counts.(c_batches) + 1
-
-let record_reval t ~evicted =
-  t.counts.(c_reval_sweeps) <- t.counts.(c_reval_sweeps) + 1;
-  t.counts.(c_reval_evicted) <- t.counts.(c_reval_evicted) + evicted
-
-(* The linear form, evaluated on the cold read path. *)
-let stage_cycles t i =
-  let c = t.counts and k = t.coef in
+   it lands on the upcall stage in one piece. *)
+let stage k c i =
   let f = float_of_int in
   match i with
-  | 0 (* steer *) -> k.(k_per_byte) *. f c.(c_bytes)
-  | 1 (* emc *) ->
-    (k.(k_emc_lookup) *. f c.(c_packets))
-    +. (k.(k_mf_hit_fixed) *. f c.(c_emc_hits))
-  | 2 (* mf *) ->
-    (k.(k_mf_probe) *. f c.(c_mf_probes))
-    +. (k.(k_mf_hit_fixed) *. f c.(c_mf_hits))
+  | 0 (* steer *) -> k.per_byte *. f c.bytes
+  | 1 (* emc *) -> (k.emc_lookup *. f c.packets) +. (k.mf_hit_fixed *. f c.emc_hits)
+  | 2 (* mf *) -> (k.mf_probe *. f c.mf_probes) +. (k.mf_hit_fixed *. f c.mf_hits)
   | 3 (* upcall *) ->
-    (k.(k_upcall) *. f c.(c_upcalls))
-    +. (k.(k_slow_probe) *. f c.(c_slow_probes))
-    +. ((k.(k_emc_lookup) +. k.(k_upcall)) *. f c.(c_handler_upcalls))
-    +. (k.(k_slow_probe) *. f c.(c_handler_slow_probes))
-    +. (k.(k_per_byte) *. f c.(c_handler_bytes))
+    (k.upcall *. f (c.upcalls - c.handler_upcalls))
+    +. (k.slow_probe *. f (c.slow_probes - c.handler_slow_probes))
+    +. ((k.emc_lookup +. k.upcall) *. f c.handler_upcalls)
+    +. (k.slow_probe *. f c.handler_slow_probes)
+    +. (k.per_byte *. f c.handler_bytes)
   | 4 (* reval: counted, no modelled cost *) -> 0.
-  | 5 (* batch *) -> k.(k_batch) *. f c.(c_batches)
+  | 5 (* batch *) -> k.batch *. f c.batches
   | _ -> invalid_arg "Perf.stage_cycles"
 
+let stage_cycles t i = stage t.coef (t.read ()) i
+
 let total_cycles t =
+  let c = t.read () in
   let s = ref 0. in
   for i = 0 to n_stages - 1 do
-    s := !s +. stage_cycles t i
+    s := !s +. stage t.coef c i
   done;
   !s
 
-let packets t = t.counts.(c_packets)
-let emc_hits t = t.counts.(c_emc_hits)
-let mf_hits t = t.counts.(c_mf_hits)
-let mf_probes t = t.counts.(c_mf_probes)
-let upcalls t = t.counts.(c_upcalls)
-let handler_upcalls t = t.counts.(c_handler_upcalls)
-let slow_probes t = t.counts.(c_slow_probes) + t.counts.(c_handler_slow_probes)
-let batches t = t.counts.(c_batches)
-let reval_sweeps t = t.counts.(c_reval_sweeps)
-let reval_evicted t = t.counts.(c_reval_evicted)
+let add a b =
+  { packets = a.packets + b.packets;
+    bytes = a.bytes + b.bytes;
+    emc_hits = a.emc_hits + b.emc_hits;
+    mf_hits = a.mf_hits + b.mf_hits;
+    mf_probes = a.mf_probes + b.mf_probes;
+    upcalls = a.upcalls + b.upcalls;
+    slow_probes = a.slow_probes + b.slow_probes;
+    handler_upcalls = a.handler_upcalls + b.handler_upcalls;
+    handler_slow_probes = a.handler_slow_probes + b.handler_slow_probes;
+    handler_bytes = a.handler_bytes + b.handler_bytes;
+    batches = a.batches + b.batches;
+    reval_sweeps = a.reval_sweeps + b.reval_sweeps;
+    reval_evicted = a.reval_evicted + b.reval_evicted }
 
-let merge ~into t =
-  (* Stage cycles derive from [into]'s coefficients, so a fresh
-     accumulator adopts them from its first source; every profiler of
-     one dataplane shares the same cost model, so per-slot adoption is
-     sound. *)
-  for k = 0 to n_coefs - 1 do
-    if into.coef.(k) = 0. then into.coef.(k) <- t.coef.(k)
-  done;
-  for i = 0 to n_counters - 1 do
-    into.counts.(i) <- into.counts.(i) + t.counts.(i)
-  done
-
-let reset t = Array.fill t.counts 0 n_counters 0
+let merge a b = { coef = a.coef; read = (fun () -> add (a.read ()) (b.read ())) }

@@ -1,49 +1,61 @@
-(** Zero-allocation per-stage cycle profiler.
+(** Per-stage cycle profile: a read-only view over a shard's counts.
 
     The dataplane's per-packet cycle charge decomposes into pipeline
     stages (rx/steering, EMC probe, megaflow walk, slow path, batch
-    overhead, revalidation). A [Perf.t] — one per shard — counts the
-    underlying events in a fixed integer array so [ovsdos dpctl
-    pmd-perf-show] can mirror OVS's per-stage breakdown, without putting
-    a single word on the minor heap (or a single float op) on the
-    per-packet path; every stage charge is linear in those events, so
-    {!stage_cycles} evaluates [coefficient . counts] lazily at read
-    time.
+    overhead, revalidation), so [ovsdos dpctl pmd-perf-show] can mirror
+    OVS's per-stage breakdown. A [Perf.t] stores no count of its own: it
+    reads the counts the owning structures already keep (the datapath,
+    its EMC and megaflow cache, the PMD shard's rx-burst count) each
+    time it is read, and every stage charge is linear in those counts,
+    so {!stage_cycles} evaluates [coefficient . counts] on demand. The
+    packet path pays nothing for the profile beyond the counts it keeps
+    anyway.
 
     The stage sum is exact: summed stage cycles equal the cycles the
     owning dataplane charged through its cost model (fast path + handler
-    + batch overhead) up to float association — the profiler multiplies
+    + batch overhead) up to float association — the view multiplies
     coefficients by exact event totals where the dataplane keeps one
-    per-packet running total — so profiler totals cross-check against
-    [stats.cycles] to rounding error, while per-shard profilers
-    {!merge}d across shards give bit-identical totals regardless of
-    execution order (sequential or Domain-parallel): integer event
-    sums commute.
+    per-packet running total — so profile totals cross-check against
+    [stats.cycles] to rounding error, while per-shard views {!merge}d
+    across shards give bit-identical totals regardless of execution
+    order (sequential or Domain-parallel): integer event sums commute. *)
 
-    The hot recorders take only immediate (int/bool) arguments — float
-    cost coefficients are installed once via {!configure}, because a
-    float argument at a cross-module call is boxed at every packet. *)
+type counts = {
+  packets : int;              (** fast-path packets *)
+  bytes : int;                (** their bytes (the steering charge) *)
+  emc_hits : int;
+  mf_hits : int;
+  mf_probes : int;            (** subtables probed, summed over every walk *)
+  upcalls : int;
+      (** slow-path classifications: inline upcalls plus deferred
+          verdicts the handler applied *)
+  slow_probes : int;          (** slow-path subtables probed by [upcalls] *)
+  handler_upcalls : int;      (** of [upcalls], the handler's *)
+  handler_slow_probes : int;  (** of [slow_probes], the handler's *)
+  handler_bytes : int;        (** bytes of the handler's upcalls *)
+  batches : int;              (** charged rx bursts *)
+  reval_sweeps : int;         (** revalidator calls *)
+  reval_evicted : int;        (** megaflows they evicted *)
+}
 
 type t
 
-val create : unit -> t
-(** A fresh profiler with all stages, counters and coefficients zero.
-    Call {!configure} before recording. *)
+val v :
+  emc_lookup:float -> mf_probe:float -> mf_hit_fixed:float -> upcall:float ->
+  slow_probe:float -> per_byte:float -> batch:float -> (unit -> counts) -> t
+(** [v ~emc_lookup ... read] prices the counts [read ()] returns with
+    these cost coefficients (cycles). [read] is called on every read of
+    the view, never by the packet path. *)
 
-val configure :
-  ?emc_lookup:float -> ?mf_probe:float -> ?mf_hit_fixed:float ->
-  ?upcall:float -> ?slow_probe:float -> ?per_byte:float -> ?batch:float ->
-  t -> unit
-(** Install cost coefficients (cycles). Omitted coefficients keep their
-    current value (initially 0). Called once at dataplane creation —
-    never on the per-packet path. *)
+val counts : t -> counts
+(** The counts as they are now. *)
 
 (** {2 Stages} *)
 
 val n_stages : int
 
 val stage_steer : int
-(** rx/steering: the per-byte packet copy ([pkt_len * per_byte]). *)
+(** rx/steering: the per-byte packet copy ([bytes * per_byte]). *)
 
 val stage_emc : int
 (** EMC probe, plus the hit fixed cost when the EMC answers. *)
@@ -56,8 +68,8 @@ val stage_upcall : int
 (** Slow path: inline upcalls and deferred handler verdicts. *)
 
 val stage_reval : int
-(** Revalidation (counted via {!record_reval}; the cost model assigns
-    no cycles, so this stage stays 0 unless a model is added). *)
+(** Revalidation (counted in [reval_sweeps]; the cost model assigns no
+    cycles, so this stage stays 0 unless a model is added). *)
 
 val stage_batch : int
 (** Fixed per-rx-burst overhead. *)
@@ -66,52 +78,13 @@ val stage_name : int -> string
 (** Stable lowercase stage label; raises [Invalid_argument] out of
     range. *)
 
-(** {2 Hot-path recorders} — allocation-free. *)
-
-val record :
-  t -> pkt_len:int -> emc_hit:bool -> mf_probes:int -> mf_hit:bool ->
-  upcalled:bool -> slow_probes:int -> unit
-(** One fast-path packet, stage-decomposed exactly as the cost model
-    charges it. [upcalled] means an {e inline} (synchronous) slow-path
-    classification; a deferred miss records [upcalled:false] here and
-    the handler's {!record_handler} later. *)
-
-val record_handler : t -> pkt_len:int -> slow_probes:int -> unit
-(** One deferred upcall verdict applied by the handler; the full
-    handler charge lands on {!stage_upcall}. *)
-
-val record_batch : t -> unit
-(** One charged rx burst (the [batch] coefficient). *)
-
-val record_reval : t -> evicted:int -> unit
-(** One revalidation sweep evicting [evicted] megaflows. *)
-
 (** {2 Reading} *)
 
 val stage_cycles : t -> int -> float
 val total_cycles : t -> float
 
-val packets : t -> int
-val emc_hits : t -> int
-val mf_hits : t -> int
-
-val mf_probes : t -> int
-(** Subtables probed, summed over every megaflow walk. *)
-
-val upcalls : t -> int
-val handler_upcalls : t -> int
-val slow_probes : t -> int
-val batches : t -> int
-val reval_sweeps : t -> int
-val reval_evicted : t -> int
-
-val merge : into:t -> t -> unit
-(** Add [t]'s event counters into [into] (cross-shard aggregation) —
-    pure integer addition, so the result is independent of merge order.
-    Any coefficient of [into] that is still 0 adopts [t]'s, so a fresh
-    {!create}d aggregator inherits the cost model of its sources (all
-    shards of one dataplane share it); coefficients already set are
-    left untouched. *)
-
-val reset : t -> unit
-(** Zero the event counters; coefficients survive. *)
+val merge : t -> t -> t
+(** A view over the sum of both views' counts (cross-shard
+    aggregation), priced with the first one's coefficients — every
+    shard of one dataplane shares its cost model. Pure integer
+    addition, so the totals are independent of merge order. *)

@@ -1,19 +1,23 @@
 (* Every view of a count agrees, before and after a reset.
 
    A count has one store, the structure that counts the event; the
-   metrics registry, [Dataplane.stats], the profiler and the provenance
-   ports are views of it. Random command sequences (the revalidator
-   suite's, plus [reset_stats]) drive a deterministic [Pmd] of 1, 2 and
-   4 shards and the cache-less backend, with metrics, profiler and
+   metrics registry, [Dataplane.stats], the per-stage profile and the
+   provenance ports are views of it. Random command sequences (the
+   revalidator suite's, plus [reset_stats]) drive a deterministic [Pmd]
+   of 1, 2 and 4 shards and the cache-less backend, with metrics and
    provenance on. After every command:
    - each shard's registry counters and gauges equal the accessors they
      name, no more and no fewer;
-   - summed over the shards, [stats.packets] = registry [packets] =
-     [Perf.packets]; [stats.emc_hits] = [emc_hit] = [Perf.emc_hits];
-     [mf_hit] = [Perf.mf_hits]; [mf_probes] = [Perf.mf_probes];
-     [stats.upcalls] = [upcall] = [Perf.upcalls + Perf.handler_upcalls];
+   - summed over the shards, [stats.packets] = registry [packets];
+     [stats.emc_hits] = [emc_hit]; [stats.upcalls] = [upcall];
      [stats.upcall_drops] = [upcall_drops];
-   - the per-port packet counts sum to [stats.packets]. *)
+   - the per-port packet counts sum to [stats.packets];
+   - the shards' profiles, made once when the [Pmd] is, price what the
+     [Pmd] charged: their merged stage sum equals [Pmd.cycles_used +
+     Pmd.handler_cycles_used] to a relative 1e-9, their merged
+     [batches] equals [Pmd.n_batches], and each shard's [reval_sweeps]
+     and the merged [reval_evicted] equal the [revalidate] calls and the
+     megaflows they evicted since the last reset. *)
 
 open Pi_ovs
 open Pi_classifier
@@ -74,7 +78,9 @@ type dut = {
   named : int -> (string * int) list * (string * float) list;
       (* shard [i]'s counts and levels, under the names its registry
          must give them *)
-  perf : Perf.t list;
+  perf : Perf.t list;  (* one per shard; [] on the cache-less backend *)
+  charged : unit -> float;  (* fast-path plus handler cycles *)
+  n_batches : unit -> int;
   prov : Provenance.store list;
 }
 
@@ -135,7 +141,7 @@ let pmd_stats pmd =
 
 let make c =
   let telemetry =
-    Pi_telemetry.Ctx.v ~metrics:(Metrics.create ()) ~perf:(Perf.create ()) ()
+    Pi_telemetry.Ctx.v ~metrics:(Metrics.create ()) ()
   in
   let provenance = Provenance.registry () in
   let rng = Pi_pkt.Prng.create 11L in
@@ -158,6 +164,8 @@ let make c =
       named =
         (fun _ -> ([ ("packets", (Dataplane.stats d).Dataplane.packets) ], []));
       perf = [];
+      charged = (fun () -> 0.);
+      n_batches = (fun () -> 0);
       prov = Dataplane.provenance d }
   | Pmd_shards n_shards ->
     let config =
@@ -190,10 +198,16 @@ let make c =
         (fun i ->
           shard_names c.deferred (List.nth_opt prov i) (Pmd.shard pmd i));
       perf = List.init n_shards (fun i -> Option.get (Pmd.shard_perf pmd i));
+      charged = (fun () -> Pmd.cycles_used pmd +. Pmd.handler_cycles_used pmd);
+      n_batches = (fun () -> Pmd.n_batches pmd);
       prov }
 
-let run d clock next_id = function
-  | Reset -> d.reset_stats ()
+(* [reval] counts the revalidate calls since the last reset and the
+   megaflows they evicted. *)
+let run d clock next_id reval = function
+  | Reset ->
+    d.reset_stats ();
+    reval := (0, 0)
   | Base cmd -> (
     let step k = clock := !clock +. float_of_int k in
     match cmd with
@@ -221,11 +235,12 @@ let run d clock next_id = function
       ignore (d.service_upcalls ~now:!clock)
     | R.Revalidate k ->
       step k;
-      ignore (d.revalidate ~now:!clock))
+      let calls, evicted = !reval in
+      reval := (calls + 1, evicted + d.revalidate ~now:!clock))
 
 let sum f l = List.fold_left (fun acc x -> acc + f x) 0 l
 
-let check d after =
+let check d after (calls, evicted) =
   let fail fmt = QCheck2.Test.fail_reportf ("after %s: " ^^ fmt) after in
   List.iteri
     (fun i m ->
@@ -253,7 +268,6 @@ let check d after =
           if v <> v0 then fail "%s: %s %d, %s %d" what src0 v0 src v)
         views
   in
-  let perf f = if d.perf = [] then [] else [ ("perf", sum f d.perf) ] in
   let ports =
     if d.prov = [] then []
     else
@@ -263,32 +277,43 @@ let check d after =
             (Provenance.report d.prov).Provenance.ports ) ]
   in
   agree "packets"
-    ((("stats", st.Dataplane.packets) :: ("registry", reg "packets")
-      :: perf Perf.packets)
-     @ ports);
+    ([ ("stats", st.Dataplane.packets); ("registry", reg "packets") ] @ ports);
   agree "emc hits"
-    (("stats", st.Dataplane.emc_hits) :: ("registry", reg "emc_hit")
-     :: perf Perf.emc_hits);
-  agree "megaflow hits" (("registry", reg "mf_hit") :: perf Perf.mf_hits);
-  agree "megaflow probes"
-    (("registry", reg "mf_probes") :: perf Perf.mf_probes);
+    [ ("stats", st.Dataplane.emc_hits); ("registry", reg "emc_hit") ];
   agree "upcalls"
-    (("stats", st.Dataplane.upcalls) :: ("registry", reg "upcall")
-     :: perf (fun p -> Perf.upcalls p + Perf.handler_upcalls p));
+    [ ("stats", st.Dataplane.upcalls); ("registry", reg "upcall") ];
   agree "upcall drops"
-    [ ("stats", st.Dataplane.upcall_drops); ("registry", reg "upcall_drops") ]
+    [ ("stats", st.Dataplane.upcall_drops); ("registry", reg "upcall_drops") ];
+  match d.perf with
+  | [] -> ()
+  | p :: ps ->
+    let merged = List.fold_left Perf.merge p ps in
+    let c = Perf.counts merged in
+    let charged = d.charged () and priced = Perf.total_cycles merged in
+    if Float.abs (priced -. charged) > 1e-9 *. Float.max 1. (Float.abs charged)
+    then fail "stage sum %.17g, charged %.17g" priced charged;
+    agree "batches" [ ("pmd", d.n_batches ()); ("perf", c.Perf.batches) ];
+    List.iteri
+      (fun i p ->
+        agree
+          (Printf.sprintf "shard %d revalidations" i)
+          [ ("calls", calls); ("perf", (Perf.counts p).Perf.reval_sweeps) ])
+      d.perf;
+    agree "revalidation evictions"
+      [ ("calls", evicted); ("perf", c.Perf.reval_evicted) ]
 
 let prop c =
   let d = make c in
   d.install_rules
     [ Rule.make ~priority:0 ~pattern:Pattern.any ~action:Action.Drop () ];
-  let clock = ref 0. and next_id = ref 0 in
+  let clock = ref 0. and next_id = ref 0 and reval = ref (0, 0) in
   List.iteri
     (fun k cmd ->
-      run d clock next_id cmd;
+      run d clock next_id reval cmd;
       check d
         (Printf.sprintf "command %d (%s)" k
-           (match cmd with Base b -> R.show_cmd b | Reset -> "reset")))
+           (match cmd with Base b -> R.show_cmd b | Reset -> "reset"))
+        !reval)
     c.cmds;
   true
 

@@ -1,9 +1,8 @@
 (* Observability layer (0.11.0): histogram snapshots and windows, the
    scrape-v2 columns, the bounded JSONL sample log, and the per-stage
-   cycle profiler — including the conformance guarantees the ISSUE
-   demands: profiler totals decompose the dataplane's charge exactly,
-   parallel and sequential shard execution merge to identical per-stage
-   totals, and enabling any of it changes no result bit. *)
+   cycle profile — including its conformance guarantees: profile totals
+   decompose the dataplane's charge exactly, and parallel and sequential
+   shard execution merge to identical per-stage totals. *)
 
 open Pi_telemetry
 open Helpers
@@ -244,60 +243,38 @@ let test_sample_log_ring () =
 (* --- Perf: unit behaviour --------------------------------------------- *)
 
 let test_perf_merge_equals_union () =
-  let mk () =
-    let p = Perf.create () in
-    Perf.configure ~emc_lookup:10. ~mf_probe:7. ~mf_hit_fixed:3. ~upcall:500.
-      ~slow_probe:11. ~per_byte:0.25 ~batch:40. p;
-    p
+  let view c =
+    Perf.v ~emc_lookup:10. ~mf_probe:7. ~mf_hit_fixed:3. ~upcall:500.
+      ~slow_probe:11. ~per_byte:0.25 ~batch:40. (fun () -> c)
   in
-  let feed p hits =
-    List.iter
-      (fun (len, emc, probes, hit, up, sp) ->
-        Perf.record p ~pkt_len:len ~emc_hit:emc ~mf_probes:probes ~mf_hit:hit
-          ~upcalled:up ~slow_probes:sp)
-      hits
+  let zero =
+    { Perf.packets = 0; bytes = 0; emc_hits = 0; mf_hits = 0; mf_probes = 0;
+      upcalls = 0; slow_probes = 0; handler_upcalls = 0;
+      handler_slow_probes = 0; handler_bytes = 0; batches = 0;
+      reval_sweeps = 0; reval_evicted = 0 }
   in
-  let s1 = [ (64, true, 0, false, false, 0); (100, false, 3, true, false, 0) ]
-  and s2 = [ (1500, false, 5, false, true, 2) ] in
-  let a = mk () and b = mk () and u = mk () in
-  feed a s1;
-  feed b s2;
-  Perf.record_batch b;
-  Perf.record_reval b ~evicted:4;
-  feed u (s1 @ s2);
-  Perf.record_batch u;
-  Perf.record_reval u ~evicted:4;
-  let merged = Perf.create () in
-  Perf.merge ~into:merged a;
-  Perf.merge ~into:merged b;
+  let a =
+    { zero with Perf.packets = 2; bytes = 164; emc_hits = 1; mf_hits = 1;
+      mf_probes = 3 }
+  and b =
+    { zero with Perf.packets = 1; bytes = 1500; mf_probes = 5; upcalls = 2;
+      slow_probes = 9; handler_upcalls = 1; handler_slow_probes = 7;
+      handler_bytes = 64; batches = 1; reval_sweeps = 1; reval_evicted = 4 }
+  in
+  let u =
+    { Perf.packets = 3; bytes = 1664; emc_hits = 1; mf_hits = 1;
+      mf_probes = 8; upcalls = 2; slow_probes = 9; handler_upcalls = 1;
+      handler_slow_probes = 7; handler_bytes = 64; batches = 1;
+      reval_sweeps = 1; reval_evicted = 4 }
+  in
+  let merged = Perf.merge (view a) (view b) in
+  Alcotest.(check bool) "counts add" true (Perf.counts merged = u);
   for st = 0 to Perf.n_stages - 1 do
     Alcotest.(check (float 0.)) (Perf.stage_name st)
-      (Perf.stage_cycles u st) (Perf.stage_cycles merged st)
+      (Perf.stage_cycles (view u) st) (Perf.stage_cycles merged st)
   done;
-  Alcotest.(check int) "packets" (Perf.packets u) (Perf.packets merged);
-  Alcotest.(check int) "emc hits" (Perf.emc_hits u) (Perf.emc_hits merged);
-  Alcotest.(check int) "mf probes" (Perf.mf_probes u) (Perf.mf_probes merged);
-  Alcotest.(check int) "upcalls" (Perf.upcalls u) (Perf.upcalls merged);
-  Alcotest.(check int) "batches" (Perf.batches u) (Perf.batches merged);
-  Alcotest.(check int) "reval evicted" (Perf.reval_evicted u)
-    (Perf.reval_evicted merged);
-  Alcotest.(check (float 0.)) "total" (Perf.total_cycles u)
+  Alcotest.(check (float 0.)) "total" (Perf.total_cycles (view u))
     (Perf.total_cycles merged)
-
-let test_perf_reset_keeps_coefficients () =
-  let p = Perf.create () in
-  Perf.configure ~emc_lookup:10. ~per_byte:0.5 p;
-  let shot () =
-    Perf.record p ~pkt_len:100 ~emc_hit:true ~mf_probes:0 ~mf_hit:false
-      ~upcalled:false ~slow_probes:0;
-    Perf.total_cycles p
-  in
-  let first = shot () in
-  Alcotest.(check bool) "recorded something" true (first > 0.);
-  Perf.reset p;
-  Alcotest.(check (float 0.)) "reset zeroes totals" 0. (Perf.total_cycles p);
-  Alcotest.(check int) "reset zeroes counters" 0 (Perf.packets p);
-  Alcotest.(check (float 0.)) "coefficients survive reset" first (shot ())
 
 let test_perf_stage_names () =
   Alcotest.(check string) "steer" "steering" (Perf.stage_name Perf.stage_steer);
@@ -331,18 +308,17 @@ let traffic =
       (f, 64 + (i mod 4) * 400))
 
 let merged_perf dp =
-  let acc = Perf.create () in
-  for s = 0 to Dataplane.n_shards dp - 1 do
-    match Dataplane.shard_perf dp s with
-    | Some p -> Perf.merge ~into:acc p
-    | None -> ()
-  done;
-  acc
+  match
+    List.filter_map (Dataplane.shard_perf dp)
+      (List.init (Dataplane.n_shards dp) Fun.id)
+  with
+  | [] -> None
+  | p :: ps -> Some (List.fold_left Perf.merge p ps)
 
 let stage_totals p = Array.init Perf.n_stages (Perf.stage_cycles p)
 
-(* The profiler accumulates per stage and the dataplane keeps one
-   running total, so the two sums associate differently — equal to
+(* The profile sums per stage and the dataplane keeps one running
+   total, so the two sums associate differently — equal to
    float rounding, not to the bit. *)
 let check_close msg expect got =
   let tol = 1e-9 *. Float.max 1. (Float.abs expect) in
@@ -361,23 +337,21 @@ let test_perf_decomposes_datapath_charge () =
                     emc_insert_inv_prob = 1 } }
       ()
   in
-  let ctx = Ctx.v ~perf:(Perf.create ()) () in
-  let dp = Dataplane.create ~telemetry:ctx backend (Pi_pkt.Prng.create 7L) in
+  let dp = Dataplane.create backend (Pi_pkt.Prng.create 7L) in
   Dataplane.install_rules dp rules;
   ignore (Dataplane.process_burst dp ~now:0. traffic);
   ignore (Dataplane.service_upcalls dp ~now:0.5);
   ignore (Dataplane.process_burst dp ~now:1. traffic);
   ignore (Dataplane.revalidate dp ~now:2.);
-  let p = merged_perf dp in
+  let p = Option.get (merged_perf dp) in
+  let c = Perf.counts p in
   let st = Dataplane.stats dp in
   check_close "stage sum = charged cycles"
     (st.Dataplane.cycles +. st.Dataplane.handler_cycles)
     (Perf.total_cycles p);
-  Alcotest.(check int) "profiler saw every packet" st.Dataplane.packets
-    (Perf.packets p);
-  Alcotest.(check int) "handler upcalls profiled" st.Dataplane.upcalls
-    (Perf.upcalls p + Perf.handler_upcalls p);
-  Alcotest.(check bool) "reval sweep counted" true (Perf.reval_sweeps p = 1)
+  Alcotest.(check bool) "handler verdicts charged" true
+    (c.Perf.handler_upcalls > 0 && c.Perf.handler_bytes > 0);
+  Alcotest.(check int) "reval sweep counted" 1 c.Perf.reval_sweeps
 
 let test_perf_parallel_equals_sequential () =
   (* The conformance demand: a Domain-parallel Pmd run merges to the
@@ -387,20 +361,15 @@ let test_perf_parallel_equals_sequential () =
       { Pmd.default_config with
         Pmd.n_shards = 4; batch_size = 8; batch_cycles = 25.; parallel }
     in
-    let pmd =
-      Pmd.create ~config ~telemetry:(Ctx.v ~perf:(Perf.create ()) ())
-        (Pi_pkt.Prng.create 7L) ()
-    in
+    let pmd = Pmd.create ~config (Pi_pkt.Prng.create 7L) () in
     Pmd.install_rules pmd rules;
     ignore (Pmd.process_burst pmd ~now:0. traffic);
     ignore (Pmd.process_burst pmd ~now:1. traffic);
     ignore (Pmd.revalidate pmd ~now:2.);
-    let acc = Perf.create () in
-    for s = 0 to Pmd.n_shards pmd - 1 do
-      match Pmd.shard_perf pmd s with
-      | Some p -> Perf.merge ~into:acc p
-      | None -> Alcotest.fail "shard without profiler"
-    done;
+    let views =
+      List.init (Pmd.n_shards pmd) (fun s -> Option.get (Pmd.shard_perf pmd s))
+    in
+    let acc = List.fold_left Perf.merge (List.hd views) (List.tl views) in
     (stage_totals acc,
      Pmd.cycles_used pmd +. Pmd.handler_cycles_used pmd,
      Perf.total_cycles acc)
@@ -421,21 +390,19 @@ let test_perf_across_backends () =
      decompose their charge exactly; the cache-less baseline has no
      stages and reports None without raising. *)
   let check_backend label backend cached =
-    let ctx = Ctx.v ~perf:(Perf.create ()) () in
-    let dp = Dataplane.create ~telemetry:ctx backend (Pi_pkt.Prng.create 7L) in
+    let dp = Dataplane.create backend (Pi_pkt.Prng.create 7L) in
     Dataplane.install_rules dp rules;
     ignore (Dataplane.process_burst dp ~now:0. traffic);
-    let p = merged_perf dp in
     let st = Dataplane.stats dp in
     if cached then begin
-      Alcotest.(check bool) (label ^ ": profiler present") true
+      Alcotest.(check bool) (label ^ ": profile present") true
         (Dataplane.shard_perf dp 0 <> None);
       check_close (label ^ ": exact decomposition")
         (st.Dataplane.cycles +. st.Dataplane.handler_cycles)
-        (Perf.total_cycles p)
+        (Perf.total_cycles (Option.get (merged_perf dp)))
     end
     else
-      Alcotest.(check bool) (label ^ ": no profiler to report") true
+      Alcotest.(check bool) (label ^ ": no profile to report") true
         (Dataplane.shard_perf dp 0 = None);
     match Dataplane.shard_perf dp (Dataplane.n_shards dp) with
     | exception Invalid_argument _ -> ()
@@ -449,29 +416,6 @@ let test_perf_across_backends () =
     true;
   check_backend "cacheless" (Pi_mitigation.Cacheless.dataplane ()) false
 
-let test_profiler_off_parity () =
-  (* Profiling is observation only: identical verdicts, cycles, caches. *)
-  let run profile =
-    let telemetry = if profile then Some (Ctx.v ~perf:(Perf.create ()) ()) else None in
-    let dp =
-      Dataplane.create ?telemetry (Dataplane.pmd ())
-        (Pi_pkt.Prng.create 42L)
-    in
-    Dataplane.install_rules dp rules;
-    let rs = Dataplane.process_burst dp ~now:0. traffic in
-    ignore (Dataplane.revalidate dp ~now:1.);
-    let rs2 = Dataplane.process_burst dp ~now:2. traffic in
-    let st = Dataplane.stats dp in
-    (Array.map fst (Array.append rs rs2), st.Dataplane.cycles,
-     st.Dataplane.masks, st.Dataplane.megaflows, st.Dataplane.upcalls)
-  in
-  let (a1, cy1, m1, g1, u1) = run false and (a2, cy2, m2, g2, u2) = run true in
-  Alcotest.(check (array action_t)) "same verdicts" a1 a2;
-  Alcotest.(check (float 0.)) "same cycles" cy1 cy2;
-  Alcotest.(check int) "same masks" m1 m2;
-  Alcotest.(check int) "same megaflows" g1 g2;
-  Alcotest.(check int) "same upcalls" u1 u2
-
 (* --- Scenario profile + monitor ---------------------------------------- *)
 
 let scenario_params () =
@@ -482,16 +426,16 @@ let scenario_params () =
       Some { Scenario.default_attack with Scenario.start = 3. };
     n_shards = 2;
     metrics = Some (Metrics.create ());
-    provenance = true;
-    profile = true }
+    provenance = true }
 
 let test_scenario_report_perf () =
   let open Pi_sim in
   let r = Scenario.run (scenario_params ()) in
   match r.Scenario.perf with
-  | None -> Alcotest.fail "profiled run must report merged perf"
+  | None -> Alcotest.fail "a pmd run must report merged perf"
   | Some p ->
-    Alcotest.(check bool) "packets profiled" true (Perf.packets p > 0);
+    Alcotest.(check bool) "packets profiled" true
+      ((Perf.counts p).Perf.packets > 0);
     Alcotest.(check bool) "megaflow stage charged under attack" true
       (Perf.stage_cycles p Perf.stage_mf > 0.);
     Alcotest.(check bool) "slow path charged under attack" true
@@ -559,9 +503,9 @@ let test_monitor_tracks_attack () =
   | Some m -> Alcotest.(check bool) "ticks observed" true (Monitor.ticks m > 0)
 
 let test_pmd_perf_show_reports_stages () =
-  (* dpctl pmd-perf-show renders the per-stage breakdown for a profiled
-     dataplane. *)
-  let ctx = Ctx.v ~metrics:(Metrics.create ()) ~perf:(Perf.create ()) () in
+  (* dpctl pmd-perf-show renders the per-stage breakdown of every pmd
+     shard. *)
+  let ctx = Ctx.v ~metrics:(Metrics.create ()) () in
   let dp =
     Dataplane.create ~telemetry:ctx
       (Dataplane.pmd
@@ -602,8 +546,6 @@ let suite =
     Alcotest.test_case "sample log: bounded ring" `Quick test_sample_log_ring;
     Alcotest.test_case "perf: merge equals union" `Quick
       test_perf_merge_equals_union;
-    Alcotest.test_case "perf: reset keeps coefficients" `Quick
-      test_perf_reset_keeps_coefficients;
     Alcotest.test_case "perf: stage names" `Quick test_perf_stage_names;
     Alcotest.test_case "perf: decomposes the datapath charge" `Quick
       test_perf_decomposes_datapath_charge;
@@ -611,8 +553,6 @@ let suite =
       test_perf_parallel_equals_sequential;
     Alcotest.test_case "perf: all backends conform" `Quick
       test_perf_across_backends;
-    Alcotest.test_case "profiler off = on, minus the report" `Quick
-      test_profiler_off_parity;
     Alcotest.test_case "scenario: profiled report" `Quick
       test_scenario_report_perf;
     Alcotest.test_case "monitor: tracks the attack" `Quick

@@ -57,6 +57,21 @@ let test_sample_index () =
   Alcotest.(check int) "generators still in step" (Prng.int a 1_000_000)
     (Prng.int b 1_000_000)
 
+(* The fig3 tick draws a victim index 1 000 times: the draw must not
+   box a float per call. *)
+let test_sample_index_no_alloc () =
+  let pool = mk_pool 6L in
+  let rng = Prng.create 11L in
+  let n = 100_000 in
+  let sink = ref 0 in
+  let w0 = Gc.minor_words () in
+  for _ = 1 to n do
+    sink := !sink + Traffic.Flow_pool.sample_index pool rng
+  done;
+  let words = (Gc.minor_words () -. w0) /. float_of_int n in
+  if words > 0.01 then Alcotest.failf "%.3f minor words per draw" words;
+  Alcotest.(check bool) "indices drawn" true (!sink > 0)
+
 let test_pool_churn () =
   let rng = Prng.create 4L in
   let pool = mk_pool 4L in
@@ -108,6 +123,8 @@ let suite =
     Alcotest.test_case "pool respects nets" `Quick test_pool_nets;
     Alcotest.test_case "zipf head popularity" `Quick test_pool_sample_zipf;
     Alcotest.test_case "sample_index draws as sample" `Quick test_sample_index;
+    Alcotest.test_case "sample_index allocates nothing" `Quick
+      test_sample_index_no_alloc;
     Alcotest.test_case "churn" `Quick test_pool_churn;
     Alcotest.test_case "packet_of_flow size" `Quick test_packet_of_flow;
     Alcotest.test_case "cbr count" `Quick test_cbr;
