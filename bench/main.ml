@@ -222,12 +222,10 @@ let run_fig3 () =
      /. 1e6)
     attack.Pi_sim.Scenario.refresh_period;
   let metrics = Pi_telemetry.Metrics.create () in
-  let sample_log = Pi_telemetry.Sample_log.create ~capacity:4096 () in
   let r =
     Pi_sim.Scenario.run
       { Pi_sim.Scenario.default_params with
-        Pi_sim.Scenario.metrics = Some metrics;
-        sample_log = Some sample_log }
+        Pi_sim.Scenario.metrics = Some metrics }
   in
   Format.printf "  %a@." Pi_sim.Scenario.pp_sample_header ();
   List.iter
@@ -249,14 +247,15 @@ let run_fig3 () =
        s.Pi_telemetry.Histogram.s_mean s.Pi_telemetry.Histogram.s_p50
        s.Pi_telemetry.Histogram.s_p99 s.Pi_telemetry.Histogram.s_count
    | None -> ());
+  let timeseries = Pi_sim.Scenario.timeseries r in
   let path = "BENCH_fig3.json" in
-  Pi_telemetry.Export.write_json_file ?scrape:r.Pi_sim.Scenario.scrape ~path
-    metrics;
+  Pi_telemetry.Export.write_json_file ~timeseries ~path metrics;
   Printf.printf "  telemetry snapshot written to %s\n" path;
   let jsonl = "BENCH_fig3_samples.jsonl" in
-  Pi_telemetry.Sample_log.write sample_log ~path:jsonl;
+  Out_channel.with_open_text jsonl (fun oc ->
+      output_string oc (Pi_telemetry.Export.timeseries_jsonl timeseries));
   Printf.printf "  per-tick sample log written to %s (%d lines)\n" jsonl
-    (Pi_telemetry.Sample_log.retained sample_log)
+    (List.length r.Pi_sim.Scenario.samples)
 
 (* ------------------------------------------------------------------ *)
 (* shards: the attack against a multi-PMD (multi-core) datapath        *)

@@ -563,7 +563,8 @@ let attack variant duration start offered every coarse (backend, shards) batch
       | None -> []
     in
     output_string oc
-      (Pi_telemetry.Export.json_snapshot ?scrape:r.Scenario.scrape ~extra m);
+      (Pi_telemetry.Export.json_snapshot ~timeseries:(Scenario.timeseries r)
+         ~extra m);
     close_out oc;
     Format.printf "telemetry snapshot written to %s@." path
   | _ -> ()

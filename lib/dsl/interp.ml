@@ -186,6 +186,11 @@ let json oc =
 
 (* --- text ----------------------------------------------------------- *)
 
+(* A mean over a window without samples is nan: [n/a] here, [null] in
+   the JSON report. *)
+let text_float v = if Float.is_nan v then "n/a" else Json.float v
+let gbps v = if Float.is_nan v then "n/a" else Json.float v ^ " Gbps"
+
 let pp_text ppf oc =
   Format.fprintf ppf "scenario %s (seed %Ld, duration %s s)@." oc.oc_scenario
     oc.oc_seed (Json.float oc.oc_duration);
@@ -195,9 +200,9 @@ let pp_text ppf oc =
       let st = r.Scenario.final_stats in
       Format.fprintf ppf "@.run %s [%s]@." rr.rr_name
         (Ast.backend_name rr.rr_backend);
-      Format.fprintf ppf "  victim   pre %s Gbps   post %s Gbps@."
-        (Json.float r.Scenario.pre_attack_mean_gbps)
-        (Json.float r.Scenario.post_attack_mean_gbps);
+      Format.fprintf ppf "  victim   pre %s   post %s@."
+        (gbps r.Scenario.pre_attack_mean_gbps)
+        (gbps r.Scenario.post_attack_mean_gbps);
       Format.fprintf ppf
         "  cache    peak %d masks   final %d masks / %d megaflows@."
         r.Scenario.peak_masks st.Pi_ovs.Dataplane.masks
@@ -213,7 +218,7 @@ let pp_text ppf oc =
             (Ast.cmp_name c.check.Validate.c_cmp)
             (Json.float c.check.Validate.c_value)
             (if c.ok then "ok" else "FAILED")
-            (Json.float c.actual))
+            (text_float c.actual))
         rr.rr_checks;
       Format.fprintf ppf "  %s@."
         (if run_passed rr then "PASS" else "FAIL"))

@@ -479,10 +479,16 @@ let complete_miss t (b : Batch.t) (w : Batch.t) ~now i j ~lo ~k =
          duplicates included — the kernel's per-packet Netlink queue)
          and the packet itself is not forwarded this tick; the handler
          resolves the flow in {!service_upcalls}. A full queue means
-         the packet — and its upcall — is dropped on the floor. *)
+         the packet — and its upcall — is dropped on the floor; the
+         item is built only once the queue has room for it. *)
       let pushed =
-        Upcall_queue.push t.uq
-          { ui_flow = flow; ui_pkt_len = pkt_len; ui_at = now }
+        if Upcall_queue.full t.uq then begin
+          Upcall_queue.drop t.uq;
+          false
+        end
+        else
+          Upcall_queue.push t.uq
+            { ui_flow = flow; ui_pkt_len = pkt_len; ui_at = now }
       in
       (* matched, not [trace]d: the event record would be built even
          with no tracer *)

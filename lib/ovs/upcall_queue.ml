@@ -31,14 +31,20 @@ let create cfg =
 
 let config t = t.cfg
 
+let full t =
+  match t.cfg.depth with Some d -> Queue.length t.q >= d | None -> false
+
+let drop t = t.drops <- t.drops + 1
+
 let push t v =
-  match t.cfg.depth with
-  | Some d when Queue.length t.q >= d ->
-    t.drops <- t.drops + 1;
+  if full t then begin
+    drop t;
     false
-  | Some _ | None ->
+  end
+  else begin
     Queue.push v t.q;
     true
+  end
 
 let pop t = Queue.take_opt t.q
 

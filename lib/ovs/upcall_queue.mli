@@ -46,6 +46,14 @@ val push : 'a t -> 'a -> bool
 (** Enqueue; [false] when the queue is full — the caller drops the
     packet. Overflows are counted in {!drops}. *)
 
+val full : 'a t -> bool
+(** [true] when a {!push} would be refused. *)
+
+val drop : 'a t -> unit
+(** Count one refused upcall in {!drops}: what {!push} does on a full
+    queue, for a caller that checked {!full} and so never built the
+    item. *)
+
 val pop : 'a t -> 'a option
 
 val length : 'a t -> int

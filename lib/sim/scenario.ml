@@ -33,6 +33,7 @@ type sample = {
   offered_gbps : float;
   n_masks : int;
   n_megaflows : int;
+  emc_occupancy : int;
   shard_masks : int array;
   shard_gbps : float array;
   emc_hit_rate : float;
@@ -72,15 +73,10 @@ type params = {
          caps covert bursts, and [batch_size], which still sizes them. *)
   datapath_config : Datapath.config;
   tss_config : Tss.config option;
-  revalidate_period : float;
-  rtt : float;
-  mss : int;
   metrics : Pi_telemetry.Metrics.t option;
   provenance : bool;
       (* stamp megaflows/masks with their origin and account per-port /
          per-tenant attribution; the report then carries {!report.attribution} *)
-  sample_log : Pi_telemetry.Sample_log.t option;
-      (* bounded JSONL ring the per-tick scrape appends to *)
   on_sample : (Dataplane.t -> sample -> unit) option;
       (* called once per tick, after housekeeping, with the live
          dataplane and the tick's sample — the [ovsdos monitor] hook *)
@@ -108,12 +104,8 @@ let default_params =
          per-hash cache; insert on every miss. *)
       { Datapath.default_config with Datapath.emc_insert_inv_prob = 1 };
     tss_config = None;
-    revalidate_period = 1.;
-    rtt = 1e-3;
-    mss = 1460;
     metrics = None;
     provenance = false;
-    sample_log = None;
     on_sample = None }
 
 type report = {
@@ -122,17 +114,19 @@ type report = {
   post_attack_mean_gbps : float;
   peak_masks : int;
   peak_shard_masks : int array;
-  throughput_series : Pi_telemetry.Timeseries.t;
-  masks_series : Pi_telemetry.Timeseries.t;
-  shard_masks_series : Pi_telemetry.Timeseries.t array;
-  scrape : Pi_telemetry.Scrape.t option;
   perf : Pi_telemetry.Perf.t option;
   final_stats : Dataplane.stats;
   attribution : Provenance.summary option;
 }
 
+(* The victim's TCP round-trip time and segment size, and the
+   revalidator's period. *)
+let rtt = 1e-3
+let mss = 1460
+let revalidate_period = 1.
+
 (* Mathis et al. TCP response: rate ≈ (MSS/RTT) * 1.22/sqrt(p). *)
-let mathis_gbps ~mss ~rtt ~loss =
+let mathis_gbps ~loss =
   if loss <= 0. then infinity
   else float_of_int (mss * 8) /. rtt *. 1.22 /. sqrt loss /. 1e9
 
@@ -321,28 +315,6 @@ let run p =
      capacity is a full core's cycles per tick. *)
   let capacity_per_tick = p.datapath_config.Datapath.cost.Cost_model.cpu_hz *. p.tick in
   let samples = ref [] in
-  (* Telemetry: sample the cache-state gauges once per tick. *)
-  let scrape =
-    match (p.metrics, p.sample_log) with
-    | None, None -> None
-    | _ ->
-      let s = Pi_telemetry.Scrape.create () in
-      Pi_telemetry.Scrape.register s ~name:"n_masks" (fun () ->
-          float_of_int (Dataplane.stats dp).Dataplane.masks);
-      Pi_telemetry.Scrape.register s ~name:"n_megaflows" (fun () ->
-          float_of_int (Dataplane.stats dp).Dataplane.megaflows);
-      Pi_telemetry.Scrape.register s ~name:"emc_occupancy" (fun () ->
-          float_of_int (Dataplane.stats dp).Dataplane.emc_occupancy);
-      for i = 0 to n_sh - 1 do
-        Pi_telemetry.Scrape.register s
-          ~name:(Printf.sprintf "shard%d/n_masks" i)
-          (fun () -> float_of_int (Dataplane.shard_masks dp).(i))
-      done;
-      (match p.sample_log with
-       | Some log -> Pi_telemetry.Scrape.attach_log s log
-       | None -> ());
-      Some s
-  in
   let victim_b = Batch.create ~capacity:(max 1 p.victim_samples_per_tick) in
   (* Covert packets simulated exactly go out in rx bursts of
      [batch_size]; [covert_j] holds each slot's covert flow index. *)
@@ -367,7 +339,7 @@ let run p =
   let victim_share = Array.make n_sh 0 in
   let shard_contrib = Array.make n_sh 1. in
   let n_ticks = int_of_float (ceil (p.duration /. p.tick)) in
-  let next_revalidate = ref p.revalidate_period in
+  let next_revalidate = ref revalidate_period in
   for i = 0 to n_ticks - 1 do
     (* Boxed once per tick: a float bound from arithmetic is kept
        unboxed and boxed afresh at every boxed use, and the keep-alive
@@ -550,7 +522,7 @@ let run p =
       else
         Float.min
           (p.victim_offered_gbps *. frac)
-          (mathis_gbps ~mss:p.mss ~rtt:p.rtt ~loss)
+          (mathis_gbps ~loss)
     in
     (* Decompose the victim's goodput over the shards carrying it:
        shard s survives frac_s of its victim share, so its slice of the
@@ -563,11 +535,8 @@ let run p =
     ignore (Dataplane.service_upcalls dp ~now);
     if now +. p.tick >= !next_revalidate then begin
       ignore (Dataplane.revalidate dp ~now);
-      next_revalidate := !next_revalidate +. p.revalidate_period
+      next_revalidate := !next_revalidate +. revalidate_period
     end;
-    (match scrape with
-     | Some s -> Pi_telemetry.Scrape.tick s ~now
-     | None -> ());
     let st = Dataplane.stats dp in
     let sample =
       { time = now;
@@ -575,6 +544,7 @@ let run p =
         offered_gbps = p.victim_offered_gbps;
         n_masks = st.Dataplane.masks;
         n_megaflows = st.Dataplane.megaflows;
+        emc_occupancy = st.Dataplane.emc_occupancy;
         shard_masks = Dataplane.shard_masks dp;
         shard_gbps;
         emc_hit_rate;
@@ -604,21 +574,6 @@ let run p =
         mean (fun s -> s.victim_gbps) (a.start +. 10.)
           (match a.stop with Some s -> s | None -> p.duration) )
   in
-  let series name = Pi_telemetry.Timeseries.create ~name in
-  let throughput_series = series "victim-gbps" in
-  let masks_series = series "megaflow-masks" in
-  let shard_masks_series =
-    Array.init n_sh (fun s -> series (Printf.sprintf "shard%d-masks" s))
-  in
-  let add = Pi_telemetry.Timeseries.add in
-  List.iter
-    (fun s ->
-      add throughput_series ~time:s.time s.victim_gbps;
-      add masks_series ~time:s.time (float_of_int s.n_masks);
-      Array.iteri
-        (fun i m -> add shard_masks_series.(i) ~time:s.time (float_of_int m))
-        s.shard_masks)
-    samples;
   let peak_shard_masks = Array.make n_sh 0 in
   List.iter
     (fun s ->
@@ -636,14 +591,20 @@ let run p =
     post_attack_mean_gbps = post;
     peak_masks = List.fold_left (fun acc s -> max acc s.n_masks) 0 samples;
     peak_shard_masks;
-    throughput_series;
-    masks_series;
-    shard_masks_series;
-    scrape;
     perf;
     final_stats = Dataplane.stats dp;
     attribution =
       (if p.provenance then Some (Dataplane.attribution dp) else None) }
+
+let timeseries r =
+  let column name f =
+    (name, List.map (fun s -> (s.time, float_of_int (f s))) r.samples)
+  in
+  [ column "n_masks" (fun s -> s.n_masks);
+    column "n_megaflows" (fun s -> s.n_megaflows);
+    column "emc_occupancy" (fun s -> s.emc_occupancy) ]
+  @ List.init (Array.length r.peak_shard_masks) (fun i ->
+        column (Printf.sprintf "shard%d/n_masks" i) (fun s -> s.shard_masks.(i)))
 
 let pp_sample_header ppf () =
   Format.fprintf ppf "%8s %12s %10s %12s %10s %10s"

@@ -50,6 +50,7 @@ type sample = {
   offered_gbps : float;
   n_masks : int;                (** total across shards *)
   n_megaflows : int;
+  emc_occupancy : int;          (** EMC entries in use, across shards *)
   shard_masks : int array;      (** per-shard mask counts *)
   shard_gbps : float array;
       (** per-shard slice of [victim_gbps] (sums to it): the goodput of
@@ -101,37 +102,32 @@ type params = {
           and flow limit consistent with them *)
   datapath_config : Pi_ovs.Datapath.config;
   tss_config : Pi_classifier.Tss.config option;
-  revalidate_period : float;
-  rtt : float;                  (** victim TCP round-trip time *)
-  mss : int;
   metrics : Pi_telemetry.Metrics.t option;
-      (** attach a telemetry registry to the datapath; enables the
-          per-tick gauge scrape reported in {!report.scrape}. The
-          datapath names its counts in it, so a fresh registry per run *)
+      (** attach a telemetry registry to the datapath. The datapath
+          names its counts in it, so a fresh registry per run *)
   provenance : bool;
       (** bind every installed policy to its tenant (pod port ids: victim
           2, attacker 3, services 4+i) in a {!Pi_ovs.Provenance.registry}
           and attach per-shard stores, so masks carry origins and the
           report carries {!report.attribution}. Default [false];
           disabled runs are bit-for-bit the historical scenario *)
-  sample_log : Pi_telemetry.Sample_log.t option;
-      (** bounded JSONL event ring: when given (and a scrape is active),
-          every per-tick scrape also appends one
-          [{"samples":{...},"t":...}] line to it — the artifact
-          [ovsdos run --sample-log] / [bench fig3] write out *)
   on_sample : (Pi_ovs.Dataplane.t -> sample -> unit) option;
-      (** called once per tick, after upcall servicing / revalidation /
-          scraping, with the live dataplane and the tick's sample — the
-          [ovsdos monitor] live-view hook. The dataplane must only be
-          {e inspected} (quiescent at this point) *)
+      (** called once per tick, after upcall servicing and
+          revalidation, with the live dataplane and the tick's sample —
+          the [ovsdos monitor] live-view hook. The dataplane must only
+          be {e inspected} (quiescent at this point) *)
 }
 
 val default_params : params
 (** 150 s, 1 s ticks, 1 Gb/s offered victim load (Fig. 3's scale),
-    default attack, one shard. *)
+    default attack, one shard. The victim's TCP runs at a 1 ms RTT with
+    a 1460-byte MSS, and the revalidator runs once per simulated
+    second; these are fixed. *)
 
 type report = {
   samples : sample list;
+      (** one per tick, oldest first: the run's only per-tick store;
+          {!timeseries} and every printed series read it *)
   pre_attack_mean_gbps : float;
       (** mean victim throughput before the attack (or over the whole
           run when there is none) *)
@@ -140,16 +136,6 @@ type report = {
           end; [nan] without an attack *)
   peak_masks : int;
   peak_shard_masks : int array;
-  throughput_series : Pi_telemetry.Timeseries.t;
-      (** victim Gb/s over time *)
-  masks_series : Pi_telemetry.Timeseries.t;
-      (** megaflow mask count over time *)
-  shard_masks_series : Pi_telemetry.Timeseries.t array;
-      (** one mask-count series per shard ([shard<i>-masks]) *)
-  scrape : Pi_telemetry.Scrape.t option;
-      (** per-tick [n_masks]/[n_megaflows]/[emc_occupancy] (plus
-          [shard<i>/n_masks] when sharded); [Some] exactly when
-          {!params.metrics} or {!params.sample_log} was given *)
   perf : Pi_telemetry.Perf.t option;
       (** the per-stage cycle profile merged across shards
           ({!Pi_ovs.Dataplane.shard_perf}), a view over the run's
@@ -166,6 +152,12 @@ type report = {
 }
 
 val run : params -> report
+
+val timeseries : report -> Pi_telemetry.Export.timeseries
+(** The cache-state columns of {!report.samples}, one [(time, value)]
+    point per tick: [n_masks], [n_megaflows], [emc_occupancy], then
+    [shard<i>/n_masks] for every shard (one at least). The [timeseries]
+    section of [ovsdos attack --json] and [BENCH_fig3.json]. *)
 
 val pp_sample_header : Format.formatter -> unit -> unit
 val pp_sample : Format.formatter -> sample -> unit

@@ -22,7 +22,9 @@ let add_summary b (s : Histogram.summary) =
       ("p50", fun b -> Json.add_float b s.Histogram.s_p50);
       ("p99", fun b -> Json.add_float b s.Histogram.s_p99) ]
 
-let add_series b ts =
+type timeseries = (string * (float * float) list) list
+
+let add_points b points =
   Buffer.add_char b '[';
   List.iteri
     (fun i (time, v) ->
@@ -32,7 +34,7 @@ let add_series b ts =
       Buffer.add_char b ',';
       Json.add_float b v;
       Buffer.add_char b ']')
-    (Timeseries.to_list ts);
+    points;
   Buffer.add_char b ']'
 
 let add_tracer b tr =
@@ -51,7 +53,7 @@ let add_tracer b tr =
       ("by_kind", kind_counts (Tracer.counts_by_kind tr));
       ("by_kind_total", kind_counts (Tracer.total_by_kind tr)) ]
 
-let json_snapshot ?scrape ?tracer ?(extra = []) metrics =
+let json_snapshot ?timeseries ?tracer ?(extra = []) metrics =
   let b = Buffer.create 4096 in
   let sections =
     [ ( "counters",
@@ -77,16 +79,15 @@ let json_snapshot ?scrape ?tracer ?(extra = []) metrics =
   in
   let sections =
     sections
-    @ (match scrape with
+    @ (match timeseries with
        | None -> []
-       | Some s ->
+       | Some columns ->
          [ ( "timeseries",
              fun b ->
                add_fields b
                  (List.map
-                    (fun ts ->
-                      (Timeseries.name ts, fun b -> add_series b ts))
-                    (Scrape.all s)) ) ])
+                    (fun (name, points) -> (name, fun b -> add_points b points))
+                    columns) ) ])
     @ (match tracer with
        | None -> []
        | Some tr -> [ ("trace", fun b -> add_tracer b tr) ])
@@ -99,61 +100,37 @@ let json_snapshot ?scrape ?tracer ?(extra = []) metrics =
   Buffer.add_char b '\n';
   Buffer.contents b
 
-(* Delta-encoded timeseries export: scraped columns ship as a first
-   value plus successive differences. Gauge columns in these scenarios
-   are near-constant for long stretches (mask counts plateau, occupancy
-   saturates), so the deltas are mostly "0," — a fraction of the dense
-   [[time, value]] pair encoding — while staying byte-stable (sorted
-   keys, [%.9g] floats) and trivially invertible by prefix sum. *)
-let add_delta_floats b values =
-  Buffer.add_char b '[';
-  let prev = ref 0. in
-  Array.iteri
-    (fun i v ->
-      if i > 0 then Buffer.add_char b ',';
-      if i = 0 then Json.add_float b v else Json.add_float b (v -. !prev);
-      prev := v)
-    values;
-  Buffer.add_char b ']'
-
-let scrape_delta_json scrape =
+(* One line per tick: the columns share their times, so line [i] holds
+   every column's [i]th value under its name, in name order. *)
+let timeseries_jsonl columns =
   let b = Buffer.create 4096 in
-  let times = Scrape.times scrape in
-  let names =
-    List.sort String.compare
-      (List.map Timeseries.name (Scrape.all scrape))
+  let columns =
+    List.map
+      (fun (name, points) -> (name, Array.of_list points))
+      (List.sort (fun (a, _) (c, _) -> String.compare a c) columns)
   in
-  add_fields b
-    [ ("dt", fun b -> add_delta_floats b times);
-      ( "series",
-        fun b ->
-          add_fields b
-            (List.map
-               (fun name ->
-                 ( name,
-                   fun b ->
-                     match Scrape.samples scrape name with
-                     | None -> Buffer.add_string b "null"
-                     | Some (start, values) ->
-                       add_fields b
-                         [ ("dv", fun b -> add_delta_floats b values);
-                           ( "start",
-                             fun b ->
-                               Buffer.add_string b (string_of_int start) ) ] ))
-               names) );
-      ( "ticks",
-        fun b -> Buffer.add_string b (string_of_int (Scrape.n_ticks scrape)) ) ];
-  Buffer.add_char b '\n';
+  let n = match columns with [] -> 0 | (_, p) :: _ -> Array.length p in
+  for i = 0 to n - 1 do
+    add_fields b
+      [ ( "samples",
+          fun b ->
+            add_fields b
+              (List.map
+                 (fun (name, p) -> (name, fun b -> Json.add_float b (snd p.(i))))
+                 columns) );
+        ("t", fun b -> Json.add_float b (fst (snd (List.hd columns)).(i))) ];
+    Buffer.add_char b '\n'
+  done;
   Buffer.contents b
 
-let write_json_file ?scrape ?tracer ?extra ~path metrics =
+let write_json_file ?timeseries ?tracer ?extra ~path metrics =
   let oc = open_out path in
   Fun.protect
     ~finally:(fun () -> close_out_noerr oc)
-    (fun () -> output_string oc (json_snapshot ?scrape ?tracer ?extra metrics))
+    (fun () -> output_string oc (json_snapshot ?timeseries ?tracer ?extra metrics))
 
 (* ovs-appctl dpctl/show-style text dump. *)
-let pp_text ?scrape ?tracer ppf metrics =
+let pp_text ?tracer ppf metrics =
   let counters = Metrics.counters metrics in
   let c name = Option.value ~default:0 (Metrics.find_counter metrics name) in
   let packets = c "packets" in
@@ -187,18 +164,6 @@ let pp_text ?scrape ?tracer ppf metrics =
    | hists ->
      Format.fprintf ppf "histograms:@,";
      List.iter (fun (_, h) -> Format.fprintf ppf "  %a@," Histogram.pp h) hists);
-  (match scrape with
-   | None -> ()
-   | Some s ->
-     Format.fprintf ppf "timeseries:@,";
-     List.iter
-       (fun ts ->
-         Format.fprintf ppf "  %s: %d samples, last:%s@," (Timeseries.name ts)
-           (Timeseries.length ts)
-           (match Timeseries.last ts with
-            | Some v -> Printf.sprintf "%g" v
-            | None -> "-"))
-       (Scrape.all s));
   (match tracer with
    | None -> ()
    | Some tr ->
@@ -214,5 +179,5 @@ let pp_text ?scrape ?tracer ppf metrics =
        (Tracer.total_by_kind tr));
   Format.fprintf ppf "@]"
 
-let text_report ?scrape ?tracer metrics =
-  Format.asprintf "%a" (pp_text ?scrape ?tracer) metrics
+let text_report ?tracer metrics =
+  Format.asprintf "%a" (pp_text ?tracer) metrics

@@ -1,42 +1,45 @@
 (** Snapshot export: machine-readable JSON and an
     [ovs-appctl dpctl/show]-style text dump.
 
-    The JSON snapshot is {e stable}: object keys are sorted, floats use
-    a fixed format ([%.9g]; non-finite values become [null]), so two
+    The JSON snapshot is {e stable}: object keys are sorted (the
+    [timeseries] columns keep their given order), floats use a fixed
+    format ([%.9g]; non-finite values become [null]), so two
     snapshots of identical telemetry are byte-identical and benchmark
     outputs ([BENCH_*.json]) diff cleanly across runs and PRs. *)
 
+type timeseries = (string * (float * float) list) list
+(** Named columns of [(time, value)] points, in the order they are
+    written; {!Pi_sim.Scenario.timeseries} builds them from a run's
+    per-tick samples. *)
+
 val json_snapshot :
-  ?scrape:Scrape.t -> ?tracer:Tracer.t -> ?extra:(string * string) list ->
-  Metrics.t -> string
+  ?timeseries:timeseries -> ?tracer:Tracer.t ->
+  ?extra:(string * string) list -> Metrics.t -> string
 (** One JSON object (newline-terminated) with sections [counters],
     [gauges], [histograms] (summaries: count/mean/min/max/p50/p99), and
-    — when given — [timeseries] (scraped [[time, value]] pairs) and
-    [trace] (ring statistics; [by_kind] tallies the retained events,
-    [by_kind_total] the cumulative counts that survive wrap-around).
-    Each [(name, json)] pair in [extra] is appended as a trailing
-    top-level section: [json] must already be valid JSON (e.g.
-    {!Pi_ovs.Provenance.summary_json}) and is emitted verbatim. *)
+    — when given — [timeseries] (each column as [[time, value]] pairs,
+    in column order) and [trace] (ring statistics; [by_kind] tallies
+    the retained events, [by_kind_total] the cumulative counts that
+    survive wrap-around). Each [(name, json)] pair in [extra] is
+    appended as a trailing top-level section: [json] must already be
+    valid JSON (e.g. {!Pi_ovs.Provenance.summary_json}) and is emitted
+    verbatim. *)
 
-val scrape_delta_json : Scrape.t -> string
-(** Delta-encoded timeseries export (newline-terminated, byte-stable):
-    [{"dt":[t0, t1-t0, ...], "series":{name:{"dv":[v0, v1-v0, ...],
-    "start":tick}, ...}, "ticks":n}] with series names sorted. Dense
-    values are recovered by prefix sum; [start] is the tick index of a
-    late-registered source's first sample. A fraction of the dense
-    [[time, value]] encoding on the plateau-heavy gauges these
-    scenarios scrape. *)
+val timeseries_jsonl : timeseries -> string
+(** One [{"samples":{name:value,...},"t":time}] line per point, names
+    sorted, floats as in {!json_snapshot}. The columns must share their
+    times: line [i] holds every column's [i]th value and the first
+    column's [i]th time. *)
 
 val write_json_file :
-  ?scrape:Scrape.t -> ?tracer:Tracer.t -> ?extra:(string * string) list ->
-  path:string -> Metrics.t -> unit
+  ?timeseries:timeseries -> ?tracer:Tracer.t ->
+  ?extra:(string * string) list -> path:string -> Metrics.t -> unit
 
-val pp_text :
-  ?scrape:Scrape.t -> ?tracer:Tracer.t -> Format.formatter -> Metrics.t -> unit
+val pp_text : ?tracer:Tracer.t -> Format.formatter -> Metrics.t -> unit
 (** dpctl-flavoured human dump: [lookups: hit:… missed:…], the mask
     line ([current:] is the live [n_masks] gauge when the producer
     maintains one, [created-total:] the cumulative [mask_created]
-    counter), then every counter, gauge, histogram summary, series and
-    trace tally (cumulative, with retained counts in parentheses). *)
+    counter), then every counter, gauge, histogram summary and trace
+    tally (cumulative, with retained counts in parentheses). *)
 
-val text_report : ?scrape:Scrape.t -> ?tracer:Tracer.t -> Metrics.t -> string
+val text_report : ?tracer:Tracer.t -> Metrics.t -> string

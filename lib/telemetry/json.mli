@@ -1,7 +1,7 @@
-(** JSON scalar writers shared by every byte-stable emitter ({!Export},
-    {!Scrape}'s sample log, the scenario monitor, provenance summaries
-    and the DSL report): one float format and one string escaper, so
-    identical values always render to identical bytes. *)
+(** JSON scalar writers shared by every byte-stable emitter ({!Export}
+    and its per-tick sample lines, the scenario monitor, provenance
+    summaries and the DSL report): one float format and one string
+    escaper, so identical values always render to identical bytes. *)
 
 val float : float -> string
 (** [%.9g]; non-finite values become [null]. *)

@@ -323,8 +323,33 @@ let test_chunk_process_after_burst () =
   Alcotest.(check bool) "next burst upcalls there" true
     (upcalled r ~round:1 ~pos:2)
 
+(* Deferred mode on a full upcall queue: every miss is dropped and
+   counted, and a dropped miss builds no queue item. *)
+let test_dropped_miss_allocates_nothing () =
+  let config =
+    { Datapath.default_config with
+      Datapath.upcall_queue = Upcall_queue.bounded 64 }
+  in
+  let dp = mk ~config () in
+  let b = Batch.create ~capacity:32 in
+  Batch.fill b
+    (Array.init 32 (fun i ->
+         (Flow.make ~ip_src:(ip "10.0.0.10") ~tp_src:(1000 + i) (), 100)));
+  (* two bursts fill the queue; the rest drop every miss *)
+  for _ = 1 to 4 do Datapath.process_batch dp b ~now:0. done;
+  let d0 = Datapath.upcall_drops dp in
+  let w0 = Gc.minor_words () in
+  for _ = 1 to 100 do Datapath.process_batch dp b ~now:0. done;
+  let words = Gc.minor_words () -. w0 in
+  Alcotest.(check int) "every miss dropped and counted" 3200
+    (Datapath.upcall_drops dp - d0);
+  Alcotest.(check int) "queue still full" 64 (Datapath.pending_upcalls dp);
+  Alcotest.(check (float 0.)) "minor words" 0. words
+
 let suite =
   [ Alcotest.test_case "first packet upcalls" `Quick test_first_packet_upcalls;
+    Alcotest.test_case "deferred drops allocate nothing" `Quick
+      test_dropped_miss_allocates_nothing;
     Alcotest.test_case "second packet cached" `Quick test_second_packet_cached;
     Alcotest.test_case "megaflow aggregates flows" `Quick test_megaflow_aggregates;
     Alcotest.test_case "emc disabled" `Quick test_emc_disabled;

@@ -1,6 +1,5 @@
 (* Observability layer (0.11.0): histogram snapshots and windows, the
-   scrape-v2 columns, the bounded JSONL sample log, and the per-stage
-   cycle profile — including its conformance guarantees: profile totals
+   per-tick JSONL sample lines, and the per-stage cycle profile — including its conformance guarantees: profile totals
    decompose the dataplane's charge exactly, and parallel and sequential
    shard execution merge to identical per-stage totals. *)
 
@@ -173,72 +172,16 @@ let test_ewma_rates () =
   | exception Invalid_argument _ -> ()
   | _ -> Alcotest.fail "alpha > 1 accepted"
 
-(* --- Scrape v2 -------------------------------------------------------- *)
+(* --- Per-tick sample lines ------------------------------------------ *)
 
-let test_scrape_late_registration () =
-  let s = Scrape.create () in
-  Scrape.register s ~name:"a" (fun () -> 1.);
-  Scrape.tick s ~now:0.;
-  Scrape.tick s ~now:1.;
-  Scrape.register s ~name:"b" (fun () -> 2.);
-  Scrape.tick s ~now:2.;
-  Alcotest.(check int) "ticks" 3 (Scrape.n_ticks s);
-  (match Scrape.samples s "a" with
-   | Some (start, vs) ->
-     Alcotest.(check int) "a starts at tick 0" 0 start;
-     Alcotest.(check int) "a has every sample" 3 (Array.length vs)
-   | None -> Alcotest.fail "a missing");
-  (match Scrape.samples s "b" with
-   | Some (start, vs) ->
-     Alcotest.(check int) "late source starts at its first tick" 2 start;
-     Alcotest.(check int) "one sample" 1 (Array.length vs);
-     Alcotest.(check (float 0.)) "value" 2. vs.(0)
-   | None -> Alcotest.fail "b missing");
-  (* The compat Timeseries view of a late source spans only its ticks. *)
-  match Scrape.series s "b" with
-  | Some ts ->
-    Alcotest.(check (list (pair (float 1e-9) (float 1e-9)))) "series b"
-      [ (2., 2.) ] (Timeseries.to_list ts)
-  | None -> Alcotest.fail "series b missing"
-
-let test_scrape_time_monotonic () =
-  let s = Scrape.create () in
-  Scrape.register s ~name:"x" (fun () -> 0.);
-  Scrape.tick s ~now:1.;
-  match Scrape.tick s ~now:0.5 with
-  | exception Invalid_argument _ -> ()
-  | () -> Alcotest.fail "time went backwards"
-
-let test_scrape_sample_log_lines () =
-  let s = Scrape.create () in
-  let v = ref 1.5 in
-  Scrape.register s ~name:"masks" (fun () -> !v);
-  Scrape.register s ~name:"bad" (fun () -> nan);
-  let log = Sample_log.create ~capacity:8 () in
-  Scrape.attach_log s log;
-  Scrape.tick s ~now:0.;
-  v := 2.;
-  Scrape.tick s ~now:1.;
-  Alcotest.(check (list string)) "one sorted-key JSONL record per tick"
-    [ {|{"samples":{"bad":null,"masks":1.5},"t":0}|};
-      {|{"samples":{"bad":null,"masks":2},"t":1}|} ]
-    (Sample_log.lines log)
-
-(* --- Sample_log ring -------------------------------------------------- *)
-
-let test_sample_log_ring () =
-  let l = Sample_log.create ~capacity:2 () in
-  Sample_log.record l "one";
-  Sample_log.record l "two";
-  Sample_log.record l "three";
-  Alcotest.(check int) "total" 3 (Sample_log.total l);
-  Alcotest.(check int) "retained" 2 (Sample_log.retained l);
-  Alcotest.(check int) "dropped" 1 (Sample_log.dropped l);
-  Alcotest.(check (list string)) "oldest first" [ "two"; "three" ]
-    (Sample_log.lines l);
-  match Sample_log.create ~capacity:0 () with
-  | exception Invalid_argument _ -> ()
-  | _ -> Alcotest.fail "capacity 0 accepted"
+let test_sample_lines () =
+  Alcotest.(check string) "one sorted-key JSONL record per tick"
+    ({|{"samples":{"bad":null,"masks":1.5},"t":0}|} ^ "\n"
+     ^ {|{"samples":{"bad":null,"masks":2},"t":1}|} ^ "\n")
+    (Export.timeseries_jsonl
+       [ ("masks", [ (0., 1.5); (1., 2.) ]); ("bad", [ (0., nan); (1., nan) ]) ]);
+  Alcotest.(check string) "no columns, no lines" ""
+    (Export.timeseries_jsonl [])
 
 (* --- Perf: unit behaviour --------------------------------------------- *)
 
@@ -537,13 +480,8 @@ let suite =
       test_percentile_domain_checks;
     Alcotest.test_case "window: tick semantics" `Quick test_window_ticks;
     Alcotest.test_case "ewma rates" `Quick test_ewma_rates;
-    Alcotest.test_case "scrape: late registration" `Quick
-      test_scrape_late_registration;
-    Alcotest.test_case "scrape: time monotonic" `Quick
-      test_scrape_time_monotonic;
-    Alcotest.test_case "scrape: sample-log lines" `Quick
-      test_scrape_sample_log_lines;
-    Alcotest.test_case "sample log: bounded ring" `Quick test_sample_log_ring;
+    Alcotest.test_case "sample lines: one per tick" `Quick
+      test_sample_lines;
     Alcotest.test_case "perf: merge equals union" `Quick
       test_perf_merge_equals_union;
     Alcotest.test_case "perf: stage names" `Quick test_perf_stage_names;

@@ -29,12 +29,12 @@ let test_no_attack_baseline () =
     (fun s ->
       if s.Scenario.loss > 1e-9 then Alcotest.fail "loss without attack")
     r.Scenario.samples;
-  Alcotest.(check int) "series mirror the samples"
-    (List.length r.Scenario.samples)
-    (Pi_telemetry.Timeseries.length r.Scenario.throughput_series);
-  Alcotest.(check (float 1e-9)) "series mean matches report"
+  Alcotest.(check int) "one sample per tick" 30 (List.length r.Scenario.samples);
+  Alcotest.(check (float 1e-9)) "pre-attack mean is the samples' mean"
     r.Scenario.pre_attack_mean_gbps
-    (Pi_telemetry.Timeseries.mean_between r.Scenario.throughput_series ~lo:0. ~hi:1e9)
+    (List.fold_left (fun acc s -> acc +. s.Scenario.victim_gbps) 0.
+       r.Scenario.samples
+     /. 30.)
 
 let test_src_dport_attack () =
   let r =
@@ -312,8 +312,40 @@ let test_covert_bursts p () =
   Alcotest.(check bool) "same attribution" true
     (attribution_sans_rule_ids a = attribution_sans_rule_ids b)
 
+(* A sample is the tick's record of the cache state: read at the end of
+   the tick, it agrees with the dataplane [on_sample] is handed. *)
+let test_sample_is_tick_state n_shards () =
+  let ticks = ref 0 in
+  let on_sample dp (s : Scenario.sample) =
+    incr ticks;
+    let st = Pi_ovs.Dataplane.stats dp in
+    let at what = Printf.sprintf "%s at t=%.0f" what s.Scenario.time in
+    Alcotest.(check int) (at "emc_occupancy")
+      st.Pi_ovs.Dataplane.emc_occupancy s.Scenario.emc_occupancy;
+    Alcotest.(check int) (at "n_masks") st.Pi_ovs.Dataplane.masks
+      s.Scenario.n_masks;
+    Alcotest.(check int) (at "n_megaflows") st.Pi_ovs.Dataplane.megaflows
+      s.Scenario.n_megaflows;
+    Alcotest.(check (array int)) (at "shard_masks")
+      (Pi_ovs.Dataplane.shard_masks dp) s.Scenario.shard_masks
+  in
+  let r =
+    Scenario.run
+      { (small_params ~attack:(small_attack Variant.Src_only) ()) with
+        Scenario.duration = 15.;
+        n_shards;
+        on_sample = Some on_sample }
+  in
+  Alcotest.(check int) "every tick seen" (List.length r.Scenario.samples) !ticks;
+  Alcotest.(check bool) "the EMC fills" true
+    (List.exists (fun s -> s.Scenario.emc_occupancy > 0) r.Scenario.samples)
+
 let suite =
   [ Alcotest.test_case "no-attack baseline" `Slow test_no_attack_baseline;
+    Alcotest.test_case "sample is the tick's state, 1 shard" `Slow
+      (test_sample_is_tick_state 1);
+    Alcotest.test_case "sample is the tick's state, 2 shards" `Slow
+      (test_sample_is_tick_state 2);
     Alcotest.test_case "src+dport raises victim cost" `Slow test_src_dport_attack;
     Alcotest.test_case "full attack collapses victim" `Slow test_full_attack_collapses;
     Alcotest.test_case "masks decay after attack stops" `Slow test_attack_stop_recovers_masks;

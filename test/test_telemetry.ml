@@ -94,40 +94,12 @@ let test_tracer_counts_by_kind () =
     [ ("emc_hit", 2); ("mask_created", 1); ("upcall", 1) ]
     (Tracer.counts_by_kind tr)
 
-(* --- Scrape on a fixed tick --- *)
+(* --- Per-tick sample lines --- *)
 
-let test_scrape_fixed_tick () =
-  let s = Scrape.create () in
-  let v = ref 0.0 in
-  Scrape.register s ~name:"v" (fun () -> !v);
-  for i = 0 to 4 do
-    v := !v +. 1.0;
-    Scrape.tick s ~now:(float_of_int i)
-  done;
-  match Scrape.series s "v" with
-  | None -> Alcotest.fail "series missing"
-  | Some ts ->
-    Alcotest.(check (list (pair (float 1e-9) (float 1e-9))))
-      "one sample per tick"
-      [ (0., 1.); (1., 2.); (2., 3.); (3., 4.); (4., 5.) ]
-      (Pi_telemetry.Timeseries.to_list ts)
-
-let test_scrape_duplicate_rejected () =
-  let s = Scrape.create () in
-  Scrape.register s ~name:"x" (fun () -> 0.);
-  match Scrape.register s ~name:"x" (fun () -> 1.) with
-  | exception Invalid_argument _ -> ()
-  | _ -> Alcotest.fail "duplicate source accepted"
-
-let test_scrape_log_escapes_names () =
-  let s = Scrape.create () in
-  Scrape.register s ~name:"a\001b" (fun () -> 1.);
-  let log = Sample_log.create () in
-  Scrape.attach_log s log;
-  Scrape.tick s ~now:0.;
-  Alcotest.(check (list string)) "control byte as a JSON escape"
-    [ {|{"samples":{"a\u0001b":1},"t":0}|} ]
-    (Sample_log.lines log)
+let test_sample_lines_escape_names () =
+  Alcotest.(check string) "control byte as a JSON escape"
+    ({|{"samples":{"a\u0001b":1},"t":0}|} ^ "\n")
+    (Export.timeseries_jsonl [ ("a\001b", [ (0., 1.) ]) ])
 
 (* --- Metrics registry --- *)
 
@@ -191,12 +163,11 @@ let test_json_stable_across_insertion_order () =
 let test_json_shape () =
   let m = Metrics.create () in
   fill [ "a"; "b" ] m;
-  let s = Scrape.create () in
-  Scrape.register s ~name:"n_masks" (fun () -> 4.);
-  Scrape.tick s ~now:0.;
   let tr = Tracer.create ~capacity:8 () in
   Tracer.record tr ~at:0. Tracer.Emc_hit;
-  let j = Export.json_snapshot ~scrape:s ~tracer:tr m in
+  let j =
+    Export.json_snapshot ~timeseries:[ ("n_masks", [ (0., 4.) ]) ] ~tracer:tr m
+  in
   List.iter
     (fun needle ->
       Alcotest.(check bool) (Printf.sprintf "snapshot contains %S" needle) true
@@ -316,9 +287,8 @@ let suite =
     Alcotest.test_case "histogram invalid args" `Quick test_hist_invalid;
     Alcotest.test_case "tracer wraparound" `Quick test_tracer_wraparound;
     Alcotest.test_case "tracer counts by kind" `Quick test_tracer_counts_by_kind;
-    Alcotest.test_case "scrape on a fixed tick" `Quick test_scrape_fixed_tick;
-    Alcotest.test_case "scrape duplicate rejected" `Quick test_scrape_duplicate_rejected;
-    Alcotest.test_case "scrape log escapes names" `Quick test_scrape_log_escapes_names;
+    Alcotest.test_case "sample lines escape names" `Quick
+      test_sample_lines_escape_names;
     Alcotest.test_case "metrics get-or-create" `Quick test_metrics_get_or_create;
     Alcotest.test_case "metrics readers" `Quick test_metrics_readers;
     Alcotest.test_case "metrics type mismatch" `Quick test_metrics_type_mismatch;
