@@ -342,10 +342,6 @@ let test_sample_is_tick_state n_shards () =
 
 let suite =
   [ Alcotest.test_case "no-attack baseline" `Slow test_no_attack_baseline;
-    Alcotest.test_case "sample is the tick's state, 1 shard" `Slow
-      (test_sample_is_tick_state 1);
-    Alcotest.test_case "sample is the tick's state, 2 shards" `Slow
-      (test_sample_is_tick_state 2);
     Alcotest.test_case "src+dport raises victim cost" `Slow test_src_dport_attack;
     Alcotest.test_case "full attack collapses victim" `Slow test_full_attack_collapses;
     Alcotest.test_case "masks decay after attack stops" `Slow test_attack_stop_recovers_masks;
@@ -361,3 +357,7 @@ let suite =
         Alcotest.test_case ("covert bursts: " ^ name) `Slow
           (test_covert_bursts p))
       covert_burst_params
+  @ [ Alcotest.test_case "sample is the tick's state, 1 shard" `Slow
+        (test_sample_is_tick_state 1);
+      Alcotest.test_case "sample is the tick's state, 2 shards" `Slow
+        (test_sample_is_tick_state 2) ]
