@@ -7,12 +7,17 @@
      fig3         Fig. 3 — victim throughput + megaflow count over 150 s
      shards       the attack vs a multi-PMD datapath (per-shard mask sets)
      mitigations  ablation: mask cap / coarse un-wildcarding / cache-less
-     micro        Bechamel wall-clock microbenchmarks of the real structures
-                  (one Test.make/make_indexed per quantity; the measured
-                  per-probe slope backs the cost model's calibration)
+     ranking      ablation: OVS cache flavours (EMC, pvector ranking,
+                  kernel mask cache) under the full attack
+     sweep        sensitivity to the refresh period and the EMC size
+     hotpath      measured ns and minor words per op of the real structures
+                  (the measured per-probe cost beside the cost model's),
+                  with the zero-alloc and batch gates
+     wallclock    measured pkts/s of the PMD execution engines
 
    Run everything:      dune exec bench/main.exe
-   Run a subset:        dune exec bench/main.exe -- fig3 micro *)
+   Run a subset:        dune exec bench/main.exe -- fig3 hotpath
+   The program exits 1 if a hotpath gate failed. *)
 
 open Policy_injection
 
@@ -22,6 +27,41 @@ let section name =
   Printf.printf "\n================================================================\n";
   Printf.printf "  %s\n" name;
   Printf.printf "================================================================\n\n"
+
+(* BENCH_*.json: [leaves] pairs a key path with its value's writer; the
+   object nests them by path, keys in sorted order, so the bytes are
+   stable across runs. Keys and numbers go through [Pi_telemetry.Json]
+   (a non-finite number is written as null). *)
+let write_json_tree path leaves =
+  let rec add b leaves =
+    match leaves with
+    | [ ([], add_v) ] -> add_v b
+    | _ ->
+      let head = function
+        | k :: _, _ -> k
+        | [], _ -> invalid_arg "write_json_tree: a path is a prefix of another"
+      in
+      let keys = List.sort_uniq String.compare (List.map head leaves) in
+      Buffer.add_char b '{';
+      List.iteri
+        (fun i k ->
+          if i > 0 then Buffer.add_char b ',';
+          Pi_telemetry.Json.add_string b k;
+          Buffer.add_char b ':';
+          add b
+            (List.filter_map
+               (function k' :: rest, v when k' = k -> Some (rest, v) | _ -> None)
+               leaves))
+        keys;
+      Buffer.add_char b '}'
+  in
+  let b = Buffer.create 4096 in
+  add b leaves;
+  Out_channel.with_open_text path (fun oc ->
+      Buffer.output_buffer oc b;
+      output_char oc '\n')
+
+let json_num v b = Pi_telemetry.Json.add_float b v
 
 (* ------------------------------------------------------------------ *)
 (* fig2: the ACL of Fig. 2a and the megaflow table of Fig. 2b          *)
@@ -497,7 +537,7 @@ let run_sweep () =
     \  the full scan, so throughput only partially recovers.\n"
 
 (* ------------------------------------------------------------------ *)
-(* micro: Bechamel microbenchmarks of the real data structures         *)
+(* Megaflow fixtures for the hot-path rows                             *)
 (* ------------------------------------------------------------------ *)
 
 let mask_counts = [ 1; 8; 64; 512; 8192 ]
@@ -636,197 +676,32 @@ let grouped_megaflow n =
   Pi_ovs.Megaflow.reset_stats mf;
   mf
 
-let micro_tests () =
-  let open Bechamel in
-  let mf_miss =
-    Test.make_indexed ~name:"megaflow-miss" ~args:mask_counts (fun n ->
-        let lookup = lookup1 (populated_megaflow n) in
-        Staged.stage (fun () -> ignore (lookup probe_flow)))
-  in
-  let mf_bookkeeping =
-    (* Mask-set bookkeeping on the hot path (mask_limit checks): must be
-       O(1), i.e. flat across the 1..8192 index — it used to walk the
-       subtable list twice per upcall. *)
-    Test.make_indexed ~name:"megaflow-mask-bookkeeping" ~args:mask_counts
-      (fun n ->
-        let mf = populated_megaflow n in
-        let absent =
-          Pi_classifier.Mask.with_prefix Pi_classifier.Mask.empty
-            Pi_classifier.Field.Ip_dst 17
-        in
-        Staged.stage (fun () ->
-            ignore (Pi_ovs.Megaflow.n_masks mf);
-            ignore (Pi_ovs.Megaflow.has_mask mf absent)))
-  in
-  let mf_hit_last =
-    Test.make_indexed ~name:"megaflow-hit-last" ~args:mask_counts (fun n ->
-        let mf = populated_megaflow n in
-        (* A matching entry behind every attack mask: worst-case hit. *)
-        ignore
-          (Pi_ovs.Megaflow.insert mf ~key:probe_flow
-             ~mask:Pi_classifier.Mask.exact ~action:Pi_ovs.Action.Drop
-             ~revision:0 ~now:0. ());
-        let lookup = lookup1 mf in
-        Staged.stage (fun () -> ignore (lookup probe_flow)))
-  in
-  let emc_hit =
-    let rng = Pi_pkt.Prng.create 1L in
-    let emc = Pi_ovs.Emc.create rng () in
-    Pi_ovs.Emc.insert_forced emc probe_flow 42;
-    Test.make ~name:"emc-hit"
-      (Staged.stage (fun () -> ignore (Pi_ovs.Emc.lookup emc probe_flow)))
-  in
-  let trie_lookup =
-    let trie = Pi_classifier.Trie.create ~width:32 in
-    Pi_classifier.Trie.insert trie ~value:0x0A00000A ~len:32;
-    Test.make ~name:"trie-lookup"
-      (Staged.stage (fun () -> ignore (Pi_classifier.Trie.lookup trie 0x0B00000A)))
-  in
-  let upcall =
-    let sp = Pi_ovs.Slowpath.create () in
-    let spec =
-      Policy_gen.default_spec ~variant:Variant.Src_sport_dport
-        ~allow_src:(ip "10.0.0.10") ()
-    in
-    Pi_ovs.Slowpath.install sp
-      (Pi_cms.Compile.compile ~allow:(Pi_ovs.Action.Output 2) (Policy_gen.acl spec));
-    Test.make ~name:"slowpath-upcall"
-      (Staged.stage (fun () -> ignore (Pi_ovs.Slowpath.upcall sp probe_flow)))
-  in
-  let serialize =
-    let pkt =
-      Pi_pkt.Packet.udp ~src:(ip "10.0.0.1") ~dst:(ip "10.1.0.2") ~src_port:1
-        ~dst_port:2 ~payload_len:72 ()
-    in
-    Test.make ~name:"packet-serialize"
-      (Staged.stage (fun () -> ignore (Pi_pkt.Packet.serialize pkt)))
-  in
-  let parse =
-    let buf =
-      Pi_pkt.Packet.serialize
-        (Pi_pkt.Packet.udp ~src:(ip "10.0.0.1") ~dst:(ip "10.1.0.2")
-           ~src_port:1 ~dst_port:2 ~payload_len:72 ())
-    in
-    Test.make ~name:"packet-parse"
-      (Staged.stage (fun () -> ignore (Pi_pkt.Packet.parse buf)))
-  in
-  let flow_hash =
-    Test.make ~name:"flow-hash"
-      (Staged.stage (fun () -> ignore (Pi_classifier.Flow.hash probe_flow)))
-  in
-  (* Rule-set classifiers head to head (the Gupta-McKeown design space):
-     n exact-match rules on tp_dst, worst-case probe. *)
-  let engine_rules n =
-    List.init n (fun i ->
-        Pi_classifier.Rule.make ~priority:1
-          ~pattern:(Pi_classifier.Pattern.with_tp_dst Pi_classifier.Pattern.any i)
-          ~action:i ())
-  in
-  let engine_args = [ 16; 128; 1024 ] in
-  let engine_probe = Pi_classifier.Flow.make ~tp_dst:0xFFFF () in
-  let cls_linear =
-    Test.make_indexed ~name:"classify-linear" ~args:engine_args (fun n ->
-        let cls = Pi_classifier.Linear.of_rules (engine_rules n) in
-        Staged.stage (fun () -> ignore (Pi_classifier.Linear.lookup cls engine_probe)))
-  in
-  let cls_tss =
-    Test.make_indexed ~name:"classify-tss" ~args:engine_args (fun n ->
-        let cls = Pi_classifier.Tss.create () in
-        List.iter (Pi_classifier.Tss.insert cls) (engine_rules n);
-        (* a one-slot lookup: the classifier's only walk, un-wildcarding
-           included *)
-        let bs = Pi_classifier.Tss.batch ~capacity:1 in
-        let flows = [| engine_probe |] and idx = [| 0 |] in
-        Staged.stage (fun () ->
-            Pi_classifier.Tss.find_wc_batch cls bs flows ~idx ~n:1))
-  in
-  let cls_dtree =
-    Test.make_indexed ~name:"classify-dtree" ~args:engine_args (fun n ->
-        let cls = Pi_classifier.Dtree.build ~leaf_size:4 (engine_rules n) in
-        Staged.stage (fun () -> ignore (Pi_classifier.Dtree.lookup cls engine_probe)))
-  in
-  Test.make_grouped ~name:"micro"
-    [ mf_miss; mf_bookkeeping; mf_hit_last; emc_hit; trie_lookup; upcall;
-      serialize; parse;
-      flow_hash; cls_linear; cls_tss; cls_dtree ]
-
-let run_micro () =
-  section
-    "micro — measured wall-clock of the real structures (Bechamel, OLS ns/op)";
-  let open Bechamel in
-  let cfg =
-    Benchmark.cfg ~limit:1500 ~quota:(Time.second 0.4) ~kde:None
-      ~stabilize:false ()
-  in
-  let raw = Benchmark.all cfg [ Toolkit.Instance.monotonic_clock ] (micro_tests ()) in
-  let results =
-    Analyze.all
-      (Analyze.ols ~r_square:true ~bootstrap:0 ~predictors:[| "run" |])
-      Toolkit.Instance.monotonic_clock raw
-  in
-  let rows = Hashtbl.fold (fun k v acc -> (k, v) :: acc) results [] in
-  let rows = List.sort (fun (a, _) (b, _) -> String.compare a b) rows in
-  Printf.printf "  %-36s %14s %8s\n" "benchmark" "ns/op" "r^2";
-  let per_probe = ref [] in
-  List.iter
-    (fun (name, ols) ->
-      match Analyze.OLS.estimates ols with
-      | Some (est :: _) ->
-        Printf.printf "  %-36s %14.1f %8s\n" name est
-          (match Analyze.OLS.r_square ols with
-           | Some r -> Printf.sprintf "%.3f" r
-           | None -> "-");
-        let prefix = "micro/megaflow-miss:" in
-        let pl = String.length prefix in
-        if String.length name > pl && String.sub name 0 pl = prefix then begin
-          match int_of_string_opt (String.sub name pl (String.length name - pl)) with
-          | Some n -> per_probe := (n, est) :: !per_probe
-          | None -> ()
-        end
-      | Some [] | None -> Printf.printf "  %-36s %14s\n" name "n/a")
-    rows;
-  (* Back the cost model with the measured slope. *)
-  (match (List.assoc_opt 512 !per_probe, List.assoc_opt 8192 !per_probe) with
-   | Some t512, Some t8192 ->
-     let slope_ns = (t8192 -. t512) /. float_of_int (8192 - 512) in
-     Printf.printf
-       "\n  measured TSS cost: %.1f ns per additional mask (cost model uses\n\
-       \  %.0f cycles = %.1f ns at %.1f GHz) — the linear-in-masks deficiency\n\
-       \  is measured, not assumed.\n"
-       slope_ns Pi_ovs.Cost_model.default.Pi_ovs.Cost_model.mf_probe
-       (Pi_ovs.Cost_model.default.Pi_ovs.Cost_model.mf_probe
-        /. Pi_ovs.Cost_model.default.Pi_ovs.Cost_model.cpu_hz *. 1e9)
-       (Pi_ovs.Cost_model.default.Pi_ovs.Cost_model.cpu_hz /. 1e9)
-   | _ -> ())
-
 (* ------------------------------------------------------------------ *)
-(* hotpath: GC-aware hot-path cost and allocation measurements         *)
+(* hotpath: ns, cycles and minor-heap words per op on the real         *)
+(* structures                                                          *)
 (* ------------------------------------------------------------------ *)
 
-(* Unlike [micro] (Bechamel wall-clock), this experiment also counts
-   minor-heap words per packet: the TSS walk multiplies whatever the
-   per-probe cost is by the injected mask count, so a single boxed
-   intermediate per field turns into megabytes per packet at 8192
-   masks. The rows land in BENCH_hotpath.json (stable sorted keys, like
-   BENCH_fig3.json) — the perf trajectory future PRs are diffed against.
+(* Every row is timed on the monotonic clock and also counts minor-heap
+   words per op: the TSS walk multiplies whatever the per-probe cost is
+   by the injected mask count, so a single boxed intermediate per field
+   turns into megabytes per packet at 8192 masks. Each row is declared
+   once, as a [hot_row]; the printed table, BENCH_hotpath.json (stable
+   sorted keys, like BENCH_fig3.json: the perf trajectory future PRs
+   are diffed against) and both gates are folds over the list of rows.
 
-   Env knobs:
-     PI_BENCH_QUICK=1            reduced iteration counts (CI smoke)
-     PI_BENCH_ASSERT_ZERO_ALLOC=1  fail if any steady-state lookup
-                                 regime — EMC hit, hinted megaflow hit
-                                 at any mask count, the full TSS walk,
-                                 the sharded batch path — allocates on
-                                 the minor heap, or if an upcall-remint
-                                 install takes more than
-                                 [remint_words_budget] words. (The
-                                 other churn and upcall rows are
-                                 exempt: inserting rules and
-                                 synthesising megaflows builds
-                                 structures.)
-     PI_BENCH_ASSERT_BATCH=1     fail if the batch walk costs more than
-                                 the per-packet walk at >= 512 masks.
-   Every requested gate prints its verdict; the run then exits 1 if any
-   failed. *)
+   The gates run on every run and print their verdicts; the program
+   exits 1 after its last experiment if either failed:
+     zero-alloc  every steady-state lookup regime (EMC hit, hinted
+                 megaflow hit at any mask count, the full TSS walk, the
+                 sharded batch path) allocates nothing on the minor
+                 heap, and an upcall-remint install takes at most
+                 [remint_words_budget] words. (The other churn, upcall
+                 and ported rows are ungated: inserting rules,
+                 synthesising megaflows and building packets allocate.)
+     batch       the batch walk costs no more than the per-packet walk
+                 at >= 512 masks.
+
+   PI_BENCH_QUICK=1 reduces the iteration counts (CI smoke). *)
 
 (* Minor words one synchronous upcall-and-install may take in the
    [upcall-remint] row: the megaflow entry (11) and its [Some] (2), the
@@ -835,10 +710,30 @@ let run_micro () =
    allocating a subtable per re-minted mask, breaks it. *)
 let remint_words_budget = 24.
 
+type hot = {
+  ns_per_pkt : float;
+  cycles_per_pkt : float;   (* wall-clock ns at the cost model's GHz *)
+  minor_words_per_pkt : float;
+}
+
+let hot_per h k =
+  let d v = v /. float_of_int k in
+  { ns_per_pkt = d h.ns_per_pkt;
+    cycles_per_pkt = d h.cycles_per_pkt;
+    minor_words_per_pkt = d h.minor_words_per_pkt }
+
+type hot_gate =
+  | Zero_alloc                 (* no minor word per op *)
+  | Words_budget of float      (* at most this many minor words per op *)
+  | Ungated
+
 type hot_row = {
-  hr_ns_per_pkt : float;
-  hr_cycles_per_pkt : float;   (* wall-clock ns at the cost model's GHz *)
-  hr_minor_words_per_pkt : float;
+  name : string;               (* printed *)
+  masks : int option;          (* printed; rules for the classify rows *)
+  path : string list;          (* BENCH_hotpath.json keys of the row *)
+  gate : hot_gate;
+  scalar : hot option;         (* the batch gate's per-packet partner *)
+  m : hot;                     (* the measurement, per op *)
 }
 
 let hot_quick () =
@@ -857,27 +752,27 @@ let hot_measure ?(quick_floor = 1000) ~iters f =
      bracketing the timed loop allocates a constant couple of words of
      its own. Measure that constant with an empty bracket and subtract
      it: a genuinely allocation-free loop then reports exactly 0, which
-     is what the PI_BENCH_ASSERT_ZERO_ALLOC gate demands. Rounding to
-     1/1000 word kills the residual float noise without hiding any real
-     per-packet allocation (the smallest possible is a 2-word block). *)
+     is what the zero-alloc gate demands. Rounding to 1/1000 word kills
+     the residual float noise without hiding any real per-packet
+     allocation (the smallest possible is a 2-word block). *)
   let overhead =
     let o0 = Gc.minor_words () in
     let o1 = Gc.minor_words () in
     o1 -. o0
   in
-  let t0 = Unix.gettimeofday () in
+  let t0 = Monotonic_clock.now () in
   let w0 = Gc.minor_words () in
   for _ = 1 to iters do f () done;
   let w1 = Gc.minor_words () in
-  let t1 = Unix.gettimeofday () in
+  let t1 = Monotonic_clock.now () in
   let per v = v /. float_of_int iters in
   let words =
     Float.max 0. (Float.round (per (w1 -. w0 -. overhead) *. 1000.) /. 1000.)
   in
-  let ns = per ((t1 -. t0) *. 1e9) in
-  { hr_ns_per_pkt = ns;
-    hr_cycles_per_pkt = ns *. (Pi_ovs.Cost_model.default.Pi_ovs.Cost_model.cpu_hz /. 1e9);
-    hr_minor_words_per_pkt = words }
+  let ns = per (Int64.to_float (Int64.sub t1 t0)) in
+  { ns_per_pkt = ns;
+    cycles_per_pkt = ns *. (Pi_ovs.Cost_model.default.Pi_ovs.Cost_model.cpu_hz /. 1e9);
+    minor_words_per_pkt = words }
 
 (* The slow-path analogue of [populated_megaflow]: n rules, each under a
    distinct attack-shaped mask, none matching the probe flow. *)
@@ -898,93 +793,48 @@ let attack_ruleset n =
       in
       Rule.make ~priority:1 ~pattern:pat ~action:Pi_ovs.Action.Drop ())
 
-let run_hotpath () =
-  section
-    "hotpath — cycles, ns and minor-heap words per packet on the real\n\
-    \  fast-path regimes (GC-aware; the allocation budget future perf PRs\n\
-    \  are held to)";
+(* The hot-path rows, in measurement order. *)
+let hotpath_rows () =
   let open Pi_classifier in
-  let row_fields r =
-    [ ("cycles_per_pkt", fun b -> Buffer.add_string b (Printf.sprintf "%.9g" r.hr_cycles_per_pkt));
-      ("minor_words_per_pkt", fun b -> Buffer.add_string b (Printf.sprintf "%.9g" r.hr_minor_words_per_pkt));
-      ("ns_per_pkt", fun b -> Buffer.add_string b (Printf.sprintf "%.9g" r.hr_ns_per_pkt)) ]
+  let rows = ref [] in
+  let record ?n ?(gate = Ungated) ?scalar name path m =
+    rows := { name; masks = n; path; gate; scalar; m } :: !rows
   in
-  let buf = Buffer.create 4096 in
-  let add_obj b fields =
-    Buffer.add_char b '{';
-    List.iteri
-      (fun i (k, add_v) ->
-        if i > 0 then Buffer.add_char b ',';
-        Buffer.add_string b (Printf.sprintf "%S" k);
-        Buffer.add_char b ':';
-        add_v b)
-      fields;
-    Buffer.add_char b '}'
+  let key n = Printf.sprintf "%05d" n in
+  (* one row per count, at [json]/<count> *)
+  let per_count ?gate ?(counts = mask_counts) name json measure =
+    List.iter (fun n -> record ~n ?gate name [ json; key n ] (measure n)) counts
   in
-  let print_row name n r =
-    Printf.printf "  %-22s %8s %14.1f %14.0f %18.3f\n" name
-      (match n with Some n -> string_of_int n | None -> "-")
-      r.hr_ns_per_pkt r.hr_cycles_per_pkt r.hr_minor_words_per_pkt
-  in
-  Printf.printf "  %-22s %8s %14s %14s %18s\n" "regime" "masks" "ns/pkt"
-    "cycles/pkt" "minor words/pkt";
   (* 1. Steady-state EMC hit: the benign fast path. *)
-  let emc_hit =
-    let rng = Pi_pkt.Prng.create 1L in
-    let emc = Pi_ovs.Emc.create rng () in
-    Pi_ovs.Emc.insert_forced emc probe_flow 42;
-    hot_measure ~iters:2_000_000 (fun () ->
-        ignore (Pi_ovs.Emc.lookup emc probe_flow))
-  in
-  print_row "emc-hit" None emc_hit;
+  (let emc = Pi_ovs.Emc.create (Pi_pkt.Prng.create 1L) () in
+   Pi_ovs.Emc.insert_forced emc probe_flow 42;
+   record ~gate:Zero_alloc "emc-hit" [ "emc_hit" ]
+     (hot_measure ~iters:2_000_000 (fun () ->
+          ignore (Pi_ovs.Emc.lookup emc probe_flow))));
   (* 2. Hinted megaflow hit: kernel-style mask cache, warm hint. The
      hint is consulted after the one-packet walk, as the datapath does
      for every kernel-flavour packet, so this row pays the full scan
      (in wall-clock time) though it is charged one probe. *)
-  let mf_hit_hinted =
-    List.map
-      (fun n ->
-        let mf = populated_megaflow n in
-        ignore
-          (Pi_ovs.Megaflow.insert mf ~key:probe_flow ~mask:Mask.exact
-             ~action:Pi_ovs.Action.Drop ~revision:0 ~now:0. ());
-        let lookup = lookup1 ~cache:(Pi_ovs.Mask_cache.create ()) mf in
-        ignore (lookup probe_flow);
-        let r =
-          hot_measure ~iters:500_000 (fun () -> ignore (lookup probe_flow))
-        in
-        print_row "mf-hit-hinted" (Some n) r;
-        (n, r))
-      mask_counts
-  in
+  per_count ~gate:Zero_alloc "mf-hit-hinted" "mf_hit_hinted" (fun n ->
+      let mf = populated_megaflow n in
+      ignore
+        (Pi_ovs.Megaflow.insert mf ~key:probe_flow ~mask:Mask.exact
+           ~action:Pi_ovs.Action.Drop ~revision:0 ~now:0. ());
+      let lookup = lookup1 ~cache:(Pi_ovs.Mask_cache.create ()) mf in
+      ignore (lookup probe_flow);
+      hot_measure ~iters:500_000 (fun () -> ignore (lookup probe_flow)));
   (* 3. Full TSS walk: every injected mask probed, no hit (the attack's
      per-packet cost on the victim). *)
-  let tss_walk =
-    List.map
-      (fun n ->
-        let lookup = lookup1 (populated_megaflow n) in
-        let r =
-          hot_measure ~iters:(max 2000 (400_000 / n)) (fun () ->
-              ignore (lookup probe_flow))
-        in
-        print_row "tss-walk" (Some n) r;
-        (n, r))
-      mask_counts
-  in
+  per_count ~gate:Zero_alloc "tss-walk" "tss_walk" (fun n ->
+      let lookup = lookup1 (populated_megaflow n) in
+      hot_measure ~iters:(max 2000 (400_000 / n)) (fun () ->
+          ignore (lookup probe_flow)));
   (* 4. Upcall: slow-path classification + megaflow synthesis. *)
-  let upcall =
-    List.map
-      (fun n ->
-        let sp = Pi_ovs.Slowpath.create () in
-        Pi_ovs.Slowpath.install sp (attack_ruleset n);
-        let r =
-          hot_measure ~iters:(max 100 (100_000 / n)) (fun () ->
-              ignore (Pi_ovs.Slowpath.upcall sp probe_flow))
-        in
-        print_row "upcall" (Some n) r;
-        (n, r))
-      mask_counts
-  in
+  per_count "upcall" "upcall" (fun n ->
+      let sp = Pi_ovs.Slowpath.create () in
+      Pi_ovs.Slowpath.install sp (attack_ruleset n);
+      hot_measure ~iters:(max 100 (100_000 / n)) (fun () ->
+          ignore (Pi_ovs.Slowpath.upcall sp probe_flow)));
   (* 4b. Upcall re-mint: the write side of mask churn, through the real
      datapath. Each op revalidates past the idle timeout, which evicts
      every megaflow, then sends the 512 covert flows of the src+dport
@@ -992,47 +842,42 @@ let run_hotpath () =
      re-mints its megaflow and mask. Reported per install, and held to
      [remint_words_budget] minor words per install by the zero-alloc
      gate. *)
-  let upcall_remint =
-    let spec =
-      Policy_gen.default_spec ~variant:Variant.Src_dport
-        ~allow_src:(ip "10.0.0.10") ()
-    in
-    let dp = Pi_ovs.Datapath.create (Pi_pkt.Prng.create 1L) () in
-    Pi_ovs.Datapath.install_rules dp
-      (Pi_cms.Compile.compile ~allow:(Pi_ovs.Action.Output 2)
-         (Policy_gen.acl spec));
-    let flows =
-      Array.of_list
-        (Packet_gen.flows (Packet_gen.make ~spec ~dst:(ip "10.1.0.3") ()))
-    in
-    let n = Array.length flows in
-    let b = Pi_ovs.Batch.create ~capacity:32 in
-    let now = [| 0. |] in
-    let remint () =
-      now.(0) <- now.(0) +. 11.;
-      ignore (Pi_ovs.Datapath.revalidate dp ~now:now.(0));
-      let i = ref 0 in
-      while !i < n do
-        Pi_ovs.Batch.clear b;
-        for j = !i to min n (!i + 32) - 1 do
-          Pi_ovs.Batch.push b flows.(j) ~pkt_len:64
-        done;
-        Pi_ovs.Datapath.process_batch dp b ~now:now.(0);
-        i := !i + 32
-      done
-    in
-    let u0 = Pi_ovs.Datapath.n_upcalls dp in
-    remint ();
-    (* the divisor: every flow of an op upcalls and installs once *)
-    if Pi_ovs.Datapath.n_upcalls dp - u0 <> n then
-      failwith "upcall-remint: an op does not install every flow once";
-    let r = hot_measure ~quick_floor:20 ~iters:1_000 remint in
-    let per v = v /. float_of_int n in
-    { hr_ns_per_pkt = per r.hr_ns_per_pkt;
-      hr_cycles_per_pkt = per r.hr_cycles_per_pkt;
-      hr_minor_words_per_pkt = per r.hr_minor_words_per_pkt }
-  in
-  print_row "upcall-remint" (Some 512) upcall_remint;
+  (let spec =
+     Policy_gen.default_spec ~variant:Variant.Src_dport
+       ~allow_src:(ip "10.0.0.10") ()
+   in
+   let dp = Pi_ovs.Datapath.create (Pi_pkt.Prng.create 1L) () in
+   Pi_ovs.Datapath.install_rules dp
+     (Pi_cms.Compile.compile ~allow:(Pi_ovs.Action.Output 2)
+        (Policy_gen.acl spec));
+   let flows =
+     Array.of_list
+       (Packet_gen.flows (Packet_gen.make ~spec ~dst:(ip "10.1.0.3") ()))
+   in
+   let n = Array.length flows in
+   let b = Pi_ovs.Batch.create ~capacity:32 in
+   let now = [| 0. |] in
+   let remint () =
+     now.(0) <- now.(0) +. 11.;
+     ignore (Pi_ovs.Datapath.revalidate dp ~now:now.(0));
+     let i = ref 0 in
+     while !i < n do
+       Pi_ovs.Batch.clear b;
+       for j = !i to min n (!i + 32) - 1 do
+         Pi_ovs.Batch.push b flows.(j) ~pkt_len:64
+       done;
+       Pi_ovs.Datapath.process_batch dp b ~now:now.(0);
+       i := !i + 32
+     done
+   in
+   let u0 = Pi_ovs.Datapath.n_upcalls dp in
+   remint ();
+   (* the divisor: every flow of an op upcalls and installs once *)
+   if Pi_ovs.Datapath.n_upcalls dp - u0 <> n then
+     failwith "upcall-remint: an op does not install every flow once";
+   record ~n ~gate:(Words_budget remint_words_budget) "upcall-remint"
+     [ "upcall_remint" ]
+     (hot_per (hot_measure ~quick_floor:20 ~iters:1_000 remint) n));
   (* 4c. Revalidation, per [Datapath.revalidate] call, over the covert
      round's singleton megaflows (512 for src+dport, 8192 for
      src+sport+dport), all stamped at t = 100. [revalidate-skip]: nothing
@@ -1041,105 +886,81 @@ let run_hotpath () =
      stamped 11 s in the past (a hit on the first call, a re-mint
      after), so that one entry is idle and the megaflow and EMC sweeps
      run in full, evicting it. *)
-  let revalidate_rows =
-    List.map
-      (fun variant ->
-        let spec =
-          Policy_gen.default_spec ~variant ~allow_src:(ip "10.0.0.10") ()
-        in
-        let dp = Pi_ovs.Datapath.create (Pi_pkt.Prng.create 1L) () in
-        Pi_ovs.Datapath.install_rules dp
-          (Pi_cms.Compile.compile ~allow:(Pi_ovs.Action.Output 2)
-             (Policy_gen.acl spec));
-        let flows =
-          Array.of_list
-            (Packet_gen.flows (Packet_gen.make ~spec ~dst:(ip "10.1.0.3") ()))
-        in
-        let b = Pi_ovs.Batch.create ~capacity:32 in
-        Array.iteri
-          (fun i f ->
-            Pi_ovs.Batch.push b f ~pkt_len:64;
-            if Pi_ovs.Batch.length b = 32 || i = Array.length flows - 1 then begin
-              Pi_ovs.Datapath.process_batch dp b ~now:100.;
-              Pi_ovs.Batch.clear b
-            end)
-          flows;
-        let n = Pi_ovs.Datapath.n_megaflows dp in
-        ignore (Pi_ovs.Datapath.revalidate dp ~now:100.);
-        let skip =
-          hot_measure ~iters:200_000 (fun () ->
-              ignore (Pi_ovs.Datapath.revalidate dp ~now:100.))
-        in
-        print_row "revalidate-skip" (Some n) skip;
-        Pi_ovs.Batch.clear b;
-        Pi_ovs.Batch.push b flows.(0) ~pkt_len:64;
-        let sweep =
-          hot_measure ~quick_floor:20 ~iters:(max 200 (1_000_000 / n))
-            (fun () ->
-              Pi_ovs.Datapath.process_batch dp b ~now:89.;
-              if Pi_ovs.Datapath.revalidate dp ~now:100. <> 1 then
-                failwith "revalidate-sweep: a sweep must evict one entry")
-        in
-        print_row "revalidate-sweep" (Some n) sweep;
-        (n, (skip, sweep)))
-      [ Variant.Src_dport; Variant.Src_sport_dport ]
-  in
+  List.iter
+    (fun variant ->
+      let spec =
+        Policy_gen.default_spec ~variant ~allow_src:(ip "10.0.0.10") ()
+      in
+      let dp = Pi_ovs.Datapath.create (Pi_pkt.Prng.create 1L) () in
+      Pi_ovs.Datapath.install_rules dp
+        (Pi_cms.Compile.compile ~allow:(Pi_ovs.Action.Output 2)
+           (Policy_gen.acl spec));
+      let flows =
+        Array.of_list
+          (Packet_gen.flows (Packet_gen.make ~spec ~dst:(ip "10.1.0.3") ()))
+      in
+      let b = Pi_ovs.Batch.create ~capacity:32 in
+      Array.iteri
+        (fun i f ->
+          Pi_ovs.Batch.push b f ~pkt_len:64;
+          if Pi_ovs.Batch.length b = 32 || i = Array.length flows - 1 then begin
+            Pi_ovs.Datapath.process_batch dp b ~now:100.;
+            Pi_ovs.Batch.clear b
+          end)
+        flows;
+      let n = Pi_ovs.Datapath.n_megaflows dp in
+      ignore (Pi_ovs.Datapath.revalidate dp ~now:100.);
+      record ~n "revalidate-skip" [ "revalidate"; key n; "skip" ]
+        (hot_measure ~iters:200_000 (fun () ->
+             ignore (Pi_ovs.Datapath.revalidate dp ~now:100.)));
+      Pi_ovs.Batch.clear b;
+      Pi_ovs.Batch.push b flows.(0) ~pkt_len:64;
+      record ~n "revalidate-sweep" [ "revalidate"; key n; "sweep" ]
+        (hot_measure ~quick_floor:20 ~iters:(max 200 (1_000_000 / n))
+           (fun () ->
+             Pi_ovs.Datapath.process_batch dp b ~now:89.;
+             if Pi_ovs.Datapath.revalidate dp ~now:100. <> 1 then
+               failwith "revalidate-sweep: a sweep must evict one entry")))
+    [ Variant.Src_dport; Variant.Src_sport_dport ];
   (* 5. Megaflow update churn: the revalidator's view of the attack.
      Each op installs a fresh exact-mask entry (a new covert flow being
      cached) on top of the n injected masks; every 256 ops a
      revalidation sweep evicts the whole churn batch, exercising
      backward-shift deletion, arena compaction and the empty-subtable
      drop. Prices insert/remove on the flat stores — allocation here is
-     expected (entries are built), so this row is outside the
-     zero-alloc gate. *)
-  let mf_churn =
-    List.map
-      (fun n ->
-        let mf =
-          populated_megaflow
-            ~config:{ Pi_ovs.Megaflow.default_config with
-                      Pi_ovs.Megaflow.idle_timeout = 1e9 }
-            n
-        in
-        let ctr = ref 0 in
-        let r =
-          hot_measure ~iters:(max 2000 (200_000 / n)) (fun () ->
-              incr ctr;
-              let key = Flow.make ~ip_dst:(Int32.of_int (!ctr land 0xFFFFF)) () in
-              ignore
-                (Pi_ovs.Megaflow.insert mf ~key ~mask:Mask.exact
-                   ~action:Pi_ovs.Action.Drop ~revision:1 ~now:0. ());
-              if !ctr land 255 = 0 then
-                ignore
-                  (Pi_ovs.Megaflow.revalidate mf ~now:0.
-                     ~keep:(fun e -> e.Pi_ovs.Megaflow.revision = 0) ()))
-        in
-        print_row "mf-churn" (Some n) r;
-        (n, r))
-      mask_counts
-  in
+     expected (entries are built), so this row is ungated. *)
+  per_count "mf-churn" "mf_churn" (fun n ->
+      let mf =
+        populated_megaflow
+          ~config:{ Pi_ovs.Megaflow.default_config with
+                    Pi_ovs.Megaflow.idle_timeout = 1e9 }
+          n
+      in
+      let ctr = ref 0 in
+      hot_measure ~iters:(max 2000 (200_000 / n)) (fun () ->
+          incr ctr;
+          let key = Flow.make ~ip_dst:(Int32.of_int (!ctr land 0xFFFFF)) () in
+          ignore
+            (Pi_ovs.Megaflow.insert mf ~key ~mask:Mask.exact
+               ~action:Pi_ovs.Action.Drop ~revision:1 ~now:0. ());
+          if !ctr land 255 = 0 then
+            ignore
+              (Pi_ovs.Megaflow.revalidate mf ~now:0.
+                 ~keep:(fun e -> e.Pi_ovs.Megaflow.revision = 0) ())));
   (* 6. Classifier rule churn: slow-path policy updates under attack.
      Each op inserts a priority-2 rule and removes it again by
      predicate; the removal walks every one of the n attack subtables,
      so this prices the flat-store scan the revalidator pays per policy
      delta. *)
-  let tss_churn =
-    List.map
-      (fun n ->
-        let cls = Tss.create () in
-        List.iter (Tss.insert cls) (attack_ruleset n);
-        let churn_pat = Pattern.with_tp_dst Pattern.any 7 in
-        let r =
-          hot_measure ~iters:(max 400 (50_000 / n)) (fun () ->
-              Tss.insert cls
-                (Rule.make ~priority:2 ~pattern:churn_pat
-                   ~action:Pi_ovs.Action.Drop ());
-              ignore (Tss.remove cls (fun ru -> ru.Rule.priority = 2)))
-        in
-        print_row "tss-churn" (Some n) r;
-        (n, r))
-      mask_counts
-  in
+  per_count "tss-churn" "tss_churn" (fun n ->
+      let cls = Tss.create () in
+      List.iter (Tss.insert cls) (attack_ruleset n);
+      let churn_pat = Pattern.with_tp_dst Pattern.any 7 in
+      hot_measure ~iters:(max 400 (50_000 / n)) (fun () ->
+          Tss.insert cls
+            (Rule.make ~priority:2 ~pattern:churn_pat
+               ~action:Pi_ovs.Action.Drop ());
+          ignore (Tss.remove cls (fun ru -> ru.Rule.priority = 2))));
   (* 7. Sharded batch fast path: RSS steering into the per-shard scratch
      plus, in the pmd-batch row, an EMC hit per packet. The steering
      scratch is preallocated int arrays (not a cons cell per packet), so
@@ -1179,37 +1000,31 @@ let run_hotpath () =
     Pi_ovs.Pmd.process_batch pmd batch ~now:0.;
     Pi_ovs.Pmd.process_batch pmd batch ~now:0.;
     let now = 0. in
-    let r =
-      hot_measure ~iters:5_000 (fun () ->
-          Pi_ovs.Pmd.process_batch pmd batch ~now)
-    in
-    let per v = v /. float_of_int (Array.length pkts) in
-    { hr_ns_per_pkt = per r.hr_ns_per_pkt;
-      hr_cycles_per_pkt = per r.hr_cycles_per_pkt;
-      hr_minor_words_per_pkt = per r.hr_minor_words_per_pkt }
+    hot_per
+      (hot_measure ~iters:5_000 (fun () ->
+           Pi_ovs.Pmd.process_batch pmd batch ~now))
+      (Array.length pkts)
   in
-  let pmd_batch = pmd_regime ~emc:true ~batch_cycles:0. in
-  print_row "pmd-batch" None pmd_batch;
-  let pmd_regimes =
-    List.map
-      (fun (name, emc, batch_cycles) ->
-        let r = pmd_regime ~emc ~batch_cycles in
-        print_row name None r;
-        (name, r))
-      [ ("pmd-mf-hit", false, 0.); ("pmd-charged", true, 100.) ]
-  in
+  record ~gate:Zero_alloc "pmd-batch" [ "pmd_batch" ]
+    (pmd_regime ~emc:true ~batch_cycles:0.);
+  List.iter
+    (fun (name, emc, batch_cycles) ->
+      record ~gate:Zero_alloc name [ "pmd_regimes"; name ]
+        (pmd_regime ~emc ~batch_cycles))
+    [ ("pmd-mf-hit", false, 0.); ("pmd-charged", true, 100.) ];
   (* 8./9. Subtable-major batch walk vs the same 32 flows looked up one
      at a time: the dpcls-style amortisation the vectorised dataplane
      rides on. [Megaflow.walk_batch] probes one subtable for the
      whole burst before touching the next, so the per-mask loads
      amortise across the burst; at attack-sized mask sets the batch
      walk must not lose to 32 one-packet walks (each the sequential
-     scan, then its commit; PI_BENCH_ASSERT_BATCH=1 enforces this at
-     >= 512 masks). Both variants are steady-state lookups and sit
-     inside the zero-alloc gate. *)
+     scan, then its commit; the batch gate checks this at >= 512
+     masks for every family but [tss-walk-grouped]). Both variants are
+     steady-state lookups and sit inside the zero-alloc gate. *)
   let burst = 32 in
-  let batch_vs_scalar ?(counts = mask_counts) which setup =
-    List.map
+  let batch_vs_scalar ?(counts = mask_counts) ?(batch_gate = true) which json
+      setup =
+    List.iter
       (fun n ->
         let mf, flows = setup n in
         let idx = Array.init burst (fun i -> i) in
@@ -1238,22 +1053,18 @@ let run_hotpath () =
            (frequency scaling, neighbours on the host) exceeds the gap
            — alternating the measurements and keeping each variant's
            best cancels the drift, which a longer single run cannot. *)
-        let best a b = if b.hr_ns_per_pkt < a.hr_ns_per_pkt then b else a in
+        let best a b = if b.ns_per_pkt < a.ns_per_pkt then b else a in
         let rec reps k (bb, bs) =
           if k = 0 then (bb, bs)
           else reps (k - 1) (best bb (run_batch ()), best bs (run_scalar ()))
         in
         let b, s = reps 2 (run_batch (), run_scalar ()) in
-        let per r =
-          let d v = v /. float_of_int burst in
-          { hr_ns_per_pkt = d r.hr_ns_per_pkt;
-            hr_cycles_per_pkt = d r.hr_cycles_per_pkt;
-            hr_minor_words_per_pkt = d r.hr_minor_words_per_pkt }
-        in
-        let b = per b and s = per s in
-        print_row (which ^ "-batch") (Some n) b;
-        print_row (which ^ "-scalar") (Some n) s;
-        (n, (b, s)))
+        let b = hot_per b burst and s = hot_per s burst in
+        let scalar = if batch_gate then Some s else None in
+        record ~n ~gate:Zero_alloc ?scalar (which ^ "-batch")
+          [ json; key n; "batch" ] b;
+        record ~n ~gate:Zero_alloc (which ^ "-scalar") [ json; key n; "scalar" ]
+          s)
       counts
   in
   (* 32 distinct flows that miss every injected mask: the covert-stream
@@ -1262,232 +1073,213 @@ let run_hotpath () =
     Array.init burst (fun i ->
         Flow.make ~ip_src:(Int32.of_int i) ~tp_src:i ~tp_dst:0 ())
   in
-  let tss_walk_batch =
-    batch_vs_scalar "tss-walk" (fun n -> (populated_megaflow n, miss_flows))
-  in
+  batch_vs_scalar "tss-walk" "tss_walk_batch" (fun n ->
+      (populated_megaflow n, miss_flows));
   (* The same full walk over two-entry subtables: the hash-table probe
      path, which the singleton rows above never reach. *)
-  let tss_walk_hashed_batch =
-    batch_vs_scalar "tss-walk-hashed" (fun n ->
-        (populated_megaflow ~hashed:true n, miss_flows))
-  in
+  batch_vs_scalar "tss-walk-hashed" "tss_walk_hashed_batch" (fun n ->
+      (populated_megaflow ~hashed:true n, miss_flows));
   (* The same full walk with nothing for the block summaries to skip
      (see [admit_megaflow]): the design's worst case, and the row whose
      ns/probe is the measured cost of a subtable probe. The 32 flows
      differ only in ip_dst, which no mask constrains. A one-mask set
      cannot be built this way, so the row starts at 8 masks. *)
-  let tss_walk_admit_batch =
-    batch_vs_scalar
-      ~counts:(List.filter (fun n -> n >= 2) mask_counts)
-      "tss-walk-admit"
-      (fun n ->
-        ( admit_megaflow n,
-          Array.init burst (fun i ->
-              Flow.with_field probe_flow Field.Ip_dst i) ))
-  in
+  batch_vs_scalar
+    ~counts:(List.filter (fun n -> n >= 2) mask_counts)
+    "tss-walk-admit" "tss_walk_admit_batch"
+    (fun n ->
+      ( admit_megaflow n,
+        Array.init burst (fun i -> Flow.with_field probe_flow Field.Ip_dst i) ));
   (* The attack-walk shape: 8192 masks where a few blocks admit the
      probes (see [grouped_megaflow]), so a packet is rejected by most
      group summaries and walks only the admitting blocks. *)
-  let tss_walk_grouped_batch =
-    batch_vs_scalar ~counts:[ 8192 ] "tss-walk-grouped" (fun n ->
-        (grouped_megaflow n, miss_flows))
-  in
+  batch_vs_scalar ~counts:[ 8192 ] ~batch_gate:false "tss-walk-grouped"
+    "tss_walk_grouped_batch" (fun n -> (grouped_megaflow n, miss_flows));
   (* The same walk ending in a hit: an exact-mask subtable appended
      AFTER the n attack masks, so both variants pay the full scan and
      then the hit bookkeeping. *)
-  let mf_hit_batch =
-    batch_vs_scalar "mf-hit" (fun n ->
-        let mf = populated_megaflow n in
-        Array.iter
-          (fun f ->
-            ignore
-              (Pi_ovs.Megaflow.insert mf ~key:f ~mask:Mask.exact
-                 ~action:Pi_ovs.Action.Drop ~revision:0 ~now:0. ()))
-          miss_flows;
-        (mf, miss_flows))
+  batch_vs_scalar "mf-hit" "mf_hit_batch" (fun n ->
+      let mf = populated_megaflow n in
+      Array.iter
+        (fun f ->
+          ignore
+            (Pi_ovs.Megaflow.insert mf ~key:f ~mask:Mask.exact
+               ~action:Pi_ovs.Action.Drop ~revision:0 ~now:0. ()))
+        miss_flows;
+      (mf, miss_flows));
+  (* 10. Mask-set bookkeeping on the hot path (the mask_limit checks):
+     O(1), so flat across the mask counts. *)
+  per_count "mask-bookkeeping" "mask_bookkeeping" (fun n ->
+      let mf = populated_megaflow n in
+      let absent = Mask.with_prefix Mask.empty Field.Ip_dst 17 in
+      hot_measure ~iters:2_000_000 (fun () ->
+          ignore (Pi_ovs.Megaflow.n_masks mf);
+          ignore (Pi_ovs.Megaflow.has_mask mf absent)));
+  (* 11. The structures around the cache: a prefix-trie lookup, the
+     slow path's upcall of the probe flow under the src+sport+dport
+     whitelist ACL, packet serialisation and parsing, and the flow
+     hash. *)
+  (let trie = Trie.create ~width:32 in
+   Trie.insert trie ~value:0x0A00000A ~len:32;
+   record "trie-lookup" [ "trie_lookup" ]
+     (hot_measure ~iters:2_000_000 (fun () ->
+          ignore (Trie.lookup trie 0x0B00000A))));
+  (let sp = Pi_ovs.Slowpath.create () in
+   let spec =
+     Policy_gen.default_spec ~variant:Variant.Src_sport_dport
+       ~allow_src:(ip "10.0.0.10") ()
+   in
+   Pi_ovs.Slowpath.install sp
+     (Pi_cms.Compile.compile ~allow:(Pi_ovs.Action.Output 2)
+        (Policy_gen.acl spec));
+   record "upcall-acl" [ "upcall_acl" ]
+     (hot_measure ~iters:500_000 (fun () ->
+          ignore (Pi_ovs.Slowpath.upcall sp probe_flow))));
+  (let pkt =
+     Pi_pkt.Packet.udp ~src:(ip "10.0.0.1") ~dst:(ip "10.1.0.2") ~src_port:1
+       ~dst_port:2 ~payload_len:72 ()
+   in
+   let buf = Pi_pkt.Packet.serialize pkt in
+   record "packet-serialize" [ "packet_serialize" ]
+     (hot_measure ~iters:500_000 (fun () ->
+          ignore (Pi_pkt.Packet.serialize pkt)));
+   record "packet-parse" [ "packet_parse" ]
+     (hot_measure ~iters:500_000 (fun () -> ignore (Pi_pkt.Packet.parse buf))));
+  record "flow-hash" [ "flow_hash" ]
+    (hot_measure ~iters:2_000_000 (fun () -> ignore (Flow.hash probe_flow)));
+  (* 12. Rule-set classifiers head to head (the Gupta-McKeown design
+     space): n exact-match rules on tp_dst, worst-case probe. The count
+     column is the rule count. The TSS row is a one-slot
+     [Tss.find_wc_batch], the classifier's only walk, un-wildcarding
+     included. *)
+  let engine_rules n =
+    List.init n (fun i ->
+        Rule.make ~priority:1 ~pattern:(Pattern.with_tp_dst Pattern.any i)
+          ~action:i ())
   in
-  (match List.assoc_opt 8192 tss_walk with
-   | Some r ->
-     Printf.printf
-       "\n  tss-walk @8192: %.2f ns/probe, %.4f minor words/probe\n"
-       (r.hr_ns_per_pkt /. 8192.) (r.hr_minor_words_per_pkt /. 8192.)
-   | None -> ());
-  (match List.assoc_opt 8192 tss_walk_admit_batch with
-   | Some (b, s) ->
-     Printf.printf
-       "  tss-walk-admit @8192 (nothing skipped): %.2f ns/probe batch, \
-        %.2f ns/probe scalar\n"
-       (b.hr_ns_per_pkt /. 8192.) (s.hr_ns_per_pkt /. 8192.)
-   | None -> ());
-  let indexed rows =
-    fun b ->
-      add_obj b
-        (List.map
-           (fun (n, r) ->
-             (Printf.sprintf "%05d" n, fun b -> add_obj b (row_fields r)))
-           rows)
+  let engine_probe = Flow.make ~tp_dst:0xFFFF () in
+  let per_engine name json lookup =
+    per_count ~counts:[ 16; 128; 1024 ] name json (fun n ->
+        let f = lookup (engine_rules n) in
+        hot_measure ~iters:(max 2000 (1_000_000 / n)) f)
   in
-  let indexed2 rows =
-    fun b ->
-      add_obj b
-        (List.map
-           (fun (n, (br, sr)) ->
-             (Printf.sprintf "%05d" n,
-              fun b ->
-                add_obj b
-                  [ ("batch", fun b -> add_obj b (row_fields br));
-                    ("scalar", fun b -> add_obj b (row_fields sr)) ]))
-           rows)
+  per_engine "classify-linear" "classify_linear" (fun rules ->
+      let cls = Linear.of_rules rules in
+      fun () -> ignore (Linear.lookup cls engine_probe));
+  per_engine "classify-tss" "classify_tss" (fun rules ->
+      let cls = Tss.create () in
+      List.iter (Tss.insert cls) rules;
+      let bs = Tss.batch ~capacity:1 in
+      let flows = [| engine_probe |] and idx = [| 0 |] in
+      fun () -> Tss.find_wc_batch cls bs flows ~idx ~n:1);
+  per_engine "classify-dtree" "classify_dtree" (fun rules ->
+      let cls = Dtree.build ~leaf_size:4 rules in
+      fun () -> ignore (Dtree.lookup cls engine_probe));
+  List.rev !rows
+
+(* Set when a hot-path gate fails; the program exits 1 after its last
+   experiment. *)
+let gates_failed = ref false
+
+let run_hotpath () =
+  section
+    "hotpath — cycles, ns and minor-heap words per packet on the real\n\
+    \  structures (GC-aware; the allocation budget future perf PRs are\n\
+    \  held to)";
+  let rows = hotpath_rows () in
+  Printf.printf "  %-22s %8s %14s %14s %18s\n" "regime" "masks" "ns/pkt"
+    "cycles/pkt" "minor words/pkt";
+  List.iter
+    (fun r ->
+      Printf.printf "  %-22s %8s %14.1f %14.0f %18.3f\n" r.name
+        (match r.masks with Some n -> string_of_int n | None -> "-")
+        r.m.ns_per_pkt r.m.cycles_per_pkt r.m.minor_words_per_pkt)
+    rows;
+  let find name n =
+    List.find (fun r -> r.name = name && r.masks = Some n) rows
   in
-  add_obj buf
-    [ ("emc_hit", fun b -> add_obj b (row_fields emc_hit));
-      ("mf_churn", indexed mf_churn);
-      ("mf_hit_batch", indexed2 mf_hit_batch);
-      ("mf_hit_hinted", indexed mf_hit_hinted);
-      ("pmd_batch", fun b -> add_obj b (row_fields pmd_batch));
-      ("pmd_regimes",
-       fun b ->
-         add_obj b
-           (List.map
-              (fun (name, r) -> (name, fun b -> add_obj b (row_fields r)))
-              pmd_regimes));
-      ("revalidate",
-       fun b ->
-         add_obj b
-           (List.map
-              (fun (n, (skip, sweep)) ->
-                (Printf.sprintf "%05d" n,
-                 fun b ->
-                   add_obj b
-                     [ ("skip", fun b -> add_obj b (row_fields skip));
-                       ("sweep", fun b -> add_obj b (row_fields sweep)) ]))
-              revalidate_rows));
-      ("tss_churn", indexed tss_churn);
-      ("tss_walk", indexed tss_walk);
-      ("tss_walk_admit_batch", indexed2 tss_walk_admit_batch);
-      ("tss_walk_batch", indexed2 tss_walk_batch);
-      ("tss_walk_grouped_batch", indexed2 tss_walk_grouped_batch);
-      ("tss_walk_hashed_batch", indexed2 tss_walk_hashed_batch);
-      ("upcall", indexed upcall);
-      ("upcall_remint", fun b -> add_obj b (row_fields upcall_remint)) ];
+  (* The measured cost of one subtable probe: the walk that skips
+     nothing, beside the cost model's coefficient. *)
+  let cm = Pi_ovs.Cost_model.default in
+  let per_probe name = (find name 8192).m.ns_per_pkt /. 8192. in
+  Printf.printf
+    "\n  subtable probe, measured (tss-walk-admit @8192): %.2f ns batch, %.2f ns\n\
+    \  scalar; cost model: mf_probe %.0f cycles = %.1f ns at %.1f GHz\n"
+    (per_probe "tss-walk-admit-batch") (per_probe "tss-walk-admit-scalar")
+    cm.Pi_ovs.Cost_model.mf_probe
+    (cm.Pi_ovs.Cost_model.mf_probe /. cm.Pi_ovs.Cost_model.cpu_hz *. 1e9)
+    (cm.Pi_ovs.Cost_model.cpu_hz /. 1e9);
   let path = "BENCH_hotpath.json" in
-  let oc = open_out path in
-  output_string oc (Buffer.contents buf);
-  output_char oc '\n';
-  close_out oc;
+  write_json_tree path
+    (List.concat_map
+       (fun r ->
+         List.map
+           (fun (k, v) -> (r.path @ [ k ], json_num v))
+           [ ("cycles_per_pkt", r.m.cycles_per_pkt);
+             ("minor_words_per_pkt", r.m.minor_words_per_pkt);
+             ("ns_per_pkt", r.m.ns_per_pkt) ])
+       rows);
   Printf.printf "\n  hot-path trajectory written to %s\n" path;
-  (* Every gate runs and prints its verdict before the run fails, so
-     one failing gate does not hide another. *)
-  let gate var =
-    match Sys.getenv_opt var with None | Some ("" | "0") -> false | Some _ -> true
+  (* Both gates check every row and print their verdicts, so one
+     failing gate or row does not hide another. *)
+  let at r =
+    match r.masks with Some n -> Printf.sprintf " @%d masks" n | None -> ""
   in
-  let failed = ref false in
-  let verdict ok what =
-    if ok then Printf.printf "  %s: OK\n" what
-    else begin
-      Printf.printf "  %s: FAILED\n" what;
-      failed := true
-    end
-  in
-  if gate "PI_BENCH_ASSERT_ZERO_ALLOC" then begin
-    (* Every steady-state lookup regime must be allocation-free: the
-       benign EMC hit, the kernel-style hinted megaflow hit at every
-       mask count, and — since the flat-store rewrite — the full TSS
-       walk the attack forces. Churn/upcall rows build structures and
-       are exempt. *)
-    let ok = ref true in
-    let demand_zero name n words =
-      if words > 0. then begin
-        Printf.eprintf
-          "FAIL: steady-state %s%s allocates %.3f minor words/packet (want 0)\n"
-          name
-          (match n with
-           | Some n -> Printf.sprintf " @%d masks" n
-           | None -> "")
-          words;
-        ok := false
-      end
-    in
-    demand_zero "emc-hit" None emc_hit.hr_minor_words_per_pkt;
-    List.iter
-      (fun (n, r) ->
-        demand_zero "mf-hit-hinted" (Some n) r.hr_minor_words_per_pkt)
-      mf_hit_hinted;
-    List.iter
-      (fun (n, r) -> demand_zero "tss-walk" (Some n) r.hr_minor_words_per_pkt)
-      tss_walk;
-    demand_zero "pmd-batch" None pmd_batch.hr_minor_words_per_pkt;
-    if upcall_remint.hr_minor_words_per_pkt > remint_words_budget then begin
+  let alloc_ok r =
+    let words = r.m.minor_words_per_pkt in
+    match r.gate with
+    | Zero_alloc when words > 0. ->
       Printf.eprintf
-        "FAIL: upcall-remint allocates %.3f minor words/install (budget %g)\n"
-        upcall_remint.hr_minor_words_per_pkt remint_words_budget;
-      ok := false
-    end;
-    List.iter
-      (fun (n, (b, s)) ->
-        demand_zero "tss-walk-batch" (Some n) b.hr_minor_words_per_pkt;
-        demand_zero "tss-walk-scalar" (Some n) s.hr_minor_words_per_pkt)
-      tss_walk_batch;
-    List.iter
-      (fun (n, (b, s)) ->
-        demand_zero "tss-walk-hashed-batch" (Some n) b.hr_minor_words_per_pkt;
-        demand_zero "tss-walk-hashed-scalar" (Some n)
-          s.hr_minor_words_per_pkt)
-      tss_walk_hashed_batch;
-    List.iter
-      (fun (n, (b, s)) ->
-        demand_zero "tss-walk-admit-batch" (Some n) b.hr_minor_words_per_pkt;
-        demand_zero "tss-walk-admit-scalar" (Some n)
-          s.hr_minor_words_per_pkt)
-      tss_walk_admit_batch;
-    List.iter
-      (fun (n, (b, s)) ->
-        demand_zero "tss-walk-grouped-batch" (Some n) b.hr_minor_words_per_pkt;
-        demand_zero "tss-walk-grouped-scalar" (Some n)
-          s.hr_minor_words_per_pkt)
-      tss_walk_grouped_batch;
-    List.iter
-      (fun (n, (b, s)) ->
-        demand_zero "mf-hit-batch" (Some n) b.hr_minor_words_per_pkt;
-        demand_zero "mf-hit-scalar" (Some n) s.hr_minor_words_per_pkt)
-      mf_hit_batch;
-    List.iter
-      (fun (name, r) -> demand_zero name None r.hr_minor_words_per_pkt)
-      pmd_regimes;
-    verdict !ok
-      (Printf.sprintf
-         "zero-alloc assertion (emc-hit, mf-hit-hinted, tss-walk,\n\
-         \  pmd-batch, tss-walk-batch, tss-walk-hashed-batch,\n\
-         \  tss-walk-admit-batch, tss-walk-grouped-batch, mf-hit-batch,\n\
-         \  pmd-mf-hit, pmd-charged; upcall-remint <= %g words/install)"
-         remint_words_budget)
-  end;
-  if gate "PI_BENCH_ASSERT_BATCH" then begin
-    (* The point of the subtable-major walk: once the attack has
-       injected enough masks (>= 512), probing each subtable for the
-       whole burst must not be slower than re-walking the hierarchy
-       per packet. Below 512 masks the walk is too short for the
-       amortisation to matter and noise dominates, so no assertion. *)
-    let ok = ref true in
-    let demand_faster name (n, (b, s)) =
-      if n >= 512 && b.hr_cycles_per_pkt > s.hr_cycles_per_pkt then begin
-        Printf.eprintf
-          "FAIL: %s @%d masks: batch walk costs %.0f cycles/pkt vs %.0f \
-           per-packet (want batch <= per-packet)\n"
-          name n b.hr_cycles_per_pkt s.hr_cycles_per_pkt;
-        ok := false
-      end
+        "FAIL: steady-state %s%s allocates %.3f minor words/packet (want 0)\n"
+        r.name (at r) words;
+      false
+    | Words_budget budget when words > budget ->
+      Printf.eprintf "FAIL: %s%s allocates %.3f minor words/op (budget %g)\n"
+        r.name (at r) words budget;
+      false
+    | Zero_alloc | Words_budget _ | Ungated -> true
+  in
+  let batch_ok r =
+    match (r.scalar, r.masks) with
+    | Some s, Some n
+      when n >= 512 && r.m.cycles_per_pkt > s.cycles_per_pkt ->
+      Printf.eprintf
+        "FAIL: %s @%d masks: batch walk costs %.0f cycles/pkt vs %.0f \
+         per-packet (want batch <= per-packet)\n"
+        r.name n r.m.cycles_per_pkt s.cycles_per_pkt;
+      false
+    | _ -> true
+  in
+  let pp_labels ppf l =
+    Format.pp_print_list
+      ~pp_sep:(fun ppf () -> Format.fprintf ppf ",@ ")
+      Format.pp_print_string ppf l
+  in
+  (* [label] names a row's gated family ([None]: not in this gate) *)
+  let verdict what label check =
+    let ok = List.fold_left (fun ok r -> check r && ok) true rows in
+    if not ok then gates_failed := true;
+    let labels =
+      List.fold_left
+        (fun acc r ->
+          match label r with
+          | Some l when not (List.mem l acc) -> l :: acc
+          | Some _ | None -> acc)
+        [] rows
     in
-    List.iter (demand_faster "tss-walk-batch") tss_walk_batch;
-    List.iter (demand_faster "tss-walk-hashed-batch") tss_walk_hashed_batch;
-    List.iter (demand_faster "tss-walk-admit-batch") tss_walk_admit_batch;
-    List.iter (demand_faster "mf-hit-batch") mf_hit_batch;
-    verdict !ok
-      "batch <= per-packet at >= 512 masks (tss-walk-batch, \
-       tss-walk-hashed-batch, tss-walk-admit-batch, mf-hit-batch)"
-  end;
-  flush stdout;
-  if !failed then exit 1
+    Format.printf "  @[<hov 2>%s (%a):@ %s@]@." what pp_labels
+      (List.rev labels) (if ok then "OK" else "FAILED")
+  in
+  verdict "zero-alloc assertion"
+    (fun r ->
+      match r.gate with
+      | Zero_alloc -> Some r.name
+      | Words_budget w -> Some (Printf.sprintf "%s <= %g words/op" r.name w)
+      | Ungated -> None)
+    alloc_ok;
+  verdict "batch <= per-packet at >= 512 masks"
+    (fun r -> Option.map (fun _ -> r.name) r.scalar)
+    batch_ok
 
 (* ------------------------------------------------------------------ *)
 (* wallclock: real pkts/sec of the two PMD execution engines            *)
@@ -1656,56 +1448,19 @@ let run_wallclock () =
            "  (!) expected the persistent domains to win here"
          else ""))
     wallclock_shards;
-  (* BENCH_wallclock.json: mode -> load -> shards, stable sorted keys *)
-  let buf = Buffer.create 4096 in
-  let add_obj b fields =
-    Buffer.add_char b '{';
-    List.iteri
-      (fun i (k, add_v) ->
-        if i > 0 then Buffer.add_char b ',';
-        Buffer.add_string b (Printf.sprintf "%S" k);
-        Buffer.add_char b ':';
-        add_v b)
-      fields;
-    Buffer.add_char b '}'
-  in
-  let num f = fun b -> Buffer.add_string b (Printf.sprintf "%.9g" f) in
-  let cell r =
-    fun b ->
-      add_obj b
-        [ ("masks", num (float_of_int r.wc_masks));
-          ("ns_per_pkt", num (wc_ns_per_pkt r));
-          ("pkts", num (float_of_int r.wc_pkts));
-          ("pkts_per_sec", num (wc_mpps r *. 1e6)) ]
-  in
-  let mode_names = [ "det-parallel"; "pipe-deferred"; "pipe-sync" ] in
-  add_obj buf
-    [ ("modes",
-       fun b ->
-         add_obj b
-           (List.map
-              (fun m ->
-                (m,
-                 fun b ->
-                   add_obj b
-                     (List.map
-                        (fun l ->
-                          (l,
-                           fun b ->
-                             add_obj b
-                               (List.map
-                                  (fun n ->
-                                    (string_of_int n,
-                                     cell (List.assoc (m, l, n) !results)))
-                                  wallclock_shards)))
-                        [ "attack"; "benign" ])))
-              mode_names));
-      ("quick", fun b -> Buffer.add_string b (if quick then "true" else "false")) ];
+  (* BENCH_wallclock.json: mode -> load -> shards *)
   let path = "BENCH_wallclock.json" in
-  let oc = open_out path in
-  output_string oc (Buffer.contents buf);
-  output_char oc '\n';
-  close_out oc;
+  write_json_tree path
+    ((["quick"], fun b -> Buffer.add_string b (if quick then "true" else "false"))
+     :: List.concat_map
+          (fun ((m, l, n), r) ->
+            List.map
+              (fun (k, v) -> ([ "modes"; m; l; string_of_int n; k ], json_num v))
+              [ ("masks", float_of_int r.wc_masks);
+                ("ns_per_pkt", wc_ns_per_pkt r);
+                ("pkts", float_of_int r.wc_pkts);
+                ("pkts_per_sec", wc_mpps r *. 1e6) ])
+          !results);
   Printf.printf "\n  wall-clock trajectory written to %s\n" path
 
 (* ------------------------------------------------------------------ *)
@@ -1719,7 +1474,6 @@ let experiments =
     ("mitigations", run_mitigations);
     ("ranking", run_ranking);
     ("sweep", run_sweep);
-    ("micro", run_micro);
     ("hotpath", run_hotpath);
     ("wallclock", run_wallclock) ]
 
@@ -1737,4 +1491,5 @@ let () =
         Printf.eprintf "unknown experiment %S (available: %s)\n" name
           (String.concat ", " (List.map fst experiments));
         exit 1)
-    requested
+    requested;
+  if !gates_failed then exit 1

@@ -51,15 +51,20 @@ let allow_src_arg =
        & info [ "allow-src" ] ~docv:"IP" ~doc:"Whitelisted source address.")
 
 (* Shard counts, burst sizes, queue depths and sample periods must be at
-   least 1: a zero or negative value is a usage error, not a raised
-   exception. *)
-let pos_int_conv =
+   least 1, and at most [hi] where one is given: a value out of range is
+   a usage error, not a raised exception. *)
+let pos_int_conv ?(hi = max_int) () =
   let parse s =
     match int_of_string_opt s with
-    | Some n when n >= 1 -> Ok n
+    | Some n when n >= 1 && n <= hi -> Ok n
     | Some _ | None ->
       Error
-        (`Msg (Printf.sprintf "invalid value %S (expected an integer >= 1)" s))
+        (`Msg
+           (if hi = max_int then
+              Printf.sprintf "invalid value %S (expected an integer >= 1)" s
+            else
+              Printf.sprintf
+                "invalid value %S (expected an integer from 1 to %d)" s hi))
   in
   Arg.conv (parse, Format.pp_print_int)
 
@@ -94,13 +99,23 @@ let backend_arg =
                  path, one PMD thread per --shards) or $(b,cacheless) (no \
                  flow cache — the attack-immune baseline).")
 
+(* OCaml 5.1's runtime runs at most 128 domains at once: a pipeline
+   spawns one worker domain per shard beside the main and handler
+   domains, so 126 shards is the most any run can start. *)
+let max_shards = 126
+
 let shards_arg =
-  Arg.(value & opt pos_int_conv Pi_sim.Scenario.(default_params.n_shards)
+  Arg.(value & opt (pos_int_conv ~hi:max_shards ())
+         Pi_sim.Scenario.(default_params.n_shards)
        & info [ "shards" ] ~docv:"N"
-           ~doc:"PMD threads (one core each) of the pmd backend; flows are \
-                 RSS-steered across them. 1 (the default) is the \
-                 single-datapath model, and the only value the cacheless \
-                 backend accepts.")
+           ~doc:(Printf.sprintf
+                   "PMD threads (one core each) of the pmd backend; flows are \
+                    RSS-steered across them. 1 (the default) is the \
+                    single-datapath model, and the only value the cacheless \
+                    backend accepts. At most %d: a shard may run on its own \
+                    domain, and OCaml allows 128 domains, two of which are \
+                    the main and upcall-handler domains."
+                   max_shards))
 
 (* The cache-less backend is one shard, so more is a usage error,
    worded as [Validate] words it in a .pis file. *)
@@ -588,14 +603,14 @@ let attack_cmd =
          & info [ "offered" ] ~docv:"GBPS" ~doc:"Victim offered load.")
   in
   let every =
-    Arg.(value & opt pos_int_conv 5
+    Arg.(value & opt (pos_int_conv ()) 5
          & info [ "every" ] ~docv:"SECONDS" ~doc:"Print one sample per N seconds.")
   in
   let coarse =
     Arg.(value & flag & info [ "mitigate" ] ~doc:"Enable the coarsened un-wildcarding mitigation.")
   in
   let batch =
-    Arg.(value & opt pos_int_conv dp.Pi_sim.Scenario.batch_size
+    Arg.(value & opt (pos_int_conv ()) dp.Pi_sim.Scenario.batch_size
          & info [ "batch" ] ~docv:"B" ~doc:"Rx burst size per PMD (OVS: 32).")
   in
   let pipeline =
@@ -609,7 +624,7 @@ let attack_cmd =
                    differs.")
   in
   let upcall_queue =
-    Arg.(value & opt (some pos_int_conv) None
+    Arg.(value & opt (some (pos_int_conv ())) None
          & info [ "upcall-queue" ] ~docv:"N"
              ~doc:"Bound the fast-path-to-slow-path upcall queue at $(docv) \
                    entries (per shard): cache misses defer to handler \
@@ -713,7 +728,7 @@ let monitor_cmd =
          & info [ "offered" ] ~docv:"GBPS" ~doc:"Victim offered load.")
   in
   let every =
-    Arg.(value & opt pos_int_conv 1
+    Arg.(value & opt (pos_int_conv ()) 1
          & info [ "every" ] ~docv:"SECONDS"
              ~doc:"Refresh the view once per N simulated seconds.")
   in
