@@ -1195,6 +1195,7 @@ let run_hotpath () =
         (match r.masks with Some n -> string_of_int n | None -> "-")
         r.m.ns_per_pkt r.m.cycles_per_pkt r.m.minor_words_per_pkt)
     rows;
+  Printf.printf "  (a classify-* row's count is its rule count)\n";
   let find name n =
     List.find (fun r -> r.name = name && r.masks = Some n) rows
   in
